@@ -10,8 +10,8 @@ per-class and averaged precision/recall/F1.
 from .baselines import (LogRegConfig, LogRegModel, NaiveBayesModel,
                         TfidfModel, count_features, load_baseline,
                         logreg_fit, logreg_predict, naive_bayes_fit,
-                        naive_bayes_predict, rnn_classifier_train,
-                        save_baseline, tfidf_fit, tfidf_transform)
+                        naive_bayes_predict, save_baseline, tfidf_fit,
+                        tfidf_transform)
 from .corpus import (PAD_INDEX, UNK_INDEX, EncodedExample, RawRecord,
                      Sentiment, Vocabulary, build_vocabulary, clean_text,
                      encode, encode_example, load_dataset, load_vocabulary,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "LogRegConfig", "LogRegModel", "NaiveBayesModel", "TfidfModel",
     "count_features", "load_baseline", "logreg_fit", "logreg_predict",
-    "naive_bayes_fit", "naive_bayes_predict", "rnn_classifier_train",
-    "save_baseline", "tfidf_fit", "tfidf_transform",
+    "naive_bayes_fit", "naive_bayes_predict", "save_baseline", "tfidf_fit",
+    "tfidf_transform",
     "PAD_INDEX", "UNK_INDEX", "EncodedExample", "RawRecord", "Sentiment",
     "Vocabulary", "build_vocabulary", "clean_text", "encode", "encode_example",
     "load_dataset", "load_vocabulary", "save_vocabulary", "stratified_split",

@@ -55,42 +55,31 @@ def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
 @dataclass
 class TfidfModel:
     idf: np.ndarray  # (n_tokens,)
-    sublinear_tf: bool = False
-    norm: str = "l2"
 
     def __post_init__(self):
         self.idf = np.asarray(self.idf, dtype=np.float64).ravel()
-        if self.norm not in ("l2", "none"):
-            raise ValueError(f"unknown norm {self.norm!r} (expected 'l2' or 'none')")
 
 
-def tfidf_fit(counts: sparse.csr_matrix, sublinear_tf: bool = False,
-              norm: str = "l2") -> TfidfModel:
+def tfidf_fit(counts: sparse.csr_matrix) -> TfidfModel:
     """idf_t = ln((1 + N) / (1 + df_t)) + 1 with df counted on nonzero cells."""
     n_docs = counts.shape[0]
     if n_docs == 0:
         raise TrainingError("cannot fit tf-idf on an empty matrix")
     df = np.asarray((counts > 0).sum(axis=0)).ravel().astype(np.float64)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    return TfidfModel(idf=idf, sublinear_tf=sublinear_tf, norm=norm)
+    return TfidfModel(idf=idf)
 
 
 def tfidf_transform(model: TfidfModel, counts: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Apply tf weighting (raw, or 1+ln(tf) when sublinear), scale by idf,
-    and L2-normalize rows when configured (all-zero rows stay zero)."""
+    """Scale raw counts by idf and L2-normalize rows (all-zero rows stay zero)."""
     if counts.shape[1] != model.idf.shape[0]:
         raise TrainingError(
             f"feature width {counts.shape[1]} does not match fitted idf ({model.idf.shape[0]})"
         )
-    tf = counts.copy().astype(np.float64)
-    if model.sublinear_tf:
-        tf.data = 1.0 + np.log(tf.data)
-    weighted = tf.multiply(model.idf[np.newaxis, :]).tocsr()
-    if model.norm == "l2":
-        norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1)).ravel())
-        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-        weighted = sparse.diags(scale).dot(weighted).tocsr()
-    return weighted
+    weighted = counts.astype(np.float64).multiply(model.idf[np.newaxis, :]).tocsr()
+    norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1)).ravel())
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return sparse.diags(scale).dot(weighted).tocsr()
 
 
 @dataclass
@@ -201,40 +190,18 @@ def logreg_predict(model: LogRegModel, counts: sparse.csr_matrix) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def rnn_classifier_train(examples, embedding, hidden: int = 50,
-                         config=None, seed: int = 1):
-    """Vanilla-RNN classifier through the shared training loop: the same
-    pipeline as the LSTM with the recurrence swapped. Returns (params, report)."""
-    from .nnet import init_rnn_params
-    from .train import TrainConfig, train
-    params = init_rnn_params(hidden, embedding.dim, seed=(seed, 7))
-    return train(examples, params, embedding, config or TrainConfig(seed=seed))
-
-
-_KIND_TENSORS = {
-    "tfidf": ("idf", "options"),
-    "naive-bayes": ("log_prior", "log_likelihood"),
-    "logreg": ("W", "b", "idf"),
+# kind tag -> (model class, tensor names in file order)
+_KINDS = {
+    "naive-bayes": (NaiveBayesModel, ("log_prior", "log_likelihood")),
+    "logreg": (LogRegModel, ("W", "b", "idf")),
 }
 
 
 def _model_kind(model):
-    if isinstance(model, TfidfModel):
-        return "tfidf"
-    if isinstance(model, NaiveBayesModel):
-        return "naive-bayes"
-    if isinstance(model, LogRegModel):
-        return "logreg"
+    for kind, (cls, _) in _KINDS.items():
+        if isinstance(model, cls):
+            return kind
     raise TypeError(f"unsupported baseline model {type(model).__name__}")
-
-
-def _model_tensors(model, kind):
-    if kind == "tfidf":
-        return {"idf": model.idf,
-                "options": np.array([float(model.sublinear_tf),
-                                     float(model.norm == "l2")])}
-    return {name: np.asarray(getattr(model, name), dtype=np.float64)
-            for name in _KIND_TENSORS[kind]}
 
 
 def save_baseline(model, path, vocab_fingerprint: bytes):
@@ -248,10 +215,10 @@ def save_baseline(model, path, vocab_fingerprint: bytes):
     chunks.append(binio.pack_u32(len(encoded_kind)))
     chunks.append(encoded_kind)
     chunks.append(vocab_fingerprint)
-    tensors = _model_tensors(model, kind)
-    chunks.append(binio.pack_u32(len(tensors)))
-    for name in _KIND_TENSORS[kind]:
-        tensor = np.asarray(tensors[name], dtype=np.float64)
+    names = _KINDS[kind][1]
+    chunks.append(binio.pack_u32(len(names)))
+    for name in names:
+        tensor = np.asarray(getattr(model, name), dtype=np.float64)
         encoded_name = name.encode("ascii")
         chunks.append(binio.pack_u32(len(encoded_name)))
         chunks.append(encoded_name)
@@ -272,7 +239,7 @@ def load_baseline(path, vocab=None):
     reader.expect_magic(BASE_MAGIC, "senti-baseline")
     reader.expect_version(BASE_VERSION, "senti-baseline")
     kind = reader.take(reader.u32()).decode("ascii")
-    if kind not in _KIND_TENSORS:
+    if kind not in _KINDS:
         raise FormatError(f"{path}: unknown baseline kind {kind!r}")
     vocab_fp = reader.take(32)
     if vocab is not None and vocab.fingerprint() != vocab_fp:
@@ -285,14 +252,7 @@ def load_baseline(path, vocab=None):
         shape = tuple(reader.u32() for _ in range(ndim))
         tensors[name] = reader.f64_array(shape)
     reader.expect_eof()
-    expected = set(_KIND_TENSORS[kind])
-    if set(tensors) != expected:
+    cls, names = _KINDS[kind]
+    if set(tensors) != set(names):
         raise FormatError(f"{path}: baseline tensors {sorted(tensors)} do not match kind {kind!r}")
-    if kind == "tfidf":
-        options = tensors["options"]
-        return TfidfModel(idf=tensors["idf"], sublinear_tf=bool(options[0]),
-                          norm="l2" if options[1] else "none")
-    if kind == "naive-bayes":
-        return NaiveBayesModel(log_prior=tensors["log_prior"],
-                               log_likelihood=tensors["log_likelihood"])
-    return LogRegModel(W=tensors["W"], b=tensors["b"], idf=tensors["idf"])
+    return cls(**tensors)

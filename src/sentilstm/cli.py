@@ -16,9 +16,11 @@ import argparse
 import dataclasses
 import json
 import logging
+import operator
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .embedding import (EmbeddingConfig, load_embeddings, random_embedding,
                         save_embeddings, train_skipgram)
 from .errors import DatasetError, SentiError
 from .nnet import forward, init_lstm_params, init_rnn_params
-from .train import (TrainConfig, evaluate_model, load_checkpoint,
+from .train import (OPTIMIZERS, TrainConfig, evaluate_model, load_checkpoint,
                     predict_dataset, save_checkpoint, train)
 
 log = logging.getLogger(__name__)
@@ -44,51 +46,80 @@ REPORT_NAME = "train_report.json"
 OUTPUT_DIR_ENV = "SENTI_OUTPUT_DIR"
 
 
+def _option(default, help, *, choices=None, at_least=None, above=None, below=None):
+    """A RunConfig field with the help text, choices and bounds that both its
+    flag and its config-file value are held to."""
+    return dataclasses.field(default=default, metadata={
+        "help": help, "choices": choices,
+        "at_least": at_least, "above": above, "below": below,
+    })
+
+
 @dataclass
 class RunConfig:
-    """Every tunable the CLI understands, with the stock defaults."""
+    """Every tunable the CLI understands: default, help and valid range,
+    declared once. Field `foo_bar` is both the `--foo-bar` flag and the
+    `foo_bar` key of a --config file."""
 
-    maxlen: int = 100
-    min_count: int = 10
-    tokenizer: str = "auto"
-    test_fraction: float = 0.2
+    maxlen: int = _option(100, "tokens kept per text (truncate, then pad)", at_least=1)
+    min_count: int = _option(10, "train-split frequency a token needs to enter the vocabulary",
+                             at_least=1)
+    tokenizer: str = _option("auto", "how cleaned text splits into tokens; auto picks "
+                             "character mode when CJK scalars are over half of the letters",
+                             choices=("auto",) + corpus.TOKENIZER_MODES)
+    test_fraction: float = _option(0.2, "share of each class held out for testing",
+                                   above=0.0, below=1.0)
 
-    dim: int = 100
-    window: int = 7
-    iterations: int = 10
-    negatives: int = 5
-    embedding_lr: float = 0.025
+    dim: int = _option(100, "embedding dimension for skip-gram or --random-init", at_least=1)
+    window: int = _option(7, "skip-gram context window", at_least=1)
+    iterations: int = _option(10, "skip-gram passes over the train split", at_least=1)
+    negatives: int = _option(5, "negative samples per skip-gram pair", at_least=0)
+    embedding_lr: float = _option(0.025, "initial skip-gram learning rate", above=0.0)
 
-    hidden: int = 50
-    model: str = "lstm"
-    epochs: int = 4
-    batch_size: int = 32
-    optimizer: str = "adam"
-    learning_rate: float = None
-    clip_norm: float = 5.0
+    hidden: int = _option(50, "recurrent hidden units", at_least=1)
+    model: str = _option("lstm", "recurrent cell", choices=("lstm", "rnn"))
+    epochs: int = _option(4, "classifier training epochs", at_least=1)
+    batch_size: int = _option(32, "examples per gradient step", at_least=1)
+    optimizer: str = _option("adam", "classifier optimizer", choices=OPTIMIZERS)
+    learning_rate: float = _option(None, "classifier learning rate "
+                                   "(default 0.001 for adam, 0.1 for sgd)", above=0.0)
+    clip_norm: float = _option(5.0, "global gradient-norm clip; 0 disables clipping",
+                               at_least=0.0)
 
-    averaging: str = "macro"
-    seed: int = 1
-    output_dir: str = "senti-out"
+    averaging: str = _option("macro", "headline average of the per-class scores",
+                             choices=AVERAGING_SCHEMES)
+    seed: int = _option(1, "master random seed", at_least=0)
+    output_dir: str = _option("senti-out", "where artifacts are written")
 
     # names that came from a flag, the environment, or a config file,
     # as opposed to the defaults above
     explicit: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.tokenizer not in ("auto",) + corpus.TOKENIZER_MODES:
-            raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
-        if self.model not in ("lstm", "rnn"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.averaging not in AVERAGING_SCHEMES:
-            raise ValueError(f"unknown averaging scheme {self.averaging!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be strictly between 0 and 1")
-        if self.maxlen < 1:
-            raise ValueError("maxlen must be >= 1")
+        for f in OPTIONS.values():
+            _check_option(f, getattr(self, f.name))
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)} - {"explicit"}
+OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.metadata}
+
+_BOUNDS = (("at_least", ">=", operator.ge), ("above", ">", operator.gt),
+           ("below", "<", operator.lt))
+
+
+def _check_option(f, value):
+    if value is None and f.default is None:
+        return  # unset: the consumer resolves it (learning_rate per optimizer)
+    kinds = (int, float) if f.type is float else f.type
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SentiError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+    choices = f.metadata["choices"]
+    if choices and value not in choices:
+        raise SentiError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+    for key, symbol, holds in _BOUNDS:
+        bound = f.metadata[key]
+        # `not holds` also rejects NaN
+        if bound is not None and not holds(value, bound):
+            raise SentiError(f"{f.name} must be {symbol} {bound}, got {value!r}")
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
@@ -105,7 +136,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             raise SentiError(f"{config_path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise SentiError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(loaded) - _FIELD_NAMES)
+        unknown = sorted(set(loaded) - set(OPTIONS))
         if unknown:
             raise SentiError(f"{config_path}: unknown config keys {unknown}")
         values.update(loaded)
@@ -114,21 +145,11 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     if env_out:
         values["output_dir"] = env_out
 
-    for name in _FIELD_NAMES:
+    for name in OPTIONS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    try:
-        return RunConfig(**values, explicit=frozenset(values))
-    except (TypeError, ValueError) as exc:
-        raise SentiError(str(exc)) from None
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON file of option defaults")
-    parser.add_argument("--seed", type=int, help="master random seed (default 1)")
-    parser.add_argument("--output-dir", help="where artifacts are written")
-    parser.add_argument("--quiet", action="store_true", help="only warnings on stderr")
+    return RunConfig(**values, explicit=frozenset(values))
 
 
 def _write_json(path, payload):
@@ -145,84 +166,111 @@ def _resolve_tokenizer(cfg: RunConfig, records) -> str:
     return mode
 
 
-def _encode_records(records, vocab, maxlen, mode):
-    out = []
-    for r in records:
-        tokens = corpus.tokenize(corpus.clean_text(r.text), mode)
-        out.append(corpus.encode_example(tokens, r.label, vocab, maxlen))
-    return out
+def _encode_text(text, label, vocab, maxlen, mode):
+    tokens = corpus.tokenize(corpus.clean_text(text), mode)
+    return corpus.encode_example(tokens, label, vocab, maxlen)
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, optimizer=cfg.optimizer,
         learning_rate=cfg.learning_rate, seed=cfg.seed,
-        clip_norm=cfg.clip_norm if cfg.clip_norm and cfg.clip_norm > 0 else None,
+        clip_norm=cfg.clip_norm or None,
     )
 
 
-def _class_counts(records):
+def _embedding_config(cfg: RunConfig) -> EmbeddingConfig:
+    return EmbeddingConfig(
+        dim=cfg.dim, window=cfg.window, min_count=cfg.min_count,
+        iterations=cfg.iterations, negatives=cfg.negatives,
+        learning_rate=cfg.embedding_lr, seed=cfg.seed,
+    )
+
+
+def _init_params(kind, cfg: RunConfig, input_dim):
+    if kind == "lstm":
+        return init_lstm_params(cfg.hidden, input_dim, seed=(cfg.seed, 5))
+    return init_rnn_params(cfg.hidden, input_dim, seed=(cfg.seed, 7))
+
+
+def _class_counts(examples):
     counts = {name: 0 for name in CLASS_NAMES}
-    for r in records:
-        counts[CLASS_NAMES[int(r.label)]] += 1
+    for ex in examples:
+        counts[CLASS_NAMES[int(ex.label)]] += 1
     return counts
 
 
-def _drop_empty(records, mode):
-    """Records whose text cleans to nothing cannot be encoded into a
-    trainable sequence; drop them up front. Returns (kept, n_dropped)."""
-    kept = [r for r in records if corpus.tokenize(corpus.clean_text(r.text), mode)]
-    n_dropped = len(records) - len(kept)
+class _Tokenized(NamedTuple):
+    label: corpus.Sentiment
+    tokens: list
+
+
+class Prepared(NamedTuple):
+    mode: str
+    vocab: corpus.Vocabulary
+    train: list  # EncodedExample
+    test: list
+    n_dropped: int
+
+
+def prepare(cfg: RunConfig, csv_path) -> Prepared:
+    """The front of the pipeline, cleaning and tokenizing each record once:
+    load the CSV, drop records that clean to nothing (they cannot become a
+    trainable sequence), split stratified, build the vocabulary from the
+    train tokens, and encode both splits."""
+    records = corpus.load_dataset(csv_path)
+    if not records:
+        raise DatasetError(f"{csv_path}: no records")
+    mode = _resolve_tokenizer(cfg, records)
+    tokenized = [_Tokenized(r.label, corpus.tokenize(corpus.clean_text(r.text), mode))
+                 for r in records]
+    kept = [t for t in tokenized if t.tokens]
     if not kept:
         raise DatasetError("no records with non-empty text after cleaning")
+    n_dropped = len(records) - len(kept)
     if n_dropped:
         log.info("dropped %d record(s) with empty text after cleaning", n_dropped)
-    return kept, n_dropped
-
-
-def cmd_preprocess(args) -> int:
-    cfg = merge_config(args)
-    records = corpus.load_dataset(args.data)
-    if not records:
-        raise DatasetError(f"{args.data}: no records")
-    mode = _resolve_tokenizer(cfg, records)
-    records, n_dropped = _drop_empty(records, mode)
-    train_records, test_records = corpus.stratified_split(
-        records, cfg.test_fraction, seed=(cfg.seed, 11)
-    )
-    tokenized = [corpus.tokenize(corpus.clean_text(r.text), mode) for r in train_records]
-    vocab = corpus.build_vocabulary(tokenized, cfg.min_count)
+    train_split, test_split = corpus.stratified_split(kept, cfg.test_fraction,
+                                                      seed=(cfg.seed, 11))
+    vocab = corpus.build_vocabulary([t.tokens for t in train_split], cfg.min_count)
     if vocab.n_tokens == 0:
         raise DatasetError(
             f"no token reaches min_count={cfg.min_count}; lower --min-count or add data"
         )
 
+    def encode(split):
+        return [corpus.encode_example(t.tokens, t.label, vocab, cfg.maxlen) for t in split]
+
+    return Prepared(mode, vocab, encode(train_split), encode(test_split), n_dropped)
+
+
+def cmd_preprocess(args) -> int:
+    cfg = merge_config(args)
+    prep = prepare(cfg, args.data)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    corpus.save_vocabulary(vocab, os.path.join(out, "vocab.tsv"))
-    train_examples = _encode_records(train_records, vocab, cfg.maxlen, mode)
-    test_examples = _encode_records(test_records, vocab, cfg.maxlen, mode)
-    corpus.save_encoded(train_examples, cfg.maxlen, os.path.join(out, TRAIN_SPLIT))
-    corpus.save_encoded(test_examples, cfg.maxlen, os.path.join(out, TEST_SPLIT))
+    corpus.save_vocabulary(prep.vocab, os.path.join(out, "vocab.tsv"))
+    corpus.save_encoded(prep.train, cfg.maxlen, os.path.join(out, TRAIN_SPLIT))
+    corpus.save_encoded(prep.test, cfg.maxlen, os.path.join(out, TEST_SPLIT))
     _write_json(os.path.join(out, META_NAME), {
         "format": "senti-preprocess",
         "version": 1,
         "maxlen": cfg.maxlen,
         "min_count": cfg.min_count,
-        "tokenizer": mode,
+        "tokenizer": prep.mode,
         "seed": cfg.seed,
         "test_fraction": cfg.test_fraction,
-        "n_train": len(train_examples),
-        "n_test": len(test_examples),
-        "n_dropped_empty": n_dropped,
-        "train_class_counts": _class_counts(train_records),
-        "test_class_counts": _class_counts(test_records),
-        "vocab_size": vocab.n_tokens,
+        "n_train": len(prep.train),
+        "n_test": len(prep.test),
+        "n_dropped_empty": prep.n_dropped,
+        "train_class_counts": _class_counts(prep.train),
+        "test_class_counts": _class_counts(prep.test),
+        "vocab_size": prep.vocab.n_tokens,
     })
     log.info("preprocess: %d train / %d test examples, %d vocabulary tokens -> %s",
-             len(train_examples), len(test_examples), vocab.n_tokens, out)
-    print(f"wrote {out}: {len(train_examples)} train, {len(test_examples)} test, "
-          f"{vocab.n_tokens} tokens")
+             len(prep.train), len(prep.test), prep.vocab.n_tokens, out)
+    print(f"wrote {out}: {len(prep.train)} train, {len(prep.test)} test, "
+          f"{prep.vocab.n_tokens} tokens")
     return 0
 
 
@@ -242,15 +290,10 @@ def _load_meta(input_dir):
 
 def cmd_train_embeddings(args) -> int:
     cfg = merge_config(args)
-    meta = _load_meta(args.input_dir)
+    _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
     examples, _ = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT))
-    econf = EmbeddingConfig(
-        dim=cfg.dim, window=cfg.window, min_count=meta["min_count"],
-        iterations=cfg.iterations, negatives=cfg.negatives,
-        learning_rate=cfg.embedding_lr, seed=cfg.seed,
-    )
-    matrix = train_skipgram([ex.indices for ex in examples], econf, vocab)
+    matrix = train_skipgram([ex.indices for ex in examples], _embedding_config(cfg), vocab)
     # default to dropping the file next to its inputs
     out_dir = cfg.output_dir if "output_dir" in cfg.explicit else args.input_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -277,10 +320,7 @@ def cmd_train(args) -> int:
             )
         embedding = load_embeddings(emb_path, vocab=vocab)
 
-    if cfg.model == "lstm":
-        params = init_lstm_params(cfg.hidden, embedding.dim, seed=(cfg.seed, 5))
-    else:
-        params = init_rnn_params(cfg.hidden, embedding.dim, seed=(cfg.seed, 7))
+    params = _init_params(cfg.model, cfg, embedding.dim)
     tconf = _train_config(cfg)
     params, report = train(examples, params, embedding, tconf)
 
@@ -319,8 +359,8 @@ def _examples_for_checkpoint(path, vocab, maxlen, mode):
                 f"{path}: encoded with maxlen={file_maxlen}, checkpoint expects {maxlen}"
             )
         return examples
-    records = corpus.load_dataset(path)
-    return _encode_records(records, vocab, maxlen, mode)
+    return [_encode_text(r.text, r.label, vocab, maxlen, mode)
+            for r in corpus.load_dataset(path)]
 
 
 def cmd_evaluate(args) -> int:
@@ -343,12 +383,10 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     params, embedding, vocab, manifest = load_checkpoint(args.checkpoint)
     text = args.text if args.text is not None else sys.stdin.read()
-    cleaned = corpus.clean_text(text)
-    if not cleaned:
+    example = _encode_text(text, corpus.Sentiment.neutral, vocab,
+                           manifest["maxlen"], manifest["tokenizer"])
+    if example.original_length == 0:
         raise DatasetError("input text is empty after cleaning")
-    tokens = corpus.tokenize(cleaned, manifest["tokenizer"])
-    example = corpus.encode_example(tokens, corpus.Sentiment.neutral, vocab,
-                                    manifest["maxlen"])
     trace = forward(params, embedding, example.indices)
     label = CLASS_NAMES[trace.predicted]
     if args.format == "json":
@@ -366,23 +404,9 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = merge_config(args)
-    records = corpus.load_dataset(args.data)
-    if not records:
-        raise DatasetError(f"{args.data}: no records")
-    mode = _resolve_tokenizer(cfg, records)
-    records, _ = _drop_empty(records, mode)
-    train_records, test_records = corpus.stratified_split(
-        records, cfg.test_fraction, seed=(cfg.seed, 11)
-    )
-    tokenized = [corpus.tokenize(corpus.clean_text(r.text), mode) for r in train_records]
-    vocab = corpus.build_vocabulary(tokenized, cfg.min_count)
-    if vocab.n_tokens == 0:
-        raise DatasetError(
-            f"no token reaches min_count={cfg.min_count}; lower --min-count or add data"
-        )
-    train_examples = _encode_records(train_records, vocab, cfg.maxlen, mode)
-    test_examples = _encode_records(test_records, vocab, cfg.maxlen, mode)
-    test_labels = np.array([ex.label for ex in test_examples], dtype=np.int64)
+    prep = prepare(cfg, args.data)
+    vocab = prep.vocab
+    test_labels = np.array([ex.label for ex in prep.test], dtype=np.int64)
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -391,29 +415,24 @@ def cmd_compare(args) -> int:
     if args.random_init:
         pretrained = random_embedding(vocab, cfg.dim, seed=(cfg.seed, 4))
     else:
-        econf = EmbeddingConfig(dim=cfg.dim, window=cfg.window, min_count=cfg.min_count,
-                                iterations=cfg.iterations, negatives=cfg.negatives,
-                                learning_rate=cfg.embedding_lr, seed=cfg.seed)
-        pretrained = train_skipgram([ex.indices for ex in train_examples], econf, vocab)
+        pretrained = train_skipgram([ex.indices for ex in prep.train],
+                                    _embedding_config(cfg), vocab)
 
     tconf = _train_config(cfg)
 
     for kind in ("lstm", "rnn"):
         embedding = pretrained.copy()
-        if kind == "lstm":
-            params = init_lstm_params(cfg.hidden, embedding.dim, seed=(cfg.seed, 5))
-        else:
-            params = init_rnn_params(cfg.hidden, embedding.dim, seed=(cfg.seed, 7))
+        params = _init_params(kind, cfg, embedding.dim)
         log.info("training %s classifier", kind)
-        train(train_examples, params, embedding, tconf)
-        reports[kind] = evaluate_model(params, embedding, test_examples,
+        train(prep.train, params, embedding, tconf)
+        reports[kind] = evaluate_model(params, embedding, prep.test,
                                        averaging=cfg.averaging)
         save_checkpoint(os.path.join(out, kind), params, embedding, vocab,
-                        cfg.maxlen, mode)
+                        cfg.maxlen, prep.mode)
 
-    train_counts = bl.count_features([ex.indices for ex in train_examples], vocab.n_tokens)
-    test_counts = bl.count_features([ex.indices for ex in test_examples], vocab.n_tokens)
-    train_labels = np.array([ex.label for ex in train_examples], dtype=np.int64)
+    train_counts = bl.count_features([ex.indices for ex in prep.train], vocab.n_tokens)
+    test_counts = bl.count_features([ex.indices for ex in prep.test], vocab.n_tokens)
+    train_labels = np.array([ex.label for ex in prep.train], dtype=np.int64)
 
     baseline_dir = os.path.join(out, "baselines")
     os.makedirs(baseline_dir, exist_ok=True)
@@ -456,6 +475,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
+# The RunConfig fields each subcommand takes as flags, besides the
+# --seed and --output-dir that every subcommand takes.
+PREPROCESS_OPTIONS = ("maxlen", "min_count", "tokenizer", "test_fraction")
+EMBEDDING_OPTIONS = ("dim", "window", "iterations", "negatives", "embedding_lr")
+TRAIN_OPTIONS = ("model", "hidden", "dim", "epochs", "batch_size", "optimizer",
+                 "learning_rate", "clip_norm")
+# compare trains both models, so it has no --model
+COMPARE_OPTIONS = tuple(
+    name for name in PREPROCESS_OPTIONS + EMBEDDING_OPTIONS + TRAIN_OPTIONS if name != "model"
+) + ("averaging",)
+
+
+def _add_options(parser, names):
+    for name in dict.fromkeys(names + ("seed", "output_dir")):
+        f = OPTIONS[name]
+        help_text = f.metadata["help"]
+        if f.default is not None:
+            help_text += f" (default {f.default})"
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=f.type,
+                            choices=f.metadata["choices"], help=help_text)
+    parser.add_argument("--config", help="JSON file of option defaults")
+    parser.add_argument("--quiet", action="store_true", help="only warnings on stderr")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sentilstm",
@@ -465,21 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="clean, split, build vocabulary, encode")
     p.add_argument("--data", required=True, help="label,text CSV")
-    p.add_argument("--maxlen", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--tokenizer", choices=("auto",) + corpus.TOKENIZER_MODES)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    _add_common(p)
+    _add_options(p, PREPROCESS_OPTIONS)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-embeddings", help="skip-gram pretraining on the train split")
     p.add_argument("--input-dir", required=True, help="preprocess output directory")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--embedding-lr", dest="embedding_lr", type=float)
-    _add_common(p)
+    _add_options(p, EMBEDDING_OPTIONS)
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("train", help="train the classifier into a checkpoint directory")
@@ -487,54 +521,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="embeddings file (default: input dir)")
     p.add_argument("--random-init", action="store_true",
                    help="random embeddings instead of a pretrained file")
-    p.add_argument("--model", choices=("lstm", "rnn"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dim", type=int, help="embedding dim when --random-init")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    _add_common(p)
+    _add_options(p, TRAIN_OPTIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="label,text CSV or encoded split")
-    p.add_argument("--averaging", choices=AVERAGING_SCHEMES)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(p)
+    _add_options(p, ("averaging",))
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify one text (argument or stdin)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("text", nargs="?", help="text to classify (default: read stdin)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(p)
+    _add_options(p, ())
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("compare", help="train recurrent models and baselines, print a table")
     p.add_argument("--data", required=True, help="label,text CSV")
-    p.add_argument("--maxlen", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--tokenizer", choices=("auto",) + corpus.TOKENIZER_MODES)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
     p.add_argument("--random-init", action="store_true",
                    help="skip embedding pretraining")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--embedding-lr", dest="embedding_lr", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--averaging", choices=AVERAGING_SCHEMES)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(p)
+    _add_options(p, COMPARE_OPTIONS)
     p.set_defaults(func=cmd_compare)
 
     return parser

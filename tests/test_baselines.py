@@ -13,12 +13,12 @@ from sentilstm.baselines import (LogRegConfig, LogRegModel, NaiveBayesModel,
                                  TfidfModel, _loss_and_grad, count_features,
                                  load_baseline, logreg_fit, logreg_predict,
                                  naive_bayes_fit, naive_bayes_predict,
-                                 rnn_classifier_train, save_baseline, tfidf_fit,
-                                 tfidf_transform)
+                                 save_baseline, tfidf_fit, tfidf_transform)
 from sentilstm.corpus import EncodedExample, build_vocabulary
 from sentilstm.embedding import EmbeddingMatrix
 from sentilstm.errors import FormatError, TrainingError
-from sentilstm.nnet import RnnParams
+from sentilstm.nnet import RnnParams, init_rnn_params
+from sentilstm.train import TrainConfig, train
 
 from oracles import finite_difference, relative_error
 
@@ -110,21 +110,6 @@ class TestTfidf:
         np.testing.assert_allclose(norms[nonzero], 1.0, atol=1e-9)
         assert np.all(norms[~nonzero] == 0.0)
 
-    def test_sublinear_tf(self):
-        counts = csr([[4, 1, 0]])
-        model = tfidf_fit(counts, sublinear_tf=True, norm="none")
-        X = tfidf_transform(model, counts).toarray()
-        expected = np.array([[(1 + math.log(4)) * model.idf[0],
-                              1.0 * model.idf[1],
-                              0.0]])
-        np.testing.assert_allclose(X, expected, rtol=1e-15)
-
-    def test_norm_none_keeps_scale(self):
-        counts = csr([[2, 0]])
-        model = tfidf_fit(counts, norm="none")
-        X = tfidf_transform(model, counts).toarray()
-        np.testing.assert_allclose(X, [[2 * model.idf[0], 0.0]])
-
     def test_idf_nonnegative_and_finite(self):
         rng = np.random.default_rng(7)
         counts = csr(rng.integers(0, 5, size=(30, 9)))
@@ -140,10 +125,6 @@ class TestTfidf:
         model = tfidf_fit(csr([[1, 2]]))
         with pytest.raises(TrainingError, match="does not match"):
             tfidf_transform(model, csr([[1, 2, 3]]))
-
-    def test_bad_norm_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            TfidfModel(idf=np.ones(2), norm="l1")
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +284,8 @@ class TestRnnClassifier:
         embedding = EmbeddingMatrix(rows=rows)
         examples = [EncodedExample(indices=np.array([2 + i % 3, 5, 6], dtype=np.int32),
                                    label=i % 3) for i in range(9)]
-        from sentilstm.train import TrainConfig
-        params, report = rnn_classifier_train(examples, embedding, hidden=5,
-                                              config=TrainConfig(epochs=2, seed=1))
+        params, report = train(examples, init_rnn_params(5, embedding.dim, seed=(1, 7)),
+                               embedding, TrainConfig(epochs=2, seed=1))
         assert isinstance(params, RnnParams)
         assert params.hidden == 5
         assert report.total_steps == 2
@@ -318,11 +298,10 @@ class TestRnnClassifier:
         examples = [EncodedExample(indices=np.array([2, 3], dtype=np.int32), label=0),
                     EncodedExample(indices=np.array([4, 5], dtype=np.int32), label=1),
                     EncodedExample(indices=np.array([6, 7], dtype=np.int32), label=2)]
-        from sentilstm.train import TrainConfig
-        a, _ = rnn_classifier_train(examples, embedding.copy(), hidden=4,
-                                    config=TrainConfig(epochs=1, seed=3), seed=3)
-        b, _ = rnn_classifier_train(examples, embedding.copy(), hidden=4,
-                                    config=TrainConfig(epochs=1, seed=3), seed=3)
+        a, _ = train(examples, init_rnn_params(4, embedding.dim, seed=(3, 7)),
+                     embedding.copy(), TrainConfig(epochs=1, seed=3))
+        b, _ = train(examples, init_rnn_params(4, embedding.dim, seed=(3, 7)),
+                     embedding.copy(), TrainConfig(epochs=1, seed=3))
         np.testing.assert_array_equal(a.W, b.W)
 
 
@@ -334,28 +313,14 @@ def small_vocab():
     return build_vocabulary([["aa", "bb", "cc"]], min_count=1)
 
 
+def nb_model(n_tokens):
+    return NaiveBayesModel(log_prior=np.log(np.full(3, 1 / 3)),
+                           log_likelihood=np.log(np.full((3, n_tokens), 1 / n_tokens)))
+
+
 class TestBaselineIO:
     def fingerprint(self):
         return bytes(range(32))
-
-    def test_tfidf_round_trip(self, tmp_path):
-        model = TfidfModel(idf=np.array([1.0, 1.5, 2.25]), sublinear_tf=True,
-                           norm="none")
-        path = tmp_path / "tfidf.bin"
-        save_baseline(model, path, self.fingerprint())
-        loaded = load_baseline(path)
-        assert isinstance(loaded, TfidfModel)
-        np.testing.assert_array_equal(loaded.idf, model.idf)
-        assert loaded.sublinear_tf is True
-        assert loaded.norm == "none"
-
-    def test_tfidf_default_options_round_trip(self, tmp_path):
-        model = TfidfModel(idf=np.array([1.0, 2.0]))
-        path = tmp_path / "tfidf.bin"
-        save_baseline(model, path, self.fingerprint())
-        loaded = load_baseline(path)
-        assert loaded.sublinear_tf is False
-        assert loaded.norm == "l2"
 
     def test_naive_bayes_round_trip(self, tmp_path):
         counts = csr([[2, 0, 1], [0, 3, 0], [1, 0, 2]])
@@ -384,16 +349,16 @@ class TestBaselineIO:
     def test_vocab_binding(self, tmp_path):
         vocab = small_vocab()
         other = build_vocabulary([["xx", "yy"]], min_count=1)
-        model = TfidfModel(idf=np.ones(vocab.n_tokens))
-        path = tmp_path / "tfidf.bin"
+        model = nb_model(vocab.n_tokens)
+        path = tmp_path / "nb.bin"
         save_baseline(model, path, vocab.fingerprint())
-        assert isinstance(load_baseline(path, vocab=vocab), TfidfModel)
+        assert isinstance(load_baseline(path, vocab=vocab), NaiveBayesModel)
         with pytest.raises(FormatError, match="different vocabulary"):
             load_baseline(path, vocab=other)
 
     def test_corrupted_byte_rejected(self, tmp_path):
-        model = TfidfModel(idf=np.ones(4))
-        path = tmp_path / "tfidf.bin"
+        model = nb_model(4)
+        path = tmp_path / "nb.bin"
         save_baseline(model, path, self.fingerprint())
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x10
@@ -402,8 +367,8 @@ class TestBaselineIO:
             load_baseline(path)
 
     def test_truncated_rejected(self, tmp_path):
-        model = TfidfModel(idf=np.ones(4))
-        path = tmp_path / "tfidf.bin"
+        model = nb_model(4)
+        path = tmp_path / "nb.bin"
         save_baseline(model, path, self.fingerprint())
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(FormatError):
@@ -422,7 +387,7 @@ class TestBaselineIO:
 
     def test_bad_fingerprint_length_refused(self, tmp_path):
         with pytest.raises(FormatError, match="32 bytes"):
-            save_baseline(TfidfModel(idf=np.ones(2)), tmp_path / "t.bin", b"xx")
+            save_baseline(nb_model(2), tmp_path / "t.bin", b"xx")
 
     def test_unsupported_model_type(self, tmp_path):
         with pytest.raises(TypeError):

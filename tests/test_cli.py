@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from sentilstm.cli import OUTPUT_DIR_ENV, RunConfig, main, merge_config
+from sentilstm.cli import (OUTPUT_DIR_ENV, RunConfig, build_parser, main,
+                           merge_config)
 from sentilstm.corpus import load_vocabulary
 from sentilstm.embedding import load_embeddings, random_embedding
 from sentilstm.nnet import init_lstm_params
@@ -110,6 +111,11 @@ class TestMergeConfig:
         from sentilstm.errors import SentiError
         with pytest.raises(SentiError, match="maxlen"):
             merge_config(namespace(config=str(path)))
+
+    def test_documented_boundaries_accepted(self):
+        cfg = merge_config(namespace(clip_norm=0.0, negatives=0, seed=0))
+        assert (cfg.clip_norm, cfg.negatives, cfg.seed) == (0.0, 0, 0)
+        assert cfg.learning_rate is None
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +430,15 @@ class TestCompare:
         assert set(payload["models"]) == {"lstm", "rnn", "naive-bayes", "logreg"}
         assert payload["seed"] == 1
 
+    def test_vocabulary_matches_preprocess(self, tmp_path, corpus_csv):
+        flags = ["--data", corpus_csv, "--min-count", "2", "--seed", "4", "--quiet"]
+        assert main(["preprocess", "--output-dir", str(tmp_path / "prep")] + flags) == 0
+        assert main(["compare", "--output-dir", str(tmp_path / "cmp"), "--random-init",
+                     "--dim", "4", "--hidden", "4", "--epochs", "1", "--maxlen", "8"]
+                    + flags) == 0
+        assert ((tmp_path / "cmp" / "lstm" / "vocab.tsv").read_bytes()
+                == (tmp_path / "prep" / "vocab.tsv").read_bytes())
+
     def test_baseline_manifest_checksums(self, tmp_path, corpus_csv):
         import os
         from sentilstm.binio import sha256_file
@@ -438,6 +453,81 @@ class TestCompare:
         for entry in manifest["models"].values():
             path = os.path.join(out, "baselines", entry["file"])
             assert sha256_file(path) == entry["checksum"]
+
+
+# ---------------------------------------------------------------------------
+# one option table
+
+
+class TestOptionTable:
+    # every option string each subcommand accepted before its flags were
+    # generated from RunConfig
+    EXPECTED = {
+        "preprocess": "--config --data --help --maxlen --min-count --output-dir "
+                      "--quiet --seed --test-fraction --tokenizer -h",
+        "train-embeddings": "--config --dim --embedding-lr --help --input-dir "
+                            "--iterations --negatives --output-dir --quiet --seed "
+                            "--window -h",
+        "train": "--batch-size --clip-norm --config --dim --embeddings --epochs "
+                 "--help --hidden --input-dir --learning-rate --model --optimizer "
+                 "--output-dir --quiet --random-init --seed -h",
+        "evaluate": "--averaging --checkpoint --config --data --format --help "
+                    "--output-dir --quiet --seed -h",
+        "predict": "--checkpoint --config --format --help --output-dir --quiet "
+                   "--seed -h",
+        "compare": "--averaging --batch-size --clip-norm --config --data --dim "
+                   "--embedding-lr --epochs --format --help --hidden --iterations "
+                   "--learning-rate --maxlen --min-count --negatives --optimizer "
+                   "--output-dir --quiet --random-init --seed --test-fraction "
+                   "--tokenizer --window -h",
+    }
+
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(self.EXPECTED)
+        for name, sub in subparsers.choices.items():
+            flags = {s for action in sub._actions for s in action.option_strings}
+            assert flags == set(self.EXPECTED[name].split()), name
+
+    @pytest.mark.parametrize("argv, config, name", [
+        (["train", "--batch-size", "0"], None, "batch_size"),
+        (["train", "--epochs", "0"], None, "epochs"),
+        (["train"], {"epochs": "3"}, "epochs"),
+        (["preprocess"], {"maxlen": "40"}, "maxlen"),
+        (["train", "--dim", "0"], None, "dim"),
+        (["train", "--hidden", "0"], None, "hidden"),
+        (["train", "--clip-norm", "-1"], None, "clip_norm"),
+        (["train", "--learning-rate", "0"], None, "learning_rate"),
+        (["train"], {"clip_norm": True}, "clip_norm"),
+        (["train-embeddings", "--window", "0"], None, "window"),
+        (["train-embeddings", "--negatives", "-1"], None, "negatives"),
+        (["train-embeddings", "--embedding-lr", "0"], None, "embedding_lr"),
+        (["train-embeddings", "--seed", "-1"], None, "seed"),
+        (["preprocess", "--min-count", "0"], None, "min_count"),
+        (["preprocess", "--test-fraction", "1.0"], None, "test_fraction"),
+        (["preprocess", "--test-fraction", "nan"], None, "test_fraction"),
+        (["preprocess"], {"tokenizer": "words"}, "tokenizer"),
+        (["evaluate"], {"averaging": 1}, "averaging"),
+    ])
+    def test_invalid_option_is_one_error_line(self, argv, config, name, tmp_path,
+                                              preprocessed, trained_checkpoint,
+                                              corpus_csv, capsys):
+        inputs = {"preprocess": ["--data", corpus_csv],
+                  "train-embeddings": ["--input-dir", preprocessed],
+                  "train": ["--input-dir", preprocessed, "--random-init"],
+                  "evaluate": ["--checkpoint", trained_checkpoint, "--data", corpus_csv]}
+        argv = argv + inputs[argv[0]] + ["--output-dir", str(tmp_path / "out"), "--quiet"]
+        if config is not None:
+            path = tmp_path / "conf.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {name} "), lines
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
