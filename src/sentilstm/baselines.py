@@ -7,6 +7,7 @@ TF-IDF-weighted, L2-normalized rows. Everything here is deterministic: no
 RNG is involved anywhere (zero-initialized weights, full-batch descent).
 """
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -18,9 +19,6 @@ from .errors import FormatError, TrainingError
 from .metrics import N_CLASSES
 
 log = logging.getLogger(__name__)
-
-BASE_MAGIC = b"SENTI-BASE\x00"
-BASE_VERSION = 1
 
 NB_ALPHA = 1.0
 
@@ -84,6 +82,8 @@ def tfidf_transform(model: TfidfModel, counts: sparse.csr_matrix) -> sparse.csr_
 
 @dataclass
 class NaiveBayesModel:
+    KIND = "naive-bayes"
+
     log_prior: np.ndarray       # (3,)
     log_likelihood: np.ndarray  # (3, n_tokens)
 
@@ -136,6 +136,8 @@ class LogRegConfig:
 
 @dataclass
 class LogRegModel:
+    KIND = "logreg"
+
     W: np.ndarray  # (3, n_tokens)
     b: np.ndarray  # (3,)
     idf: np.ndarray  # (n_tokens,) so raw counts can be transformed at predict time
@@ -190,69 +192,27 @@ def logreg_predict(model: LogRegModel, counts: sparse.csr_matrix) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-# kind tag -> (model class, tensor names in file order)
-_KINDS = {
-    "naive-bayes": (NaiveBayesModel, ("log_prior", "log_likelihood")),
-    "logreg": (LogRegModel, ("W", "b", "idf")),
-}
-
-
-def _model_kind(model):
-    for kind, (cls, _) in _KINDS.items():
-        if isinstance(model, cls):
-            return kind
-    raise TypeError(f"unsupported baseline model {type(model).__name__}")
+_KINDS = {cls.KIND: cls for cls in (NaiveBayesModel, LogRegModel)}
 
 
 def save_baseline(model, path, vocab_fingerprint: bytes):
-    """Container: magic, version, kind, vocab checksum, named f64 tensors,
-    trailing CRC32."""
-    if len(vocab_fingerprint) != 32:
-        raise FormatError("vocab fingerprint must be 32 bytes")
-    kind = _model_kind(model)
-    chunks = [BASE_MAGIC, binio.pack_u32(BASE_VERSION)]
-    encoded_kind = kind.encode("ascii")
-    chunks.append(binio.pack_u32(len(encoded_kind)))
-    chunks.append(encoded_kind)
-    chunks.append(vocab_fingerprint)
-    names = _KINDS[kind][1]
-    chunks.append(binio.pack_u32(len(names)))
-    for name in names:
-        tensor = np.asarray(getattr(model, name), dtype=np.float64)
-        encoded_name = name.encode("ascii")
-        chunks.append(binio.pack_u32(len(encoded_name)))
-        chunks.append(encoded_name)
-        chunks.append(binio.pack_u32(tensor.ndim))
-        for d in tensor.shape:
-            chunks.append(binio.pack_u32(d))
-        chunks.append(binio.pack_f64_array(tensor))
-    with open(path, "wb") as f:
-        f.write(binio.append_crc(chunks))
+    """A container of the model's kind bound to the vocabulary checksum,
+    holding each field as an f64 tensor."""
+    if type(model) not in _KINDS.values():
+        raise TypeError(f"unsupported baseline model {type(model).__name__}")
+    binio.save(path, model.KIND, vocab_fingerprint, vars(model), "f64")
 
 
 def load_baseline(path, vocab=None):
-    """Returns the reconstructed model; validates CRC, kind, and (when a
+    """Returns the reconstructed model; validates the container and (when a
     vocabulary is supplied) the recorded vocabulary checksum."""
-    with open(path, "rb") as f:
-        body = binio.strip_crc(f.read(), str(path))
-    reader = binio.Reader(body, str(path))
-    reader.expect_magic(BASE_MAGIC, "senti-baseline")
-    reader.expect_version(BASE_VERSION, "senti-baseline")
-    kind = reader.take(reader.u32()).decode("ascii")
-    if kind not in _KINDS:
-        raise FormatError(f"{path}: unknown baseline kind {kind!r}")
-    vocab_fp = reader.take(32)
-    if vocab is not None and vocab.fingerprint() != vocab_fp:
+    artifact = binio.load(path, _KINDS)
+    if vocab is not None and vocab.fingerprint() != artifact.binding:
         raise FormatError(f"{path}: baseline was built for a different vocabulary")
-    n_tensors = reader.u32()
-    tensors = {}
-    for _ in range(n_tensors):
-        name = reader.take(reader.u32()).decode("ascii")
-        ndim = reader.u32()
-        shape = tuple(reader.u32() for _ in range(ndim))
-        tensors[name] = reader.f64_array(shape)
-    reader.expect_eof()
-    cls, names = _KINDS[kind]
-    if set(tensors) != set(names):
-        raise FormatError(f"{path}: baseline tensors {sorted(tensors)} do not match kind {kind!r}")
-    return cls(**tensors)
+    cls = _KINDS[artifact.kind]
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    if sorted(artifact.tensors) != names:
+        raise FormatError(
+            f"{path}: baseline tensors {sorted(artifact.tensors)} do not match kind {artifact.kind!r}"
+        )
+    return cls(**artifact.tensors)

@@ -1,19 +1,39 @@
-"""Low-level helpers for the binary artifact formats.
+"""The one binary container every artifact is stored in, and the atomic
+write every artifact file goes through.
 
-All multi-byte integers are little-endian u32, all float payloads are
-row-major little-endian float32. Files that carry a trailing CRC32 store
-it over every preceding byte.
+Embeddings, recurrent models and baselines are all written by `save` and
+read by `load`; no other module knows the byte layout. Integers are
+little-endian u32; a string is a u32 byte length, then ASCII bytes.
+
+    magic      b"SENTI-BIN\\x00"
+    version    u32
+    kind       string ("embedding", "lstm", "rnn", "naive-bayes", "logreg")
+    binding    32-byte SHA-256 fingerprint of what the artifact was built
+               against (the vocabulary, or a model's embedding matrix)
+    fields     u32 count, then per field: name string, u32 value
+    tensors    u32 count, then per tensor: name string, dtype string
+               ("f32" or "f64"), u32 ndim, ndim u32 dims, row-major payload
+    crc        u32 CRC32 of every preceding byte
 """
 
 import hashlib
+import json
+import math
+import os
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
 
 U32 = struct.Struct("<I")
+
+MAGIC = b"SENTI-BIN\x00"
+# version 1 was a separate layout per artifact kind
+VERSION = 2
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 
 def pack_u32(value: int) -> bytes:
@@ -24,8 +44,9 @@ def pack_f32_array(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
-def pack_f64_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _pack_str(text: str) -> bytes:
+    raw = text.encode("ascii")
+    return pack_u32(len(raw)) + raw
 
 
 class Reader:
@@ -43,38 +64,40 @@ class Reader:
         self.pos += n
         return out
 
-    def peek(self, n: int) -> bytes:
-        return self.data[self.pos:self.pos + n]
-
     def u32(self) -> int:
         return U32.unpack(self.take(4))[0]
 
-    def f32_array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(4 * count)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+    def text(self) -> str:
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: non-ASCII name before offset {self.pos}") from None
 
-    def f64_array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    def tensor(self) -> np.ndarray:
+        """dtype string, u32 ndim, the dims, then the row-major payload; the
+        values come back as a float64 copy."""
+        dtype = DTYPES.get(self.text())
+        if dtype is None:
+            raise FormatError(f"{self.path}: unknown tensor dtype before offset {self.pos}")
+        shape = tuple(self.u32() for _ in range(self.u32()))
+        raw = self.take(dtype.itemsize * math.prod(shape))
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
 
-    def expect_magic(self, magic: bytes, kind: str):
-        got = self.take(len(magic))
-        if got != magic:
-            raise FormatError(f"{self.path}: not a {kind} file (bad magic)")
-
-    def expect_version(self, supported: int, kind: str):
-        version = self.u32()
-        if version != supported:
-            raise FormatError(
-                f"{self.path}: unsupported {kind} version {version} (this build reads version {supported})"
-            )
-        return version
+    def named(self, read_value) -> dict:
+        """A u32 count, then that many (name string, value) entries."""
+        out = {}
+        for _ in range(self.u32()):
+            name = self.text()
+            if name in out:
+                raise FormatError(f"{self.path}: {name} appears twice")
+            out[name] = read_value()
+        return out
 
     def expect_eof(self):
         if self.pos != len(self.data):
             raise FormatError(f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
+
 
 def strip_crc(data: bytes, path: str = "<bytes>") -> bytes:
     """Validate a trailing u32 CRC32 and return the body it covers."""
@@ -101,3 +124,70 @@ def sha256(*chunks: bytes) -> bytes:
 def sha256_file(path) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def write_atomic(path, data: bytes):
+    """Replace `path` with `data` by one rename, so a crash leaves the old
+    file or the new one, never part of either."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path, payload):
+    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+class Artifact(NamedTuple):
+    kind: str
+    binding: bytes
+    fields: dict   # name -> int
+    tensors: dict  # name -> float64 array
+
+
+def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dict = None):
+    """Write one container; every tensor is stored as `dtype` ("f32" or "f64")."""
+    if len(binding) != 32:
+        raise FormatError(f"{kind} binding fingerprint must be 32 bytes, got {len(binding)}")
+    fields = fields or {}
+    chunks = [MAGIC, pack_u32(VERSION), _pack_str(kind), binding, pack_u32(len(fields))]
+    for name, value in fields.items():
+        chunks += [_pack_str(name), pack_u32(value)]
+    chunks.append(pack_u32(len(tensors)))
+    for name, tensor in tensors.items():
+        tensor = np.asarray(tensor)
+        if not np.all(np.isfinite(tensor)):
+            raise FormatError(f"refusing to save non-finite tensor {name} of a {kind} artifact")
+        chunks += [_pack_str(name), _pack_str(dtype), pack_u32(tensor.ndim)]
+        chunks += [pack_u32(d) for d in tensor.shape]
+        chunks.append(np.ascontiguousarray(tensor, dtype=DTYPES[dtype]).tobytes())
+    write_atomic(path, append_crc(chunks))
+
+
+def load(path, kinds) -> Artifact:
+    """Read one container whose kind is in `kinds`. The magic is checked
+    first, then the CRC, then the layout; any mismatch raises FormatError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(MAGIC):
+        raise FormatError(f"{path}: not a senti artifact (bad magic)")
+    reader = Reader(strip_crc(data, str(path)), str(path))
+    reader.take(len(MAGIC))
+    version = reader.u32()
+    if version != VERSION:
+        raise FormatError(
+            f"{path}: unsupported artifact version {version} (this build reads version {VERSION})"
+        )
+    kind = reader.text()
+    if kind not in kinds:
+        raise FormatError(f"{path}: unknown artifact kind {kind!r} (expected {' or '.join(kinds)})")
+    binding = reader.take(32)
+    fields = reader.named(reader.u32)
+    tensors = reader.named(reader.tensor)
+    reader.expect_eof()
+    return Artifact(kind, binding, fields, tensors)

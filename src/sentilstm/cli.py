@@ -46,11 +46,12 @@ REPORT_NAME = "train_report.json"
 OUTPUT_DIR_ENV = "SENTI_OUTPUT_DIR"
 
 
-def _option(default, help, *, choices=None, at_least=None, above=None, below=None):
+def _option(default, help, *, choices=None, at_least=None, above=None, below=None,
+            non_empty=False):
     """A RunConfig field with the help text, choices and bounds that both its
     flag and its config-file value are held to."""
     return dataclasses.field(default=default, metadata={
-        "help": help, "choices": choices,
+        "help": help, "choices": choices, "non_empty": non_empty,
         "at_least": at_least, "above": above, "below": below,
     })
 
@@ -89,7 +90,7 @@ class RunConfig:
     averaging: str = _option("macro", "headline average of the per-class scores",
                              choices=AVERAGING_SCHEMES)
     seed: int = _option(1, "master random seed", at_least=0)
-    output_dir: str = _option("senti-out", "where artifacts are written")
+    output_dir: str = _option("senti-out", "where artifacts are written", non_empty=True)
 
     # names that came from a flag, the environment, or a config file,
     # as opposed to the defaults above
@@ -115,6 +116,8 @@ def _check_option(f, value):
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise SentiError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+    if f.metadata["non_empty"] and not value:
+        raise SentiError(f"{f.name} must not be empty")
     for key, symbol, holds in _BOUNDS:
         bound = f.metadata[key]
         # `not holds` also rejects NaN
@@ -152,23 +155,12 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values, explicit=frozenset(values))
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
 def _resolve_tokenizer(cfg: RunConfig, records) -> str:
     if cfg.tokenizer != "auto":
         return cfg.tokenizer
     mode = corpus.detect_tokenizer_mode(r.text for r in records)
     log.info("tokenizer auto-detected as %r", mode)
     return mode
-
-
-def _encode_text(text, label, vocab, maxlen, mode):
-    tokens = corpus.tokenize(corpus.clean_text(text), mode)
-    return corpus.encode_example(tokens, label, vocab, maxlen)
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
@@ -213,15 +205,9 @@ class Prepared(NamedTuple):
     n_dropped: int
 
 
-def prepare(cfg: RunConfig, csv_path) -> Prepared:
-    """The front of the pipeline, cleaning and tokenizing each record once:
-    load the CSV, drop records that clean to nothing (they cannot become a
-    trainable sequence), split stratified, build the vocabulary from the
-    train tokens, and encode both splits."""
-    records = corpus.load_dataset(csv_path)
-    if not records:
-        raise DatasetError(f"{csv_path}: no records")
-    mode = _resolve_tokenizer(cfg, records)
+def _tokenize_records(records, mode):
+    """Clean and tokenize each record once, dropping those that clean to
+    nothing (they cannot become a sequence). Returns (kept, n_dropped)."""
     tokenized = [_Tokenized(r.label, corpus.tokenize(corpus.clean_text(r.text), mode))
                  for r in records]
     kept = [t for t in tokenized if t.tokens]
@@ -230,6 +216,18 @@ def prepare(cfg: RunConfig, csv_path) -> Prepared:
     n_dropped = len(records) - len(kept)
     if n_dropped:
         log.info("dropped %d record(s) with empty text after cleaning", n_dropped)
+    return kept, n_dropped
+
+
+def prepare(cfg: RunConfig, csv_path) -> Prepared:
+    """The front of the pipeline: load the CSV, clean and tokenize each
+    record once, split stratified, build the vocabulary from the train
+    tokens, and encode both splits."""
+    records = corpus.load_dataset(csv_path)
+    if not records:
+        raise DatasetError(f"{csv_path}: no records")
+    mode = _resolve_tokenizer(cfg, records)
+    kept, n_dropped = _tokenize_records(records, mode)
     train_split, test_split = corpus.stratified_split(kept, cfg.test_fraction,
                                                       seed=(cfg.seed, 11))
     vocab = corpus.build_vocabulary([t.tokens for t in train_split], cfg.min_count)
@@ -252,7 +250,7 @@ def cmd_preprocess(args) -> int:
     corpus.save_vocabulary(prep.vocab, os.path.join(out, "vocab.tsv"))
     corpus.save_encoded(prep.train, cfg.maxlen, os.path.join(out, TRAIN_SPLIT))
     corpus.save_encoded(prep.test, cfg.maxlen, os.path.join(out, TEST_SPLIT))
-    _write_json(os.path.join(out, META_NAME), {
+    binio.write_json(os.path.join(out, META_NAME), {
         "format": "senti-preprocess",
         "version": 1,
         "maxlen": cfg.maxlen,
@@ -288,11 +286,23 @@ def _load_meta(input_dir):
     return meta
 
 
+def _load_split(path, vocab):
+    """(examples, maxlen) of an encoded split whose every index is a row of
+    `vocab`."""
+    examples, maxlen = corpus.load_encoded(path)
+    top = max((int(ex.indices.max()) for ex in examples if ex.indices.size), default=0)
+    if top >= len(vocab):
+        raise DatasetError(
+            f"{path}: token index {top} is outside the vocabulary of {len(vocab)} rows"
+        )
+    return examples, maxlen
+
+
 def cmd_train_embeddings(args) -> int:
     cfg = merge_config(args)
     _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
-    examples, _ = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT))
+    examples, _ = _load_split(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
     matrix = train_skipgram([ex.indices for ex in examples], _embedding_config(cfg), vocab)
     # default to dropping the file next to its inputs
     out_dir = cfg.output_dir if "output_dir" in cfg.explicit else args.input_dir
@@ -308,7 +318,7 @@ def cmd_train(args) -> int:
     cfg = merge_config(args)
     meta = _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
-    examples, maxlen = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT))
+    examples, maxlen = _load_split(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
 
     if args.random_init:
         embedding = random_embedding(vocab, cfg.dim, seed=(cfg.seed, 4))
@@ -330,7 +340,7 @@ def cmd_train(args) -> int:
                            "learning_rate": tconf.resolved_learning_rate,
                            "epochs": cfg.epochs, "batch_size": cfg.batch_size,
                            "seed": cfg.seed})
-    _write_json(os.path.join(out, REPORT_NAME), {
+    binio.write_json(os.path.join(out, REPORT_NAME), {
         "epoch_losses": report.epoch_losses,
         "epoch_accuracies": report.epoch_accuracies,
         "total_steps": report.total_steps,
@@ -353,14 +363,14 @@ def _sniff_dataset(path):
 
 def _examples_for_checkpoint(path, vocab, maxlen, mode):
     if _sniff_dataset(path) == "encoded":
-        examples, file_maxlen = corpus.load_encoded(path)
+        examples, file_maxlen = _load_split(path, vocab)
         if file_maxlen != maxlen:
             raise SentiError(
                 f"{path}: encoded with maxlen={file_maxlen}, checkpoint expects {maxlen}"
             )
         return examples
-    return [_encode_text(r.text, r.label, vocab, maxlen, mode)
-            for r in corpus.load_dataset(path)]
+    kept, _ = _tokenize_records(corpus.load_dataset(path), mode)
+    return [corpus.encode_example(t.tokens, t.label, vocab, maxlen) for t in kept]
 
 
 def cmd_evaluate(args) -> int:
@@ -383,11 +393,11 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     params, embedding, vocab, manifest = load_checkpoint(args.checkpoint)
     text = args.text if args.text is not None else sys.stdin.read()
-    example = _encode_text(text, corpus.Sentiment.neutral, vocab,
-                           manifest["maxlen"], manifest["tokenizer"])
-    if example.original_length == 0:
+    tokens = corpus.tokenize(corpus.clean_text(text), manifest["tokenizer"])
+    if not tokens:
         raise DatasetError("input text is empty after cleaning")
-    trace = forward(params, embedding, example.indices)
+    indices = corpus.encode(tokens, vocab, manifest["maxlen"])
+    trace = forward(params, embedding, indices)
     label = CLASS_NAMES[trace.predicted]
     if args.format == "json":
         print(json.dumps({
@@ -449,7 +459,7 @@ def cmd_compare(args) -> int:
         averaging=cfg.averaging)
     bl.save_baseline(lr_model, os.path.join(baseline_dir, "logreg.bin"), vocab.fingerprint())
 
-    _write_json(os.path.join(baseline_dir, "manifest.json"), {
+    binio.write_json(os.path.join(baseline_dir, "manifest.json"), {
         "format": "senti-baselines",
         "version": 1,
         "models": {
@@ -470,7 +480,7 @@ def cmd_compare(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(format_table({name: reports[name] for name in order}), end="")
-    _write_json(os.path.join(out, "compare.json"), payload)
+    binio.write_json(os.path.join(out, "compare.json"), payload)
     log.info("comparison artifacts written to %s", out)
     return 0
 

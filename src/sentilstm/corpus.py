@@ -342,9 +342,16 @@ def load_encoded(path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{path}: line {line_num}: expected 3 tab-separated fields")
-        label = Sentiment(int(parts[0]))
-        original_length = int(parts[1])
-        indices = np.array([int(tok) for tok in parts[2].split()], dtype=np.int32)
+        label = _LABEL_DIGITS.get(parts[0])
+        if label is None:
+            raise FormatError(f"{path}: line {line_num}: label {parts[0]!r} is not 0, 1 or 2")
+        try:
+            original_length = int(parts[1])
+            indices = np.array([int(tok) for tok in parts[2].split()], dtype=np.int32)
+        except (ValueError, OverflowError):
+            raise FormatError(f"{path}: line {line_num}: length and indices must be integers") from None
+        if np.any(indices < 0):
+            raise FormatError(f"{path}: line {line_num}: negative token index")
         if len(indices) != maxlen:
             raise FormatError(f"{path}: line {line_num}: expected {maxlen} indices, got {len(indices)}")
         examples.append(EncodedExample(indices=indices, label=label, original_length=original_length))

@@ -26,9 +26,6 @@ log = logging.getLogger(__name__)
 NEGATIVE_POWER = 0.75
 FINAL_LR_FRACTION = 0.1
 
-EMB_MAGIC = b"SENTI-EMB\x00"
-EMB_VERSION = 1
-
 
 @dataclass
 class EmbeddingConfig:
@@ -237,31 +234,16 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path):
-    """Binary format: magic, version, rows, dim, vocab checksum, f32 payload."""
-    if not np.all(np.isfinite(matrix.rows)):
-        raise FormatError("refusing to save embeddings containing non-finite values")
-    if len(matrix.vocab_fingerprint) != 32:
-        raise FormatError("embedding matrix has no 32-byte vocabulary fingerprint")
-    with open(path, "wb") as f:
-        f.write(EMB_MAGIC)
-        f.write(binio.pack_u32(EMB_VERSION))
-        f.write(binio.pack_u32(matrix.n_rows))
-        f.write(binio.pack_u32(matrix.dim))
-        f.write(matrix.vocab_fingerprint)
-        f.write(binio.pack_f32_array(matrix.rows))
+    """An "embedding" container bound to the vocabulary checksum, holding
+    one f32 tensor "rows"."""
+    binio.save(path, "embedding", matrix.vocab_fingerprint, {"rows": matrix.rows}, "f32")
 
 
 def load_embeddings(path, vocab: Vocabulary = None) -> EmbeddingMatrix:
     """Load and validate; if `vocab` is given, its fingerprint must match."""
-    with open(path, "rb") as f:
-        reader = binio.Reader(f.read(), str(path))
-    reader.expect_magic(EMB_MAGIC, "senti-embedding")
-    reader.expect_version(EMB_VERSION, "senti-embedding")
-    n_rows = reader.u32()
-    dim = reader.u32()
-    vocab_fp = reader.take(32)
-    rows = reader.f32_array((n_rows, dim))
-    reader.expect_eof()
-    if vocab is not None and vocab.fingerprint() != vocab_fp:
+    artifact = binio.load(path, ("embedding",))
+    if list(artifact.tensors) != ["rows"] or artifact.tensors["rows"].ndim != 2:
+        raise FormatError(f"{path}: expected one 2-D tensor 'rows', got {sorted(artifact.tensors)}")
+    if vocab is not None and vocab.fingerprint() != artifact.binding:
         raise FormatError(f"{path}: embeddings were built for a different vocabulary")
-    return EmbeddingMatrix(rows=rows, vocab_fingerprint=vocab_fp)
+    return EmbeddingMatrix(rows=artifact.tensors["rows"], vocab_fingerprint=artifact.binding)

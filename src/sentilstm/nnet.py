@@ -53,8 +53,52 @@ def cross_entropy(logits, label: int) -> float:
     return float(m + np.log(np.exp(logits - m).sum()) - logits[label])
 
 
+class _CellParams:
+    """What the LSTM and RNN parameter sets share. Each subclass declares
+    its shape table SHAPES, one entry per tensor in file order, over the
+    dimensions H (hidden), C (hidden + input) and K (classes); TENSOR_NAMES
+    follows from it. The first entry is a recurrent weight of shape (H, C)."""
+
+    def __post_init__(self):
+        W = getattr(self, self.TENSOR_NAMES[0])
+        if W.ndim != 2 or W.shape[1] <= W.shape[0]:
+            raise ValueError(f"{self.TENSOR_NAMES[0]} shape {W.shape} is not (hidden, hidden+input)")
+        dims = {"H": W.shape[0], "C": W.shape[1],
+                "K": self.head_W.shape[0] if self.head_W.ndim == 2 else -1}
+        for name, symbols in self.SHAPES.items():
+            expected = tuple(dims[s] for s in symbols)
+            if getattr(self, name).shape != expected:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {expected}")
+
+    @classmethod
+    def from_tensors(cls, tensors: dict):
+        """Build from a name -> array mapping; a missing or extra name, or a
+        shape that disagrees with the table, raises ValueError."""
+        if set(tensors) != set(cls.TENSOR_NAMES):
+            raise ValueError(f"{cls.KIND} tensors {sorted(tensors)} != {sorted(cls.TENSOR_NAMES)}")
+        return cls(**tensors)
+
+    @property
+    def hidden(self):
+        return self.head_W.shape[1]
+
+    @property
+    def input_dim(self):
+        return getattr(self, self.TENSOR_NAMES[0]).shape[1] - self.hidden
+
+    @property
+    def classes(self):
+        return self.head_W.shape[0]
+
+    def tensors(self):
+        return {name: getattr(self, name) for name in self.TENSOR_NAMES}
+
+    def copy(self):
+        return type(self)(**{name: t.copy() for name, t in self.tensors().items()})
+
+
 @dataclass
-class LstmParams:
+class LstmParams(_CellParams):
     """Gate weights of shape (hidden, hidden+input), biases of shape (hidden,),
     plus the dense classification head (classes, hidden)."""
 
@@ -69,40 +113,14 @@ class LstmParams:
     head_W: np.ndarray
     head_b: np.ndarray
 
-    TENSOR_NAMES = ("W_f", "b_f", "W_i", "b_i", "W_c", "b_c", "W_o", "b_o", "head_W", "head_b")
-
-    def __post_init__(self):
-        h, cols = self.W_f.shape
-        for name in ("W_i", "W_c", "W_o"):
-            if getattr(self, name).shape != (h, cols):
-                raise ValueError(f"{name} shape {getattr(self, name).shape} != {(h, cols)}")
-        for name in ("b_f", "b_i", "b_c", "b_o"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"{name} must have shape ({h},)")
-        if self.head_W.shape[1] != h or self.head_b.shape != (self.head_W.shape[0],):
-            raise ValueError("classification head shapes inconsistent with hidden size")
-
-    @property
-    def hidden(self):
-        return self.W_f.shape[0]
-
-    @property
-    def input_dim(self):
-        return self.W_f.shape[1] - self.W_f.shape[0]
-
-    @property
-    def classes(self):
-        return self.head_W.shape[0]
-
-    def tensors(self):
-        return {name: getattr(self, name) for name in self.TENSOR_NAMES}
-
-    def copy(self):
-        return LstmParams(*(getattr(self, n).copy() for n in self.TENSOR_NAMES))
+    KIND = "lstm"
+    SHAPES = {"W_f": "HC", "b_f": "H", "W_i": "HC", "b_i": "H", "W_c": "HC", "b_c": "H",
+              "W_o": "HC", "b_o": "H", "head_W": "KH", "head_b": "K"}
+    TENSOR_NAMES = tuple(SHAPES)
 
 
 @dataclass
-class RnnParams:
+class RnnParams(_CellParams):
     """Vanilla tanh recurrence h' = tanh(W [h, x] + b) with the same dense head."""
 
     W: np.ndarray
@@ -110,32 +128,9 @@ class RnnParams:
     head_W: np.ndarray
     head_b: np.ndarray
 
-    TENSOR_NAMES = ("W", "b", "head_W", "head_b")
-
-    def __post_init__(self):
-        h = self.W.shape[0]
-        if self.b.shape != (h,):
-            raise ValueError(f"b must have shape ({h},)")
-        if self.head_W.shape[1] != h or self.head_b.shape != (self.head_W.shape[0],):
-            raise ValueError("classification head shapes inconsistent with hidden size")
-
-    @property
-    def hidden(self):
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self):
-        return self.W.shape[1] - self.W.shape[0]
-
-    @property
-    def classes(self):
-        return self.head_W.shape[0]
-
-    def tensors(self):
-        return {name: getattr(self, name) for name in self.TENSOR_NAMES}
-
-    def copy(self):
-        return RnnParams(*(getattr(self, n).copy() for n in self.TENSOR_NAMES))
+    KIND = "rnn"
+    SHAPES = {"W": "HC", "b": "H", "head_W": "KH", "head_b": "K"}
+    TENSOR_NAMES = tuple(SHAPES)
 
 
 def init_lstm_params(hidden: int, input_dim: int, classes: int = N_CLASSES, seed: int = 0) -> LstmParams:

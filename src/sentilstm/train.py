@@ -32,10 +32,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-LSTM_MAGIC = b"SENTI-LSTM\x00"
-RNN_MAGIC = b"SENTI-RNN\x00"
-MODEL_VERSION = 1
-
 MANIFEST_NAME = "manifest.json"
 MODEL_FILE = "model.bin"
 EMBEDDINGS_FILE = "embeddings.bin"
@@ -220,71 +216,27 @@ def evaluate_model(params, embedding, examples, averaging="macro") -> MetricsRep
     return metrics(confusion(actual, predicted), averaging=averaging)
 
 
-def _model_magic(params):
-    if isinstance(params, LstmParams):
-        return LSTM_MAGIC
-    if isinstance(params, RnnParams):
-        return RNN_MAGIC
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
+_KINDS = {cls.KIND: cls for cls in (LstmParams, RnnParams)}
 
 
 def save_model(params, path, embedding_fingerprint: bytes, maxlen: int):
-    """Model file: magic, version, dims, embedding checksum, tensors (f32),
-    trailing CRC32 over everything before it."""
-    if len(embedding_fingerprint) != 32:
-        raise FormatError("embedding fingerprint must be 32 bytes")
-    chunks = [
-        _model_magic(params),
-        binio.pack_u32(MODEL_VERSION),
-        binio.pack_u32(params.hidden),
-        binio.pack_u32(params.input_dim),
-        binio.pack_u32(params.classes),
-        binio.pack_u32(maxlen),
-        embedding_fingerprint,
-    ]
-    tensors = params.tensors()
-    for name in type(params).TENSOR_NAMES:
-        if not np.all(np.isfinite(tensors[name])):
-            raise FormatError(f"refusing to save non-finite tensor {name}")
-        chunks.append(binio.pack_f32_array(tensors[name]))
-    with open(path, "wb") as f:
-        f.write(binio.append_crc(chunks))
+    """An "lstm" or "rnn" container bound to the embedding checksum, with
+    maxlen as its one header field and the tensors stored as f32."""
+    binio.save(path, params.KIND, embedding_fingerprint, params.tensors(), "f32",
+               {"maxlen": maxlen})
 
 
 def load_model(path):
-    """Returns (params, maxlen, embedding_fingerprint). CRC and shape
-    mismatches raise FormatError."""
-    with open(path, "rb") as f:
-        body = binio.strip_crc(f.read(), str(path))
-    reader = binio.Reader(body, str(path))
-    if reader.peek(len(LSTM_MAGIC)) == LSTM_MAGIC:
-        cls = LstmParams
-        reader.expect_magic(LSTM_MAGIC, "senti-model")
-    elif reader.peek(len(RNN_MAGIC)) == RNN_MAGIC:
-        cls = RnnParams
-        reader.expect_magic(RNN_MAGIC, "senti-model")
-    else:
-        raise FormatError(f"{path}: not a senti-model file")
-    reader.expect_version(MODEL_VERSION, "senti-model")
-    hidden = reader.u32()
-    input_dim = reader.u32()
-    classes = reader.u32()
-    maxlen = reader.u32()
-    emb_fp = reader.take(32)
-
-    if cls is LstmParams:
-        shapes = {}
-        for gate in ("f", "i", "c", "o"):
-            shapes[f"W_{gate}"] = (hidden, hidden + input_dim)
-            shapes[f"b_{gate}"] = (hidden,)
-        shapes["head_W"] = (classes, hidden)
-        shapes["head_b"] = (classes,)
-    else:
-        shapes = {"W": (hidden, hidden + input_dim), "b": (hidden,),
-                  "head_W": (classes, hidden), "head_b": (classes,)}
-    tensors = {name: reader.f32_array(shapes[name]) for name in cls.TENSOR_NAMES}
-    reader.expect_eof()
-    return cls(**tensors), maxlen, emb_fp
+    """Returns (params, maxlen, embedding_fingerprint). A corrupt file or an
+    inconsistent tensor set raises FormatError."""
+    artifact = binio.load(path, _KINDS)
+    if set(artifact.fields) != {"maxlen"}:
+        raise FormatError(f"{path}: model header fields {sorted(artifact.fields)} != ['maxlen']")
+    try:
+        params = _KINDS[artifact.kind].from_tensors(artifact.tensors)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return params, artifact.fields["maxlen"], artifact.binding
 
 
 def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
@@ -306,7 +258,7 @@ def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
     manifest = {
         "format": "senti-checkpoint",
         "version": 1,
-        "kind": "lstm" if isinstance(params, LstmParams) else "rnn",
+        "kind": params.KIND,
         "hidden": params.hidden,
         "input_dim": params.input_dim,
         "classes": params.classes,
@@ -320,9 +272,8 @@ def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
     }
     if extra:
         manifest["extra"] = extra
-    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    # last, and whole: until it lands, the files disagree with the old manifest
+    binio.write_json(os.path.join(directory, MANIFEST_NAME), manifest)
 
 
 def load_checkpoint(directory):

@@ -376,13 +376,9 @@ class TestBaselineIO:
 
     def test_unknown_kind_rejected(self, tmp_path):
         # well-formed container with an unrecognized kind tag
-        kind = b"svm"
-        chunks = [b"SENTI-BASE\x00", binio.pack_u32(1),
-                  binio.pack_u32(len(kind)), kind,
-                  self.fingerprint(), binio.pack_u32(0)]
         path = tmp_path / "bad.bin"
-        path.write_bytes(binio.append_crc(chunks))
-        with pytest.raises(FormatError, match="unknown baseline kind"):
+        binio.save(path, "svm", self.fingerprint(), {}, "f64")
+        with pytest.raises(FormatError, match="unknown artifact kind 'svm'"):
             load_baseline(path)
 
     def test_bad_fingerprint_length_refused(self, tmp_path):

@@ -4,6 +4,8 @@ temp-directory pipeline, and the documented error paths."""
 import argparse
 import io
 import json
+import logging
+import shutil
 import sys
 
 import numpy as np
@@ -291,6 +293,30 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "train-embeddings" in err and "--random-init" in err
 
+    @pytest.mark.parametrize("command", ["train-embeddings", "train", "evaluate"])
+    @pytest.mark.parametrize("bad", ["label", "index"])
+    def test_bad_encoded_split_is_one_error_line(self, command, bad, tmp_path, preprocessed,
+                                                 trained_checkpoint, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(preprocessed, prep)
+        split = prep / "train.tsv"
+        lines = split.read_text().splitlines()
+        label, length, indices = lines[1].split("\t")
+        if bad == "label":
+            label = "7"
+        else:  # one past the last vocabulary row
+            n_rows = len(load_vocabulary(prep / "vocab.tsv"))
+            indices = " ".join([str(n_rows)] + indices.split()[1:])
+        lines[1] = "\t".join([label, length, indices])
+        split.write_text("\n".join(lines) + "\n")
+        argv = {"train-embeddings": ["--input-dir", str(prep), "--dim", "4"],
+                "train": ["--input-dir", str(prep), "--random-init", "--dim", "4"],
+                "evaluate": ["--checkpoint", trained_checkpoint, "--data", str(split)]}[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
 
 # ---------------------------------------------------------------------------
 # evaluate
@@ -307,15 +333,21 @@ class TestEvaluate:
         assert "accuracy:" in out
         assert "macro" in out
 
-    def test_json_report_on_csv(self, trained_checkpoint, corpus_csv, capsys):
+    def test_json_report_on_csv(self, trained_checkpoint, tmp_path, capsys, caplog):
+        path = tmp_path / "corpus.csv"
+        texts, labels = keyword_corpus(n_per_class=10)
+        write_csv(path, texts + ["!!! ..."], labels + [1])  # the last cleans to nothing
+        caplog.set_level(logging.INFO, logger="sentilstm.cli")
         rc = main(["evaluate", "--checkpoint", trained_checkpoint,
-                   "--data", corpus_csv, "--format", "json",
+                   "--data", str(path), "--format", "json",
                    "--averaging", "weighted", "--quiet"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["averaging"] == "weighted"
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert len(payload["confusion_matrix"]) == 3
+        assert sum(map(sum, payload["confusion_matrix"])) == len(texts)
+        assert "dropped 1 record(s)" in caplog.text
 
     def test_maxlen_mismatch_rejected(self, trained_checkpoint, tmp_path,
                                       corpus_csv, capsys):
@@ -510,6 +542,7 @@ class TestOptionTable:
         (["preprocess", "--test-fraction", "nan"], None, "test_fraction"),
         (["preprocess"], {"tokenizer": "words"}, "tokenizer"),
         (["evaluate"], {"averaging": 1}, "averaging"),
+        (["preprocess", "--output-dir", ""], None, "output_dir"),
     ])
     def test_invalid_option_is_one_error_line(self, argv, config, name, tmp_path,
                                               preprocessed, trained_checkpoint,
@@ -518,7 +551,9 @@ class TestOptionTable:
                   "train-embeddings": ["--input-dir", preprocessed],
                   "train": ["--input-dir", preprocessed, "--random-init"],
                   "evaluate": ["--checkpoint", trained_checkpoint, "--data", corpus_csv]}
-        argv = argv + inputs[argv[0]] + ["--output-dir", str(tmp_path / "out"), "--quiet"]
+        # the case's own flags come last, so they win over this --output-dir
+        argv = (argv[:1] + inputs[argv[0]] + ["--output-dir", str(tmp_path / "out"), "--quiet"]
+                + argv[1:])
         if config is not None:
             path = tmp_path / "conf.json"
             path.write_text(json.dumps(config))

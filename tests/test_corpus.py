@@ -335,3 +335,18 @@ class TestEncodedIO:
         path.write_text("#senti-encoded v1 maxlen=3\n0\t1\t2 0\n")
         with pytest.raises(FormatError):
             load_encoded(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("7\t1\t2 0 0", "label '7'"),
+        ("x\t1\t2 0 0", "label 'x'"),
+        ("-1\t1\t2 0 0", "label '-1'"),
+        ("0\tx\t2 0 0", "integers"),
+        ("0\t1\t2 a 0", "integers"),
+        ("0\t1\t2 0 4294967296", "integers"),
+        ("0\t1\t2 -1 0", "negative token index"),
+    ])
+    def test_bad_field_is_format_error_with_line(self, tmp_path, line, message):
+        path = tmp_path / "enc.tsv"
+        path.write_text(f"#senti-encoded v1 maxlen=3\n0\t1\t2 0 0\n{line}\n")
+        with pytest.raises(FormatError, match=f"line 3: .*{message}"):
+            load_encoded(path)

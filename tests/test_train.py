@@ -10,6 +10,7 @@ import pytest
 # the package re-exports a `train` function; go through importlib so we get
 # the submodule itself (monkeypatching needs module globals)
 train_mod = importlib.import_module("sentilstm.train")
+from sentilstm import binio
 from sentilstm.binio import sha256_file
 from sentilstm.corpus import PAD_INDEX, EncodedExample, build_vocabulary, encode_example
 from sentilstm.embedding import EmbeddingMatrix, random_embedding
@@ -444,6 +445,30 @@ class TestModelIO:
     def test_bad_fingerprint_length_refused(self, tmp_path):
         with pytest.raises(FormatError, match="32 bytes"):
             save_model(make_lstm(), tmp_path / "model.bin", b"abc", maxlen=10)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"W_f": np.zeros(10)}, "W_f shape"),            # recurrent weight not 2-D
+        ({"W_f": np.zeros((6, 6))}, "W_f shape"),        # no input columns
+        ({"W_i": np.zeros((6, 11))}, "W_i shape"),       # gates disagree
+        ({"b_o": np.zeros(5)}, "b_o shape"),             # bias off the hidden size
+        ({"head_W": np.zeros((3, 5))}, "head_W shape"),  # head off the hidden size
+        ({"head_b": np.zeros(4)}, "head_b shape"),       # head bias off the classes
+        ({"head_b": None}, "lstm tensors"),              # missing tensor
+        ({"extra": np.zeros(2)}, "lstm tensors"),        # extra tensor
+    ])
+    def test_inconsistent_tensor_set_refused(self, tmp_path, change, message):
+        tensors = dict(make_lstm().tensors(), **change)
+        tensors = {name: t for name, t in tensors.items() if t is not None}
+        path = tmp_path / "model.bin"
+        binio.save(path, "lstm", b"\x00" * 32, tensors, "f32", {"maxlen": 10})
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+
+    def test_missing_maxlen_refused(self, tmp_path):
+        path = tmp_path / "model.bin"
+        binio.save(path, "rnn", b"\x00" * 32, init_rnn_params(2, 3).tensors(), "f32")
+        with pytest.raises(FormatError, match="maxlen"):
+            load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "model.bin"
