@@ -143,6 +143,26 @@ def write_json(path, payload):
     write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
+def read_json(path, fmt: str, version: int) -> dict:
+    """A JSON manifest: an object whose "format" is `fmt` and whose
+    "version" is `version`, else FormatError. A missing file raises
+    FileNotFoundError, which each caller words for its own directory."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:  # bad JSON, bad UTF-8
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: a {fmt} manifest must be a JSON object, "
+                          f"got {type(payload).__name__}")
+    if payload.get("format") != fmt:
+        raise FormatError(f"{path}: not a {fmt} manifest")
+    if payload.get("version") != version:
+        raise FormatError(f"{path}: unsupported {fmt} version {payload.get('version')!r}")
+    return payload
+
+
 class Artifact(NamedTuple):
     kind: str
     binding: bytes

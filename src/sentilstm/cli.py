@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import operator
 import os
 import sys
@@ -113,6 +114,8 @@ def _check_option(f, value):
     kinds = (int, float) if f.type is float else f.type
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise SentiError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+    if f.type is float and math.isinf(value):
+        raise SentiError(f"{f.name} must be finite, got {value!r}")
     choices = f.metadata["choices"]
     if choices and value not in choices:
         raise SentiError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
@@ -273,17 +276,10 @@ def cmd_preprocess(args) -> int:
 
 
 def _load_meta(input_dir):
-    path = os.path.join(input_dir, META_NAME)
     try:
-        with open(path, encoding="utf-8") as f:
-            meta = json.load(f)
+        return binio.read_json(os.path.join(input_dir, META_NAME), "senti-preprocess", 1)
     except FileNotFoundError:
         raise SentiError(f"{input_dir}: not a preprocess directory (missing {META_NAME})") from None
-    except json.JSONDecodeError as exc:
-        raise SentiError(f"{path}: invalid JSON ({exc})") from None
-    if meta.get("format") != "senti-preprocess":
-        raise SentiError(f"{path}: not a preprocess manifest")
-    return meta
 
 
 def _load_split(path, vocab):

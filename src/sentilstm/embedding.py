@@ -10,10 +10,16 @@ its initial value over the whole run. Context windows are dynamic: each
 center draws an effective width uniformly from [1, window], as the usual
 implementations of this objective do. Negatives are drawn from the unigram
 distribution raised to the 0.75 power.
-"""
+
+The random streams are drawn as numpy arrays: an iteration's pairs as one
+(n, 2) array, and each chunk's negatives and learning rates at once. These
+are the same streams that one scalar draw per center and k draws per pair
+would give. The updates stay sequential, one pair at a time in stream order,
+each a gather of its context and negative rows, two matrix-vector products
+and a scatter back."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +31,9 @@ log = logging.getLogger(__name__)
 
 NEGATIVE_POWER = 0.75
 FINAL_LR_FRACTION = 0.1
+# pairs whose negatives and learning rates are drawn at once; bounds the
+# chunk's arrays, not the update order
+CHUNK_PAIRS = 4096
 
 
 @dataclass
@@ -95,27 +104,38 @@ def random_embedding(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows=rows, vocab_fingerprint=vocab.fingerprint())
 
 
-def generate_pairs(sequences, window: int, seed, dynamic: bool = True):
-    """Yield (center, context) index pairs, excluding pad/unk everywhere.
+def generate_pairs(sequences, window: int, seed, dynamic: bool = True) -> np.ndarray:
+    """(n, 2) array of (center, context) index pairs, excluding pad/unk everywhere.
 
     Pad and unk positions are dropped before windowing (the remaining tokens
     close ranks, as in standard implementations of this objective). With
     `dynamic`, each center position draws its effective window width
     uniformly from [1, window] in a fixed order, so a given seed replays the
-    identical stream.
+    identical stream. Pairs come center by center, each center's contexts
+    left to right.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     rng = np.random.default_rng(seed)
+    blocks = []
     for seq in sequences:
-        tokens = [int(t) for t in np.asarray(seq).ravel()
-                  if int(t) not in (PAD_INDEX, UNK_INDEX)]
+        seq = np.asarray(seq).ravel()
+        tokens = seq[(seq != PAD_INDEX) & (seq != UNK_INDEX)].astype(np.intp)
         n = len(tokens)
-        for p in range(n):
-            w = int(rng.integers(1, window + 1)) if dynamic else window
-            for q in range(max(0, p - w), min(n, p + w + 1)):
-                if q != p:
-                    yield tokens[p], tokens[q]
+        if n == 0:
+            continue
+        # one width per position, drawn even where no pair results (n = 1)
+        widths = rng.integers(1, window + 1, size=n) if dynamic else np.full(n, window)
+        span = min(window, n - 1)  # no wider than the sequence, whatever the window
+        offsets = np.arange(-span, span + 1)
+        positions = np.arange(n)[:, None] + offsets
+        inside = ((offsets != 0) & (np.abs(offsets) <= widths[:, None])
+                  & (positions >= 0) & (positions < n))
+        centers, _ = np.nonzero(inside)  # row-major: center by center, offsets ascending
+        blocks.append(np.stack([tokens[centers], tokens[positions[inside]]], axis=1))
+    if not blocks:
+        return np.empty((0, 2), dtype=np.intp)
+    return np.concatenate(blocks)
 
 
 class NegativeSampler:
@@ -179,6 +199,53 @@ def sgns_gradient(center, context, negatives):
     return float(loss), g_center, g_context, g_negatives
 
 
+def _sgd_pairs(W, C, pairs, negatives, lrs) -> np.ndarray:
+    """One SGD step per (center, context) row of `pairs`, in order, each
+    against the context and that pair's row of `negatives` (a negative equal
+    to the context is dropped); returns each pair's loss.
+
+    A step gathers U = C[[context, *negatives]], computes the dots U @ v
+    with the center row v, and subtracts lr * outer(coef, v) from those C
+    rows and lr * coef @ U from v, where coef is sigma(dots) less 1 for the
+    context: the same arithmetic as `sgns_gradient`, vectorised per pair.
+    """
+    rows = np.concatenate([pairs[:, 1:], negatives], axis=1)
+    keep = rows != pairs[:, 1:]
+    keep[:, 0] = True
+    # a pair whose kept rows repeat takes each repeat's update in turn
+    ranked = np.sort(np.where(keep, rows, -1 - np.arange(rows.shape[1])), axis=1)
+    plain = (keep.all(axis=1) & (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)).tolist()
+    dots = np.zeros(rows.shape)
+    # exp(-dot) overflows to inf for a very negative dot, and sigma is then 0;
+    # a diverging run shows as a non-finite loss, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (r, center, lr) in enumerate(zip(rows, pairs[:, 0].tolist(), lrs.tolist())):
+            if not plain[j]:
+                r = r[keep[j]]
+            v = W[center]
+            U = C.take(r, axis=0)
+            d = U.dot(v)
+            coef = np.exp(-d)
+            coef += 1.0
+            np.reciprocal(coef, out=coef)
+            coef[0] -= 1.0
+            step = coef[:, None] * v
+            step *= lr
+            g_center = coef.dot(U)
+            if plain[j]:
+                dots[j] = d
+                C[r] = U - step
+            else:
+                dots[j, keep[j]] = d
+                np.subtract.at(C, r, step)
+            g_center *= lr
+            v -= g_center
+        # -log sigma(dot) for the context, -log sigma(-dot) for each negative
+        terms = np.logaddexp(0.0, dots)
+        terms[:, 0] = np.logaddexp(0.0, -dots[:, 0])
+        return np.where(keep, terms, 0.0).sum(axis=1)
+
+
 def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> EmbeddingMatrix:
     """Train the embedding matrix on encoded token sequences.
 
@@ -202,30 +269,26 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
     total_epochs = config.iterations
 
     for epoch in range(total_epochs):
-        pairs = list(generate_pairs(sequences, config.window,
-                                    seed=(config.seed, 2, epoch),
-                                    dynamic=config.dynamic_window))
-        if not pairs:
+        # the module attribute, so that a wrapper (or a plain list of rows) is honoured
+        pairs = np.asarray(generate_pairs(sequences, config.window,
+                                          seed=(config.seed, 2, epoch),
+                                          dynamic=config.dynamic_window),
+                           dtype=np.intp).reshape(-1, 2)
+        n_pairs = len(pairs)
+        if not n_pairs:
             log.warning("epoch %d: no training pairs produced", epoch)
             continue
-        n_pairs = len(pairs)
         loss_sum = 0.0
-        for j, (center_idx, context_idx) in enumerate(pairs):
-            progress = (epoch + j / n_pairs) / total_epochs
-            lr = lr0 * (1.0 - (1.0 - FINAL_LR_FRACTION) * progress)
-
-            negs = sampler.sample(rng_neg, config.negatives) if config.negatives else np.empty(0, dtype=int)
-            negs = negs[negs != context_idx]
-            loss, g_center, g_context, g_negs = sgns_gradient(
-                W[center_idx], C[context_idx], C[negs]
-            )
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at iteration {epoch}, pair {j}")
-            loss_sum += loss
-            C[context_idx] -= lr * g_context
-            for n, neg_idx in enumerate(negs):
-                C[neg_idx] -= lr * g_negs[n]
-            W[center_idx] -= lr * g_center
+        for start in range(0, n_pairs, CHUNK_PAIRS):
+            chunk = pairs[start:start + CHUNK_PAIRS]
+            progress = (epoch + np.arange(start, start + len(chunk)) / n_pairs) / total_epochs
+            lrs = lr0 * (1.0 - (1.0 - FINAL_LR_FRACTION) * progress)
+            negatives = sampler.sample(rng_neg, config.negatives * len(chunk))
+            losses = _sgd_pairs(W, C, chunk, negatives.reshape(len(chunk), config.negatives), lrs)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                raise TrainingError(f"non-finite loss at iteration {epoch}, pair {start + bad[0]}")
+            loss_sum += losses.sum()
         log.info("embedding iteration %d/%d: mean loss %.4f over %d pairs",
                  epoch + 1, total_epochs, loss_sum / n_pairs, n_pairs)
 

@@ -7,7 +7,6 @@ hashes: the model file records the embedding checksum, the embedding file
 records the vocabulary checksum, and the manifest records per-file digests.
 """
 
-import json
 import logging
 import os
 import time
@@ -283,22 +282,14 @@ def load_checkpoint(directory):
     integrity chain (manifest digests, embedding->vocab binding, or the
     model's recorded embedding checksum) raises FormatError.
     """
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = binio.read_json(os.path.join(directory, MANIFEST_NAME), "senti-checkpoint", 1)
     except FileNotFoundError:
         raise FormatError(f"{directory}: missing {MANIFEST_NAME}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from None
-    if manifest.get("format") != "senti-checkpoint":
-        raise FormatError(f"{manifest_path}: not a senti-checkpoint manifest")
-    if manifest.get("version") != 1:
-        raise FormatError(
-            f"{manifest_path}: unsupported checkpoint version {manifest.get('version')!r}"
-        )
 
     checksums = manifest.get("checksums", {})
+    if not isinstance(checksums, dict):
+        raise FormatError(f"{directory}: manifest checksums must be a JSON object")
     for name in (MODEL_FILE, EMBEDDINGS_FILE, VOCAB_FILE):
         path = os.path.join(directory, name)
         if not os.path.exists(path):

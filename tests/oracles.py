@@ -132,6 +132,50 @@ def sgns_loss_ref(center, context, negatives) -> float:
     return loss
 
 
+def skipgram_ref(sequences, config, vocab, gradient, pad_index=0, unk_index=1):
+    """Skip-gram SGD one pair at a time, with scalar draws: one window width
+    per center position, `config.negatives` uniforms per pair, one
+    `gradient(center, context, negatives)` call per pair and 2 + k row
+    updates. Returns the trained (len(vocab), dim) center matrix with the unk
+    row set to the mean of the token rows."""
+    dim = config.dim
+    W = np.random.default_rng((config.seed, 0)).uniform(-0.5 / dim, 0.5 / dim,
+                                                        size=(len(vocab), dim))
+    W[pad_index] = 0.0
+    W[unk_index] = 0.0
+    C = np.zeros_like(W)
+    counts = np.array([vocab.frequencies[t] for t in vocab.index_to_token[2:]], dtype=np.float64)
+    weights = counts ** 0.75
+    cumulative = np.cumsum(weights / weights.sum())
+    cumulative[-1] = 1.0
+    rng_neg = np.random.default_rng((config.seed, 1))
+
+    for epoch in range(config.iterations):
+        rng = np.random.default_rng((config.seed, 2, epoch))
+        pairs = []
+        for seq in sequences:
+            tokens = [int(t) for t in np.asarray(seq).ravel() if int(t) not in (pad_index, unk_index)]
+            for p in range(len(tokens)):
+                w = int(rng.integers(1, config.window + 1)) if config.dynamic_window else config.window
+                for q in range(max(0, p - w), min(len(tokens), p + w + 1)):
+                    if q != p:
+                        pairs.append((tokens[p], tokens[q]))
+        for j, (center_idx, context_idx) in enumerate(pairs):
+            progress = (epoch + j / len(pairs)) / config.iterations
+            lr = config.learning_rate * (1.0 - (1.0 - 0.1) * progress)
+            negs = np.empty(0, dtype=int)
+            if config.negatives:
+                negs = 2 + np.searchsorted(cumulative, rng_neg.random(config.negatives), side="right")
+            negs = negs[negs != context_idx]
+            _, g_center, g_context, g_negs = gradient(W[center_idx], C[context_idx], C[negs])
+            C[context_idx] -= lr * g_context
+            for n, neg_idx in enumerate(negs):
+                C[neg_idx] -= lr * g_negs[n]
+            W[center_idx] -= lr * g_center
+    W[unk_index] = W[2:].mean(axis=0)
+    return W
+
+
 def metrics_ref(counts) -> dict:
     """Brute-force recomputation of every metric from a 3x3 count matrix."""
     counts = [[int(v) for v in row] for row in counts]

@@ -293,6 +293,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "train-embeddings" in err and "--random-init" in err
 
+    @pytest.mark.parametrize("command", ["train-embeddings", "train", "predict", "evaluate"])
+    @pytest.mark.parametrize("payload", ["[]", "[1]", '"x"', "null"])
+    def test_non_object_manifest_is_one_error_line(self, command, payload, tmp_path,
+                                                   preprocessed, trained_checkpoint, capsys):
+        # valid JSON that is not an object, as meta.json or as manifest.json
+        prep, ckpt = tmp_path / "prep", tmp_path / "ckpt"
+        shutil.copytree(preprocessed, prep)
+        shutil.copytree(trained_checkpoint, ckpt)
+        (prep / "meta.json").write_text(payload)
+        (ckpt / "manifest.json").write_text(payload)
+        argv = {"train-embeddings": ["--input-dir", str(prep), "--dim", "4"],
+                "train": ["--input-dir", str(prep), "--random-init", "--dim", "4"],
+                "predict": ["--checkpoint", str(ckpt), "good day"],
+                "evaluate": ["--checkpoint", str(ckpt), "--data", str(prep / "test.tsv")]}[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "JSON object" in err[0]
+
     @pytest.mark.parametrize("command", ["train-embeddings", "train", "evaluate"])
     @pytest.mark.parametrize("bad", ["label", "index"])
     def test_bad_encoded_split_is_one_error_line(self, command, bad, tmp_path, preprocessed,
@@ -543,6 +563,12 @@ class TestOptionTable:
         (["preprocess"], {"tokenizer": "words"}, "tokenizer"),
         (["evaluate"], {"averaging": 1}, "averaging"),
         (["preprocess", "--output-dir", ""], None, "output_dir"),
+        (["train-embeddings", "--embedding-lr", "inf"], None, "embedding_lr"),
+        (["train", "--learning-rate", "inf"], None, "learning_rate"),
+        (["train", "--clip-norm", "inf"], None, "clip_norm"),
+        (["train", "--clip-norm=-inf"], None, "clip_norm"),
+        (["preprocess"], {"test_fraction": float("-inf")}, "test_fraction"),
+        (["train-embeddings"], {"embedding_lr": float("inf")}, "embedding_lr"),
     ])
     def test_invalid_option_is_one_error_line(self, argv, config, name, tmp_path,
                                               preprocessed, trained_checkpoint,

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import sentilstm.embedding as embedding
 from sentilstm.corpus import PAD_INDEX, UNK_INDEX, build_vocabulary
 from sentilstm.embedding import (EmbeddingConfig, EmbeddingMatrix, NegativeSampler,
                                  generate_pairs, load_embeddings, random_embedding,
                                  save_embeddings, sgns_gradient, train_skipgram)
 from sentilstm.errors import FormatError, TrainingError
 
-from oracles import finite_difference, relative_error, sgns_loss_ref
+from oracles import finite_difference, relative_error, sgns_loss_ref, skipgram_ref
+from synthetic import cooccurrence_corpus
 
 
 def small_vocab(tokens=("aa", "bb", "cc", "dd")):
@@ -75,61 +77,89 @@ def replay_pairs(sequences, window, seed, dynamic=True):
     return out
 
 
+def as_tuples(pairs):
+    return [tuple(p) for p in np.asarray(pairs).tolist()]
+
+
 class TestGeneratePairs:
+    def test_returns_integer_array_of_pairs(self):
+        pairs = generate_pairs([[2, 3, 4], [5]], window=2, seed=0)
+        assert pairs.ndim == 2 and pairs.shape[1] == 2
+        assert np.issubdtype(pairs.dtype, np.integer)
+        assert generate_pairs([], window=2, seed=0).shape == (0, 2)
+
     def test_window_one_adjacency(self):
         # indices: aa=2, bb=3, cc=4 (equal counts, alphabetical tie-break)
-        pairs = set(generate_pairs([[2, 3, 4]], window=1, seed=0))
+        pairs = set(as_tuples(generate_pairs([[2, 3, 4]], window=1, seed=0)))
         assert pairs == {(2, 3), (3, 2), (3, 4), (4, 3)}
 
     def test_single_token_no_pairs(self):
-        assert list(generate_pairs([[5]], window=3, seed=0)) == []
+        assert as_tuples(generate_pairs([[5]], window=3, seed=0)) == []
 
     def test_empty_corpus(self):
-        assert list(generate_pairs([], window=3, seed=0)) == []
+        assert as_tuples(generate_pairs([], window=3, seed=0)) == []
 
     def test_pad_and_unk_excluded_and_ranks_close(self):
         # [2, pad, 3] collapses to [2, 3]: the pair (2, 3) appears even
         # though the raw positions are 2 apart and the window is 1
-        pairs = set(generate_pairs([[2, PAD_INDEX, 3]], window=1, seed=0))
+        pairs = set(as_tuples(generate_pairs([[2, PAD_INDEX, 3]], window=1, seed=0)))
         assert pairs == {(2, 3), (3, 2)}
-        pairs = set(generate_pairs([[2, UNK_INDEX, 3]], window=1, seed=0))
+        pairs = set(as_tuples(generate_pairs([[2, UNK_INDEX, 3]], window=1, seed=0)))
         assert pairs == {(2, 3), (3, 2)}
 
     def test_all_pad_sequence(self):
-        assert list(generate_pairs([[PAD_INDEX] * 4], window=2, seed=0)) == []
+        assert as_tuples(generate_pairs([[PAD_INDEX] * 4], window=2, seed=0)) == []
 
     def test_matches_brute_force_replay(self):
         sequences = [[2, 3, 4, 5, 6], [3, 3, 7], [8]]
         for seed in range(5):
-            got = list(generate_pairs(sequences, window=7, seed=(seed, 9)))
+            got = as_tuples(generate_pairs(sequences, window=7, seed=(seed, 9)))
             assert got == replay_pairs(sequences, 7, (seed, 9))
+
+    def test_matches_replay_on_random_corpora(self):
+        # array draws per sequence replay one scalar width draw per position,
+        # across sequence lengths 0..12, pads, unks and every window mode
+        rng = np.random.default_rng(2024)
+        for case in range(200):
+            sequences = [rng.integers(0, 9, size=rng.integers(0, 13)).tolist()
+                         for _ in range(rng.integers(0, 6))]
+            window = int(rng.integers(1, 8))
+            dynamic = bool(case % 2)
+            got = as_tuples(generate_pairs(sequences, window, seed=(case, 3), dynamic=dynamic))
+            assert got == replay_pairs(sequences, window, (case, 3), dynamic=dynamic), case
+
+    def test_window_wider_than_any_sequence(self):
+        sequences = [[2, 3, 4, 5], [6], [7, 8]]
+        for dynamic in (True, False):
+            got = as_tuples(generate_pairs(sequences, window=10 ** 9, seed=5, dynamic=dynamic))
+            assert got == replay_pairs(sequences, 10 ** 9, 5, dynamic=dynamic)
 
     def test_fixed_window_mode(self):
         sequences = [[2, 3, 4, 5, 6]]
-        got = list(generate_pairs(sequences, window=2, seed=0, dynamic=False))
+        got = as_tuples(generate_pairs(sequences, window=2, seed=0, dynamic=False))
         assert got == replay_pairs(sequences, 2, 0, dynamic=False)
         # no randomness: every context within distance 2 appears
         assert (2, 4) in got and (4, 6) in got and (2, 5) not in got
 
     def test_dynamic_pairs_subset_of_fixed(self):
         sequences = [[2, 3, 4, 5, 6, 7, 8]]
-        fixed = set(generate_pairs(sequences, window=4, seed=0, dynamic=False))
-        dynamic = set(generate_pairs(sequences, window=4, seed=123))
+        fixed = set(as_tuples(generate_pairs(sequences, window=4, seed=0, dynamic=False)))
+        dynamic = set(as_tuples(generate_pairs(sequences, window=4, seed=123)))
         assert dynamic <= fixed
 
     def test_deterministic_stream(self):
         sequences = [[2, 3, 4, 5], [6, 7, 8]]
-        a = list(generate_pairs(sequences, window=3, seed=42))
-        b = list(generate_pairs(sequences, window=3, seed=42))
-        assert a == b
+        a = generate_pairs(sequences, window=3, seed=42)
+        b = generate_pairs(sequences, window=3, seed=42)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            list(generate_pairs([[2, 3]], window=0, seed=0))
+            generate_pairs([[2, 3]], window=0, seed=0)
 
     def test_accepts_numpy_sequences(self):
         arr = np.array([2, 3, 4], dtype=np.int32)
-        pairs = set(generate_pairs([arr], window=1, seed=0))
+        pairs = set(as_tuples(generate_pairs([arr], window=1, seed=0)))
         assert pairs == {(2, 3), (3, 2), (3, 4), (4, 3)}
 
 
@@ -311,6 +341,65 @@ class TestTrainSkipgram:
         init = np.random.default_rng((4, 0)).uniform(-0.5 / 5, 0.5 / 5,
                                                      size=(len(vocab), 5))
         assert not np.allclose(matrix.rows[2:], init[2:])
+
+
+def reference_case(name):
+    """(sequences, config, vocab) of one train_skipgram-vs-reference case."""
+    if name == "c6-corpus":
+        corpus = [t.split() for t in cooccurrence_corpus()[0]]
+        config = EmbeddingConfig(dim=20, window=3, min_count=1, iterations=3,
+                                 negatives=5, learning_rate=0.025, seed=1)
+    elif name == "four-tokens":
+        # 5 negatives from 4 tokens: every pair repeats a row, most drop one
+        corpus = [["aa", "bb", "cc", "dd"]] * 20
+        config = EmbeddingConfig(dim=6, window=2, min_count=1, iterations=2,
+                                 negatives=5, learning_rate=0.05, seed=1)
+    elif name == "no-negatives":
+        corpus = [t.split() for t in cooccurrence_corpus(sentences_per_group=5)[0]]
+        config = EmbeddingConfig(dim=8, window=3, min_count=1, iterations=2,
+                                 negatives=0, seed=2)
+    elif name == "fixed-window":
+        corpus = [t.split() for t in cooccurrence_corpus(sentences_per_group=5)[0]]
+        config = EmbeddingConfig(dim=8, window=2, min_count=1, iterations=2,
+                                 negatives=3, seed=3, dynamic_window=False)
+    else:  # "chunk-boundary": over two chunks of pairs per iteration
+        rng = np.random.default_rng(17)
+        corpus = [[f"w{i}" for i in rng.zipf(1.3, size=12) % 40] for _ in range(400)]
+        config = EmbeddingConfig(dim=8, window=2, min_count=1, iterations=1,
+                                 negatives=4, learning_rate=0.1, seed=4)
+    vocab = build_vocabulary(corpus, min_count=1)
+    return corpus_indices(corpus, vocab), config, vocab
+
+
+class TestTrainSkipgramReference:
+    @pytest.mark.parametrize("name", ["c6-corpus", "four-tokens", "no-negatives",
+                                      "fixed-window", "chunk-boundary"])
+    def test_matches_pairwise_reference(self, name):
+        sequences, config, vocab = reference_case(name)
+        if name == "chunk-boundary":
+            n_pairs = len(generate_pairs(sequences, config.window, seed=(config.seed, 2, 0)))
+            assert n_pairs > 2 * embedding.CHUNK_PAIRS
+        got = train_skipgram(sequences, config, vocab).rows
+        want = skipgram_ref(sequences, config, vocab, sgns_gradient)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_pairs_as_list_of_rows(self, monkeypatch):
+        # a wrapper may hand back list(generate_pairs(...)): rows, not an array
+        sequences, config, vocab = reference_case("four-tokens")
+        want = train_skipgram(sequences, config, vocab).rows
+        original = embedding.generate_pairs
+        monkeypatch.setattr(embedding, "generate_pairs",
+                            lambda *args, **kwargs: list(original(*args, **kwargs)))
+        assert np.array_equal(train_skipgram(sequences, config, vocab).rows, want)
+
+    def test_divergence_names_first_bad_pair(self, recwarn):
+        sequences, _, vocab = reference_case("four-tokens")
+        config = EmbeddingConfig(dim=6, window=2, min_count=1, iterations=2,
+                                 negatives=2, learning_rate=1e150, seed=1)
+        # the pair-by-pair loop stopped at the same pair
+        with pytest.raises(TrainingError, match=r"non-finite loss at iteration 0, pair 5$"):
+            train_skipgram(sequences, config, vocab)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def corpus_indices(corpus, vocab):

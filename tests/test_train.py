@@ -574,6 +574,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(directory)
 
+    def test_non_object_checksums_rejected(self, tmp_path):
+        _, vocab, embedding, params = keyword_checkpoint_pieces()
+        directory = tmp_path / "ckpt"
+        save_checkpoint(directory, params, embedding, vocab, maxlen=8,
+                        tokenizer_mode="whitespace")
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["checksums"] = list(manifest["checksums"].values())
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        with pytest.raises(FormatError, match="checksums must be a JSON object"):
+            load_checkpoint(directory)
+
     def test_embedding_substitution_detected(self, tmp_path):
         # swap in a different (valid, vocab-bound) embedding file and repair
         # the manifest digest: the model's own recorded checksum still trips
