@@ -143,9 +143,10 @@ def write_json(path, payload):
     write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
-def read_json(path, fmt: str, version: int) -> dict:
-    """A JSON manifest: an object whose "format" is `fmt` and whose
-    "version" is `version`, else FormatError. A missing file raises
+def read_json(path, fmt: str, version: int, required: dict = None) -> dict:
+    """A JSON manifest: an object whose "format" is `fmt`, whose "version"
+    is `version`, and whose value under each key of `required` is one of
+    that key's allowed values, else FormatError. A missing file raises
     FileNotFoundError, which each caller words for its own directory."""
     with open(path, "rb") as f:
         data = f.read()
@@ -160,6 +161,11 @@ def read_json(path, fmt: str, version: int) -> dict:
         raise FormatError(f"{path}: not a {fmt} manifest")
     if payload.get("version") != version:
         raise FormatError(f"{path}: unsupported {fmt} version {payload.get('version')!r}")
+    for key, allowed in (required or {}).items():
+        if key not in payload:
+            raise FormatError(f"{path}: {fmt} manifest has no {key!r}")
+        if payload[key] not in allowed:
+            raise FormatError(f"{path}: {key} {payload[key]!r} is not one of {list(allowed)}")
     return payload
 
 

@@ -277,7 +277,8 @@ def cmd_preprocess(args) -> int:
 
 def _load_meta(input_dir):
     try:
-        return binio.read_json(os.path.join(input_dir, META_NAME), "senti-preprocess", 1)
+        return binio.read_json(os.path.join(input_dir, META_NAME), "senti-preprocess", 1,
+                               {"tokenizer": corpus.TOKENIZER_MODES})
     except FileNotFoundError:
         raise SentiError(f"{input_dir}: not a preprocess directory (missing {META_NAME})") from None
 
@@ -393,7 +394,7 @@ def cmd_predict(args) -> int:
     if not tokens:
         raise DatasetError("input text is empty after cleaning")
     indices = corpus.encode(tokens, vocab, manifest["maxlen"])
-    trace = forward(params, embedding, indices)
+    trace = forward(params, embedding, indices, cache=False)
     label = CLASS_NAMES[trace.predicted]
     if args.format == "json":
         print(json.dumps({

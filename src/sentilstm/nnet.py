@@ -1,4 +1,5 @@
-"""LSTM and vanilla-RNN cells with hand-derived backpropagation through time.
+"""Batched, masked LSTM and vanilla-RNN recurrences with hand-derived
+backpropagation through time.
 
 One step of the LSTM cell, with [h, x] the concatenation of the previous
 hidden state and the current input, sigma the logistic function, and * the
@@ -11,12 +12,25 @@ elementwise product:
     o = sigma(W_o [h, x] + b_o)         output gate
     h' = o * tanh(c')                   hidden output
 
-Classification reads the hidden state after the last non-pad timestep
-through a dense head and a softmax over the three sentiment classes.
-Padded positions are masked: they do not advance the state, so appending
-pad tokens never changes outputs or gradients.
+The RNN step is h' = tanh(W [h, x] + b). Classification reads the hidden
+state after the last non-pad token through a dense head and a softmax.
+
+`forward` takes one (T,) example or a (B, T) batch of token indices. Each
+row's non-pad tokens move to the row's front in their order (left-
+compaction) and the batch is cut to its longest real length, so pads never
+reach the cell. The gates are one fused (G*H, H+D) matrix (LSTM: G = 4, in
+f, i, o, c order). Its input half maps all B*T tokens in one matrix product
+before the time loop; each step adds h @ W_h^T, and a row out of tokens
+keeps its state (np.where on the step's mask). `backward` returns the
+gradient of the batch's mean loss, one summed entry per embedding row read.
+
+Padding invariance is exact: an example with pads appended compacts to the
+same (1, L) array as without them, so both run the same floating-point
+operations in the same order. Inside a larger batch a row agrees with its
+lone run to rounding only.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,36 +42,36 @@ N_CLASSES = 3
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Logistic function as 0.5 * tanh(x / 2) + 0.5: stable for any input,
+    with no branch on the sign."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def softmax(logits):
-    """Stable softmax: shift by the max logit before exponentiating."""
+    """Stable softmax over the last axis: shift by the max logit first."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label] via log-sum-exp, never through raw probabilities."""
+def cross_entropy(logits, label):
+    """-log softmax(logits)[label] via log-sum-exp, never through raw
+    probabilities. One (K,) row and an int label give a float; (B, K) rows
+    and (B,) labels give one loss per row."""
     logits = np.asarray(logits, dtype=np.float64)
-    m = logits.max()
-    return float(m + np.log(np.exp(logits - m).sum()) - logits[label])
+    m = logits.max(axis=-1, keepdims=True)
+    loss = (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+            - np.take_along_axis(logits, np.asarray(label)[..., None], axis=-1))[..., 0]
+    return float(loss) if loss.ndim == 0 else loss
 
 
 class _CellParams:
     """What the LSTM and RNN parameter sets share. Each subclass declares
     its shape table SHAPES, one entry per tensor in file order, over the
     dimensions H (hidden), C (hidden + input) and K (classes); TENSOR_NAMES
-    follows from it. The first entry is a recurrent weight of shape (H, C)."""
+    follows from it. The first entry is a recurrent weight of shape (H, C).
+    GATES lists the gate tensors W<g>, b<g> in fused-matrix order."""
 
     def __post_init__(self):
         W = getattr(self, self.TENSOR_NAMES[0])
@@ -96,6 +110,11 @@ class _CellParams:
     def copy(self):
         return type(self)(**{name: t.copy() for name, t in self.tensors().items()})
 
+    def gate_weights(self):
+        """The gates as one (G*H, H+D) matrix and one (G*H,) bias."""
+        return (np.concatenate([getattr(self, "W" + g) for g in self.GATES]),
+                np.concatenate([getattr(self, "b" + g) for g in self.GATES]))
+
 
 @dataclass
 class LstmParams(_CellParams):
@@ -117,6 +136,7 @@ class LstmParams(_CellParams):
     SHAPES = {"W_f": "HC", "b_f": "H", "W_i": "HC", "b_i": "H", "W_c": "HC", "b_c": "H",
               "W_o": "HC", "b_o": "H", "head_W": "KH", "head_b": "K"}
     TENSOR_NAMES = tuple(SHAPES)
+    GATES = ("_f", "_i", "_o", "_c")  # the three sigmoid gates first
 
 
 @dataclass
@@ -131,6 +151,7 @@ class RnnParams(_CellParams):
     KIND = "rnn"
     SHAPES = {"W": "HC", "b": "H", "head_W": "KH", "head_b": "K"}
     TENSOR_NAMES = tuple(SHAPES)
+    GATES = ("",)
 
 
 def init_lstm_params(hidden: int, input_dim: int, classes: int = N_CLASSES, seed: int = 0) -> LstmParams:
@@ -174,118 +195,98 @@ class LstmState:
         return cls(h=np.zeros(hidden), c=np.zeros(hidden))
 
 
-@dataclass
-class LstmStepCache:
-    """Everything the backward pass needs from one timestep."""
-
-    z: np.ndarray        # [h_prev, x], length hidden+input
-    pre_f: np.ndarray
-    pre_i: np.ndarray
-    pre_c: np.ndarray
-    pre_o: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    cbar: np.ndarray
-    o: np.ndarray
-    c_prev: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    token: int = -1
+LstmStepCache = namedtuple("LstmStepCache", "f i cbar o tanh_c")  # one lstm_step's activations
 
 
-@dataclass
-class RnnStepCache:
-    z: np.ndarray
-    pre: np.ndarray
-    h: np.ndarray
-    token: int = -1
-
-
-def _check_finite(name, *arrays):
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise TrainingError(f"non-finite values in {name}")
+def _lstm_cell(pre, c_prev):
+    """The LSTM cell after its affine map: pre holds the fused
+    pre-activations (..., 4H) in f, i, o, c order. Returns (h, c, s, cbar,
+    tanh_c), s being the sigmoid gates f, i, o side by side."""
+    H = c_prev.shape[-1]
+    s = sigmoid(pre[..., :3 * H])
+    cbar = np.tanh(pre[..., 3 * H:])
+    c = s[..., :H] * c_prev + s[..., H:2 * H] * cbar
+    tanh_c = np.tanh(c)
+    return s[..., 2 * H:] * tanh_c, c, s, cbar, tanh_c
 
 
 def lstm_step(params: LstmParams, state: LstmState, x):
-    """One LSTM cell step. Returns (new state, step cache)."""
+    """One LSTM step through the engine's cell, for one example ((H,)
+    state, (D,) input) or a batch ((B, H), (B, D)). Returns (new state,
+    step cache)."""
     x = np.asarray(x, dtype=np.float64)
-    _check_finite("lstm_step input", x)
-    _check_finite("lstm_step state", state.h, state.c)
-    z = np.concatenate([state.h, x])
-    pre_f = params.W_f @ z + params.b_f
-    pre_i = params.W_i @ z + params.b_i
-    pre_c = params.W_c @ z + params.b_c
-    pre_o = params.W_o @ z + params.b_o
-    f = sigmoid(pre_f)
-    i = sigmoid(pre_i)
-    cbar = np.tanh(pre_c)
-    c = f * state.c + i * cbar
-    o = sigmoid(pre_o)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    cache = LstmStepCache(z=z, pre_f=pre_f, pre_i=pre_i, pre_c=pre_c, pre_o=pre_o,
-                          f=f, i=i, cbar=cbar, o=o, c_prev=state.c, c=c, tanh_c=tanh_c)
-    return LstmState(h=h, c=c), cache
-
-
-def rnn_step(params: RnnParams, h, x):
-    """One vanilla RNN step. Returns (new hidden state, step cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    _check_finite("rnn_step input", x)
-    _check_finite("rnn_step state", h)
-    z = np.concatenate([h, x])
-    pre = params.W @ z + params.b
-    h_new = np.tanh(pre)
-    return h_new, RnnStepCache(z=z, pre=pre, h=h_new)
+    if not all(np.isfinite(a).all() for a in (x, state.h, state.c)):
+        raise TrainingError("non-finite values in lstm_step input")
+    W, b = params.gate_weights()
+    h, c, s, cbar, tanh_c = _lstm_cell(np.concatenate([state.h, x], axis=-1) @ W.T + b, state.c)
+    H = params.hidden
+    return LstmState(h=h, c=c), LstmStepCache(f=s[..., :H], i=s[..., H:2 * H], cbar=cbar,
+                                              o=s[..., 2 * H:], tanh_c=tanh_c)
 
 
 @dataclass
 class ForwardTrace:
-    """Cached activations for every non-pad timestep plus the head outputs."""
+    """logits and probs are (K,) for one example, (B, K) for a batch; cache
+    holds what `backward` needs (None after forward(..., cache=False))."""
 
-    steps: list
-    h_last: np.ndarray
+    indices: np.ndarray   # (B, T) left-compacted tokens, cut to the longest row
     logits: np.ndarray
     probs: np.ndarray
-    tokens: list
+    cache: dict = None
 
     @property
-    def predicted(self) -> int:
-        return int(np.argmax(self.probs))
+    def predicted(self):
+        labels = np.argmax(self.probs, axis=-1)
+        return int(labels) if labels.ndim == 0 else labels
 
 
-def forward(params, embedding, indices) -> ForwardTrace:
-    """Embed, run the recurrence over non-pad positions, apply head + softmax.
-
-    Pad positions are skipped entirely (the state carries through), so the
-    trace holds exactly one step per non-pad token.
-    """
-    tokens = [int(t) for t in np.asarray(indices).ravel() if int(t) != PAD_INDEX]
-    if not tokens:
+def _compact(indices):
+    """Each row's non-pad tokens moved to its front in order, cut to the
+    longest row."""
+    idx = np.atleast_2d(np.asarray(indices))
+    real = idx != PAD_INDEX
+    lengths = real.sum(axis=1)
+    if not lengths.all():
         raise TrainingError("empty sequence after masking")
-    rows = embedding.rows
-    steps = []
-    if isinstance(params, LstmParams):
-        state = LstmState.zeros(params.hidden)
-        for tok in tokens:
-            state, cache = lstm_step(params, state, rows[tok])
-            cache.token = tok
-            steps.append(cache)
-        h_last = state.h
-    elif isinstance(params, RnnParams):
-        h = np.zeros(params.hidden)
-        for tok in tokens:
-            h, cache = rnn_step(params, h, rows[tok])
-            cache.token = tok
-            steps.append(cache)
-        h_last = h
-    else:
+    # a stable sort on "is pad" keeps the real tokens' order
+    order = np.argsort(~real, axis=1, kind="stable")[:, :lengths.max()]
+    return np.take_along_axis(idx, order, axis=1)
+
+
+def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
+    """Embed, run the recurrence over each row's non-pad tokens, apply head
+    + softmax. With cache=False (inference) nothing is kept for `backward`."""
+    if not isinstance(params, (LstmParams, RnnParams)):
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
-    logits = params.head_W @ h_last + params.head_b
-    return ForwardTrace(steps=steps, h_last=h_last, logits=logits,
-                        probs=softmax(logits), tokens=tokens)
+    lstm = isinstance(params, LstmParams)
+    tokens = _compact(indices)
+    mask = tokens != PAD_INDEX
+    B, T = tokens.shape
+    H = params.hidden
+    W, b = params.gate_weights()
+    x = embedding.rows[tokens.T]                           # (T, B, D)
+    xw = (x.reshape(T * B, -1) @ W[:, H:].T + b).reshape(T, B, -1)
+    w_h = W[:, :H].T
+    h = c = np.zeros((B, H))
+    steps = []  # per step: (h, c) before it, the cell's activations, the mask column
+    for t, full in enumerate(mask.all(axis=0)):
+        m = None if full else mask[:, t, None]
+        if lstm:
+            h_new, c_new, *act = _lstm_cell(xw[t] + h @ w_h, c)
+        else:
+            h_new, c_new = np.tanh(xw[t] + h @ w_h), c
+            act = h_new
+        if cache:
+            steps.append((h, c, act, m))
+        if m is not None:  # rows without a token here keep their state
+            h_new, c_new = np.where(m, h_new, h), np.where(m, c_new, c)
+        h, c = h_new, c_new
+    logits = h @ params.head_W.T + params.head_b
+    probs = softmax(logits)
+    if np.ndim(indices) == 1:
+        logits, probs = logits[0], probs[0]
+    return ForwardTrace(indices=tokens, logits=logits, probs=probs,
+                        cache={"W": W, "x": x, "h": h, "steps": steps} if cache else None)
 
 
 @dataclass
@@ -299,104 +300,75 @@ class Grads:
     def zeros_like(cls, params):
         return cls(tensors={name: np.zeros_like(arr) for name, arr in params.tensors().items()})
 
-    def add_(self, other):
-        for name, arr in other.tensors.items():
-            self.tensors[name] += arr
-        for idx, row in other.embedding_rows.items():
-            if idx in self.embedding_rows:
-                self.embedding_rows[idx] = self.embedding_rows[idx] + row
-            else:
-                self.embedding_rows[idx] = row.copy()
-        return self
-
     def scale_(self, s: float):
         for arr in self.tensors.values():
             arr *= s
-        for idx in self.embedding_rows:
-            self.embedding_rows[idx] *= s
+        for row in self.embedding_rows.values():
+            row *= s
         return self
 
     def global_norm(self) -> float:
-        total = 0.0
-        for arr in self.tensors.values():
-            total += float(np.sum(arr * arr))
-        for row in self.embedding_rows.values():
-            total += float(np.sum(row * row))
+        total = sum(float(np.vdot(arr, arr)) for arr in self.tensors.values())
+        if self.embedding_rows:
+            rows = np.stack(list(self.embedding_rows.values()))
+            total += float(np.vdot(rows, rows))
         return float(np.sqrt(total))
 
 
-def backward(trace: ForwardTrace, params, label: int) -> Grads:
-    """Exact gradient of the cross-entropy loss for one traced example."""
-    if isinstance(params, LstmParams):
-        return _lstm_backward(trace, params, label)
-    if isinstance(params, RnnParams):
-        return _rnn_backward(trace, params, label)
-    raise TypeError(f"unsupported parameter type {type(params).__name__}")
+def backward(trace: ForwardTrace, params, label) -> Grads:
+    """Exact gradient of the mean cross-entropy over the traced batch; label
+    is an int for a single example, a (B,) array for a batch."""
+    saved = trace.cache
+    if saved is None:
+        raise ValueError("backward needs a trace from forward(..., cache=True)")
+    dlogits = np.atleast_2d(trace.probs).copy()
+    B, H = dlogits.shape[0], params.hidden
+    dlogits[np.arange(B), label] -= 1.0
+    dlogits /= B
+    steps, W = saved["steps"], saved["W"]
+    tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
+    # BPTT: dpre[t] is the loss gradient of step t's gate pre-activations,
+    # zero in the rows that had no token at t
+    T = len(steps)
+    dpre = np.empty((T, B, W.shape[0]))
+    dh = dlogits @ params.head_W
+    dc = np.zeros((B, H))
+    for t in reversed(range(T)):
+        _, c_prev, act, m = steps[t]
+        d = dpre[t]
+        if isinstance(params, LstmParams):
+            s, cbar, tanh_c = act
+            dc_t = dc + dh * s[:, 2 * H:] * (1.0 - tanh_c * tanh_c)
+            d[:, :H] = dc_t * c_prev
+            d[:, H:2 * H] = dc_t * cbar
+            d[:, 2 * H:3 * H] = dh * tanh_c
+            d[:, :3 * H] *= s * (1.0 - s)
+            d[:, 3 * H:] = dc_t * s[:, H:2 * H] * (1.0 - cbar * cbar)
+            dc_t *= s[:, :H]
+        else:
+            np.multiply(dh, 1.0 - act * act, out=d)
+            dc_t = dc
+        if m is None:
+            dh, dc = d @ W[:, :H], dc_t
+        else:
+            d[~m[:, 0]] = 0.0
+            dh, dc = np.where(m, d @ W[:, :H], dh), np.where(m, dc_t, dc)
 
-def _head_backward(trace, params, label):
-    dlogits = trace.probs.copy()
-    dlogits[label] -= 1.0
-    g = Grads.zeros_like(params)
-    g.tensors["head_W"] += np.outer(dlogits, trace.h_last)
-    g.tensors["head_b"] += dlogits
-    dh = params.head_W.T @ dlogits
-    return g, dh
-
-
-def _accumulate_row(rows: dict, idx: int, dx):
-    if idx in rows:
-        rows[idx] += dx
-    else:
-        rows[idx] = dx.copy()
-
-
-def _lstm_backward(trace, params, label):
-    g, dh = _head_backward(trace, params, label)
-    hidden = params.hidden
-    dc = np.zeros(hidden)
-    for cache in reversed(trace.steps):
-        do = dh * cache.tanh_c
-        dc = dc + dh * cache.o * (1.0 - cache.tanh_c ** 2)
-        df = dc * cache.c_prev
-        di = dc * cache.cbar
-        dcbar = dc * cache.i
-        dpre_f = df * cache.f * (1.0 - cache.f)
-        dpre_i = di * cache.i * (1.0 - cache.i)
-        dpre_c = dcbar * (1.0 - cache.cbar ** 2)
-        dpre_o = do * cache.o * (1.0 - cache.o)
-        g.tensors["W_f"] += np.outer(dpre_f, cache.z)
-        g.tensors["W_i"] += np.outer(dpre_i, cache.z)
-        g.tensors["W_c"] += np.outer(dpre_c, cache.z)
-        g.tensors["W_o"] += np.outer(dpre_o, cache.z)
-        g.tensors["b_f"] += dpre_f
-        g.tensors["b_i"] += dpre_i
-        g.tensors["b_c"] += dpre_c
-        g.tensors["b_o"] += dpre_o
-        dz = (params.W_f.T @ dpre_f + params.W_i.T @ dpre_i
-              + params.W_c.T @ dpre_c + params.W_o.T @ dpre_o)
-        dh = dz[:hidden]
-        _accumulate_row(g.embedding_rows, cache.token, dz[hidden:])
-        dc = dc * cache.f
-    return g
-
-
-def _rnn_backward(trace, params, label):
-    g, dh = _head_backward(trace, params, label)
-    hidden = params.hidden
-    for cache in reversed(trace.steps):
-        dpre = dh * (1.0 - cache.h ** 2)
-        g.tensors["W"] += np.outer(dpre, cache.z)
-        g.tensors["b"] += dpre
-        dz = params.W.T @ dpre
-        dh = dz[:hidden]
-        _accumulate_row(g.embedding_rows, cache.token, dz[hidden:])
-    return g
+    dpre = dpre.reshape(T * B, -1)
+    z = np.concatenate([np.stack([st[0] for st in steps]), saved["x"]], axis=2).reshape(T * B, -1)
+    dW, db = dpre.T @ z, dpre.sum(axis=0)
+    for k, g in enumerate(params.GATES):  # per-gate views of the fused gradient
+        tensors["W" + g], tensors["b" + g] = dW[k * H:(k + 1) * H], db[k * H:(k + 1) * H]
+    # one input gradient per (step, row), summed into one row per distinct token
+    dx = dpre @ W[:, H:]
+    real = (trace.indices != PAD_INDEX).T.reshape(-1)
+    rows, where = np.unique(trace.indices.T.reshape(-1)[real], return_inverse=True)
+    block = np.zeros((rows.size, dx.shape[1]))
+    np.add.at(block, where, dx[real])
+    return Grads(tensors={name: tensors[name] for name in params.TENSOR_NAMES},
+                 embedding_rows=dict(zip(rows.tolist(), block)))
 
 
 def predict_proba(params, embedding, indices):
-    return forward(params, embedding, indices).probs
-
-
-def predict_label(params, embedding, indices) -> int:
-    return forward(params, embedding, indices).predicted
+    return forward(params, embedding, indices, cache=False).probs

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binio
-from .corpus import PAD_INDEX, Vocabulary, load_vocabulary, save_vocabulary
+from .corpus import (PAD_INDEX, TOKENIZER_MODES, Vocabulary, load_vocabulary,
+                     save_vocabulary)
 from .embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from .errors import FormatError, TrainingError
 from .metrics import MetricsReport, confusion, metrics
@@ -35,6 +36,8 @@ MANIFEST_NAME = "manifest.json"
 MODEL_FILE = "model.bin"
 EMBEDDINGS_FILE = "embeddings.bin"
 VOCAB_FILE = "vocab.tsv"
+
+INFERENCE_CHUNK = 32  # examples per engine call in batched inference
 
 
 @dataclass
@@ -111,22 +114,28 @@ class _Optimizer:
 
     def step(self, params, embedding, grads: Grads):
         self.t += 1
+        sgd = self.config.optimizer == "sgd"
         tensors = params.tensors()
-        if self.config.optimizer == "sgd":
-            for name, g in grads.tensors.items():
-                tensors[name] -= self.lr * g
-            if self.config.update_embeddings:
-                for row in sorted(grads.embedding_rows):
-                    embedding.rows[row] -= self.lr * grads.embedding_rows[row]
-            return
         for name in sorted(grads.tensors):
-            adam_update(tensors[name], grads.tensors[name],
-                        self.m[name], self.v[name], self.t, self.lr)
-        if self.config.update_embeddings:
-            # lazy moments: untouched rows keep their state and get no update
-            for row in sorted(grads.embedding_rows):
-                adam_update(embedding.rows[row], grads.embedding_rows[row],
-                            self.m_emb[row], self.v_emb[row], self.t, self.lr)
+            if sgd:
+                tensors[name] -= self.lr * grads.tensors[name]
+            else:
+                adam_update(tensors[name], grads.tensors[name],
+                            self.m[name], self.v[name], self.t, self.lr)
+        rows = grads.embedding_rows
+        if not (self.config.update_embeddings and rows):
+            return
+        # the touched rows as one (k, D) block: every update is elementwise,
+        # so this equals a row-by-row update bit for bit
+        index = np.fromiter(rows, dtype=np.intp, count=len(rows))
+        block = np.stack(list(rows.values()))
+        if sgd:
+            embedding.rows[index] -= self.lr * block
+            return
+        # lazy moments: untouched rows keep their state and get no update
+        param, m, v = embedding.rows[index], self.m_emb[index], self.v_emb[index]
+        adam_update(param, block, m, v, self.t, self.lr)
+        embedding.rows[index], self.m_emb[index], self.v_emb[index] = param, m, v
 
 
 def clip_grads(grads: Grads, clip_norm) -> float:
@@ -138,19 +147,21 @@ def clip_grads(grads: Grads, clip_norm) -> float:
     return norm
 
 
+def _stack(examples):
+    """(B, T) indices of the examples, right-padded to the longest."""
+    out = np.full((len(examples), max(len(ex.indices) for ex in examples)), PAD_INDEX)
+    for row, ex in zip(out, examples):
+        row[:len(ex.indices)] = ex.indices
+    return out
+
+
 def _batch_grads(params, embedding, batch):
-    """Mean loss, mean grads, and correct-prediction count over one batch."""
-    total = Grads.zeros_like(params)
-    loss_sum = 0.0
-    n_correct = 0
-    for ex in batch:
-        trace = forward(params, embedding, ex.indices)
-        loss_sum += cross_entropy(trace.logits, ex.label)
-        if trace.predicted == ex.label:
-            n_correct += 1
-        total.add_(backward(trace, params, ex.label))
-    total.scale_(1.0 / len(batch))
-    return loss_sum / len(batch), total, n_correct
+    """Mean loss, mean grads and correct-prediction count of one batch, in one engine pass."""
+    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    trace = forward(params, embedding, _stack(batch))
+    loss = float(np.sum(cross_entropy(trace.logits, labels))) / len(batch)
+    n_correct = int(np.count_nonzero(trace.predicted == labels))
+    return loss, backward(trace, params, labels), n_correct
 
 
 def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig,
@@ -204,9 +215,16 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig,
 
 
 def predict_dataset(params, embedding, examples) -> np.ndarray:
-    """Predicted labels for a list of encoded examples."""
-    return np.array([forward(params, embedding, ex.indices).predicted
-                     for ex in examples], dtype=np.int64)
+    """Predicted labels for a list of encoded examples, run without BPTT caches
+    in chunks of at most INFERENCE_CHUNK examples of similar non-pad length."""
+    predicted = np.zeros(len(examples), dtype=np.int64)
+    if examples:
+        indices = _stack(examples)
+        order = np.argsort(np.count_nonzero(indices != PAD_INDEX, axis=1), kind="stable")
+        for start in range(0, len(order), INFERENCE_CHUNK):
+            rows = order[start:start + INFERENCE_CHUNK]
+            predicted[rows] = forward(params, embedding, indices[rows], cache=False).predicted
+    return predicted
 
 
 def evaluate_model(params, embedding, examples, averaging="macro") -> MetricsReport:
@@ -283,7 +301,8 @@ def load_checkpoint(directory):
     model's recorded embedding checksum) raises FormatError.
     """
     try:
-        manifest = binio.read_json(os.path.join(directory, MANIFEST_NAME), "senti-checkpoint", 1)
+        manifest = binio.read_json(os.path.join(directory, MANIFEST_NAME), "senti-checkpoint", 1,
+                                   {"tokenizer": TOKENIZER_MODES})
     except FileNotFoundError:
         raise FormatError(f"{directory}: missing {MANIFEST_NAME}") from None
 

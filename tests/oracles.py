@@ -90,6 +90,115 @@ def lstm_forward_ref(weights: dict, emb_rows, indices, pad_index=0):
     return logits, softmax_ref(logits)
 
 
+def _sigmoid_masked(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def example_grads_ref(weights: dict, emb_rows, indices, label: int, pad_index=0):
+    """One example at a time, one cell step per non-pad token with a GEMV
+    per gate, then BPTT step by step with one outer product per gate.
+    `weights` holds the LSTM (W_f, b_f, ..., W_o, b_o) or RNN (W, b)
+    tensors plus head_W and head_b. Returns (loss, probs, {name: gradient},
+    {embedding row: gradient})."""
+    lstm = "W_f" in weights
+    gates = ("f", "i", "c", "o") if lstm else ("",)
+    hidden = weights["head_W"].shape[1]
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    steps = []
+    for tok in (int(t) for t in np.asarray(indices).ravel()):
+        if tok == pad_index:
+            continue
+        z = np.concatenate([h, emb_rows[tok]])
+        pre = {g: weights["W" + ("_" + g if g else "")] @ z + weights["b" + ("_" + g if g else "")]
+               for g in gates}
+        if lstm:
+            f, i, o = _sigmoid_masked(pre["f"]), _sigmoid_masked(pre["i"]), _sigmoid_masked(pre["o"])
+            cbar = np.tanh(pre["c"])
+            c_prev, c = c, f * c + i * cbar
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            steps.append(dict(z=z, f=f, i=i, cbar=cbar, o=o, c_prev=c_prev, tanh_c=tanh_c, tok=tok))
+        else:
+            h = np.tanh(pre[""])
+            steps.append(dict(z=z, h=h, tok=tok))
+    logits = weights["head_W"] @ h + weights["head_b"]
+    shifted = np.exp(logits - logits.max())
+    probs = shifted / shifted.sum()
+    m = logits.max()
+    loss = float(m + np.log(np.exp(logits - m).sum()) - logits[label])
+
+    grads = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in weights.items()}
+    rows = {}
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    grads["head_W"] += np.outer(dlogits, h)
+    grads["head_b"] += dlogits
+    dh = weights["head_W"].T @ dlogits
+    dc = np.zeros(hidden)
+    for st in reversed(steps):
+        if lstm:
+            do = dh * st["tanh_c"]
+            dc = dc + dh * st["o"] * (1.0 - st["tanh_c"] ** 2)
+            dpre = {"f": dc * st["c_prev"] * st["f"] * (1.0 - st["f"]),
+                    "i": dc * st["cbar"] * st["i"] * (1.0 - st["i"]),
+                    "c": dc * st["i"] * (1.0 - st["cbar"] ** 2),
+                    "o": do * st["o"] * (1.0 - st["o"])}
+            dc = dc * st["f"]
+        else:
+            dpre = {"": dh * (1.0 - st["h"] ** 2)}
+        dz = np.zeros(len(st["z"]))
+        for g in gates:
+            suffix = "_" + g if g else ""
+            grads["W" + suffix] += np.outer(dpre[g], st["z"])
+            grads["b" + suffix] += dpre[g]
+            dz += weights["W" + suffix].T @ dpre[g]
+        dh = dz[:hidden]
+        rows[st["tok"]] = rows.get(st["tok"], 0.0) + dz[hidden:]
+    return loss, probs, grads, rows
+
+
+def batch_grads_ref(weights: dict, emb_rows, batch, labels, pad_index=0):
+    """Mean loss, mean tensor gradients and mean embedding-row gradients
+    over a batch, summed example by example (example_grads_ref) and then
+    divided by the batch size."""
+    total_loss, total, rows = 0.0, None, {}
+    for indices, label in zip(batch, labels):
+        loss, _, grads, ex_rows = example_grads_ref(weights, emb_rows, indices, int(label), pad_index)
+        total_loss += loss
+        total = grads if total is None else {n: total[n] + grads[n] for n in total}
+        for tok, g in ex_rows.items():
+            rows[tok] = rows.get(tok, 0.0) + g
+    n = len(batch)
+    return (total_loss / n, {name: g / n for name, g in total.items()},
+            {tok: g / n for tok, g in rows.items()})
+
+
+def optimizer_step_ref(tensors: dict, tensor_grads: dict, emb_rows, row_grads: dict, state: dict,
+                       t: int, lr: float, update, optimizer="adam", update_embeddings=True):
+    """One optimizer step in place, one embedding row at a time in row
+    order. `update(param, grad, m, v, t, lr)` is the Adam rule under test;
+    `state` holds the moment dicts "m", "v" and the row moments "m_emb",
+    "v_emb"."""
+    for name in sorted(tensor_grads):
+        if optimizer == "sgd":
+            tensors[name] -= lr * tensor_grads[name]
+        else:
+            update(tensors[name], tensor_grads[name], state["m"][name], state["v"][name], t, lr)
+    if not update_embeddings:
+        return
+    for row in sorted(row_grads):
+        if optimizer == "sgd":
+            emb_rows[row] -= lr * row_grads[row]
+        else:
+            update(emb_rows[row], row_grads[row], state["m_emb"][row], state["v_emb"][row], t, lr)
+
+
 def finite_difference(loss_fn, array: np.ndarray, eps: float = 1e-4) -> np.ndarray:
     """Central finite differences of loss_fn() w.r.t. every entry of `array`
     (perturbed in place and restored)."""

@@ -313,6 +313,32 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "JSON object" in err[0]
 
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize("tokenizer", [None, "bogus", ["whitespace"]],
+                             ids=["missing", "bogus", "list"])
+    def test_bad_tokenizer_in_manifest_is_one_error_line(self, command, tokenizer, tmp_path,
+                                                         preprocessed, trained_checkpoint,
+                                                         capsys):
+        # right format and version, but no tokenizer key (None) or no mode
+        prep, ckpt = tmp_path / "prep", tmp_path / "ckpt"
+        shutil.copytree(preprocessed, prep)
+        shutil.copytree(trained_checkpoint, ckpt)
+        for path in (prep / "meta.json", ckpt / "manifest.json"):
+            payload = json.loads(path.read_text())
+            if tokenizer is None:
+                del payload["tokenizer"]
+            else:
+                payload["tokenizer"] = tokenizer
+            path.write_text(json.dumps(payload))
+        argv = {"train": ["--input-dir", str(prep), "--random-init", "--dim", "4"],
+                "predict": ["--checkpoint", str(ckpt), "good day"],
+                "evaluate": ["--checkpoint", str(ckpt), "--data", str(prep / "test.tsv")]}[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "tokenizer" in err[0]
+
     @pytest.mark.parametrize("command", ["train-embeddings", "train", "evaluate"])
     @pytest.mark.parametrize("bad", ["label", "index"])
     def test_bad_encoded_split_is_one_error_line(self, command, bad, tmp_path, preprocessed,

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (cross_entropy_ref, finite_difference, lstm_forward_ref,
-                     lstm_step_ref, relative_error, rnn_step_ref, softmax_ref)
+from oracles import (batch_grads_ref, cross_entropy_ref, example_grads_ref,
+                     finite_difference, lstm_forward_ref, lstm_step_ref,
+                     relative_error, rnn_step_ref, softmax_ref)
+from sentilstm.corpus import PAD_INDEX
 from sentilstm.embedding import EmbeddingMatrix
 from sentilstm.errors import TrainingError
 from sentilstm.nnet import (Grads, LstmParams, LstmState, RnnParams, backward,
                             cross_entropy, forward, init_lstm_params, init_rnn_params,
-                            lstm_step, predict_label, predict_proba, rnn_step, sigmoid,
-                            softmax)
+                            lstm_step, predict_proba, sigmoid, softmax)
 
 
 def zero_lstm(hidden=1, input_dim=1, classes=3):
@@ -131,11 +132,19 @@ class TestLstmStep:
 
 
 class TestRnnStep:
+    """The engine's RNN step, read through an identity head (logits = h)."""
+
+    @staticmethod
+    def run(params, rows, indices):
+        hidden = params.b.shape[0]
+        params = RnnParams(W=params.W, b=params.b, head_W=np.eye(hidden), head_b=np.zeros(hidden))
+        return forward(params, embedding_for(rows), np.asarray(indices)).logits
+
     def test_zero_weight_bias_half(self):
         # zero W and b = 1/2: h = tanh(1/2) regardless of input
         params = RnnParams(W=np.zeros((1, 2)), b=np.array([0.5]),
                            head_W=np.zeros((3, 1)), head_b=np.zeros(3))
-        h, cache = rnn_step(params, np.zeros(1), np.array([9.9]))
+        h = self.run(params, [[0.0], [9.9]], [1])
         assert abs(h[0] - math.tanh(0.5)) < 1e-15
         assert abs(h[0] - 0.46211715726000974) < 1e-12
 
@@ -145,10 +154,11 @@ class TestRnnStep:
             hidden = int(rng.integers(1, 6))
             input_dim = int(rng.integers(1, 5))
             params = random_rnn(hidden, input_dim, rng)
-            h0 = rng.normal(size=hidden)
-            x = rng.normal(size=input_dim)
-            h, _ = rnn_step(params, h0, x)
-            ref = rnn_step_ref({"W": params.W, "b": params.b}, h0, x)
+            rows = rng.normal(size=(3, input_dim))
+            # the first step leaves a random state; the second is checked
+            h0 = rnn_step_ref({"W": params.W, "b": params.b}, np.zeros(hidden), rows[1])
+            h = self.run(params, rows, [1, 2])
+            ref = rnn_step_ref({"W": params.W, "b": params.b}, h0, rows[2])
             assert np.allclose(h, ref, rtol=0, atol=1e-12)
             assert np.all(np.abs(h) < 1)
 
@@ -213,8 +223,8 @@ class TestForward:
         bare = forward(params, emb, np.array([2, 3]))
         padded = forward(params, emb, np.array([2, 0, 0, 3, 0]))
         assert np.array_equal(bare.probs, padded.probs)
-        assert bare.tokens == padded.tokens == [2, 3]
-        assert len(padded.steps) == 2
+        # the pads are dropped and the row cut to its two real tokens
+        assert bare.indices.tolist() == padded.indices.tolist() == [[2, 3]]
 
     def test_empty_sequence_rejected(self):
         params = zero_lstm(2, 2)
@@ -231,13 +241,18 @@ class TestForward:
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs >= 0)
 
-    def test_predict_label_argmax(self):
+    def test_predicted_is_argmax(self):
         rng = np.random.default_rng(8)
         params = random_lstm(3, 2, rng)
         emb = embedding_for(rng.normal(size=(4, 2)))
         indices = np.array([1, 2, 3])
         probs = predict_proba(params, emb, indices)
-        assert predict_label(params, emb, indices) == int(np.argmax(probs))
+        assert forward(params, emb, indices).predicted == int(np.argmax(probs))
+        batch = np.array([[1, 2, 3], [3, 0, 2], [2, 2, 0]])
+        probs = predict_proba(params, emb, batch)
+        assert probs.shape == (3, 3)
+        np.testing.assert_array_equal(forward(params, emb, batch).predicted,
+                                      np.argmax(probs, axis=1))
 
     def test_rnn_forward_reference(self):
         rng = np.random.default_rng(9)
@@ -335,16 +350,83 @@ class TestGrads:
         grads.embedding_rows[5] = np.array([12.0, 0.0])
         assert abs(grads.global_norm() - 13.0) < 1e-12
 
-    def test_add_and_scale(self):
+    def test_scale(self):
         params = init_lstm_params(2, 2, seed=0)
         a = Grads.zeros_like(params)
-        b = Grads.zeros_like(params)
-        a.tensors["b_i"][:] = 1.0
-        b.tensors["b_i"][:] = 2.0
-        b.embedding_rows[1] = np.ones(2)
-        a.add_(b)
-        assert np.all(a.tensors["b_i"] == 3.0)
-        assert np.all(a.embedding_rows[1] == 1.0)
+        a.tensors["b_i"][:] = 3.0
+        a.embedding_rows[1] = np.ones(2)
         a.scale_(0.5)
         assert np.all(a.tensors["b_i"] == 1.5)
         assert np.all(a.embedding_rows[1] == 0.5)
+
+
+class TestEngineOracle:
+    """The batched engine against the per-example reference: loss, probs,
+    every tensor gradient and every embedding row within 1e-12."""
+
+    @staticmethod
+    def cases(rng):
+        random = rng.integers(1, 10, size=(8, 9))
+        random[rng.random(size=random.shape) < 0.3] = 0
+        random[:, 4] = rng.integers(1, 10, size=8)  # no row is all pads
+        return [
+            # mixed lengths, pads mid-row and at the end, token 3 repeated
+            # within a row and token 2 across rows
+            (np.array([[2, 3, 4, 5, 6], [7, 0, 2, 0, 0], [3, 3, 0, 3, 2]]), [0, 2, 1]),
+            (np.array([[5, 0, 5, 0, 5, 0]]), [1]),
+            (np.array([[2, 4, 6, 8]]), [2]),
+            (random, rng.integers(0, 3, size=8)),
+        ]
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    def test_batch_matches_per_example_reference(self, kind):
+        rng = np.random.default_rng((13, kind == "lstm"))
+        for indices, labels in self.cases(rng):
+            params = random_lstm(4, 3, rng) if kind == "lstm" else random_rnn(4, 3, rng)
+            rows = rng.normal(size=(10, 3))
+            rows[0] = 0.0
+            emb = embedding_for(rows)
+            labels = np.asarray(labels)
+            trace = forward(params, emb, indices)
+            grads = backward(trace, params, labels)
+            loss, ref_tensors, ref_rows = batch_grads_ref(params.tensors(), rows, indices, labels)
+
+            assert abs(float(np.mean(cross_entropy(trace.logits, labels))) - loss) <= 1e-12
+            for b, row in enumerate(indices):
+                _, probs, _, _ = example_grads_ref(params.tensors(), rows, row, 0)
+                assert np.max(np.abs(trace.probs[b] - probs)) <= 1e-12
+            for name in params.TENSOR_NAMES:
+                assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
+            assert set(grads.embedding_rows) == set(ref_rows)
+            assert PAD_INDEX not in grads.embedding_rows
+            for idx, ref in ref_rows.items():
+                assert np.max(np.abs(grads.embedding_rows[idx] - ref)) <= 1e-12, idx
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    def test_single_example_matches_reference(self, kind):
+        rng = np.random.default_rng((14, kind == "lstm"))
+        params = random_lstm(3, 2, rng) if kind == "lstm" else random_rnn(3, 2, rng)
+        rows = rng.normal(size=(6, 2))
+        rows[0] = 0.0
+        emb = embedding_for(rows)
+        indices = np.array([4, 0, 4, 2, 0])
+        trace = forward(params, emb, indices)
+        grads = backward(trace, params, 1)
+        loss, probs, ref_tensors, ref_rows = example_grads_ref(params.tensors(), rows, indices, 1)
+        assert trace.probs.shape == (3,) and isinstance(trace.predicted, int)
+        assert abs(cross_entropy(trace.logits, 1) - loss) <= 1e-12
+        assert np.max(np.abs(trace.probs - probs)) <= 1e-12
+        for name in params.TENSOR_NAMES:
+            assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
+        assert set(grads.embedding_rows) == set(ref_rows) == {2, 4}
+        for idx, ref in ref_rows.items():
+            assert np.max(np.abs(grads.embedding_rows[idx] - ref)) <= 1e-12
+
+    def test_inference_keeps_no_cache(self):
+        rng = np.random.default_rng(15)
+        params = random_lstm(3, 2, rng)
+        emb = embedding_for(rng.normal(size=(5, 2)))
+        trace = forward(params, emb, np.array([[1, 2], [3, 0]]), cache=False)
+        assert trace.cache is None
+        with pytest.raises(ValueError, match="cache"):
+            backward(trace, params, np.array([0, 1]))

@@ -20,8 +20,8 @@ from sentilstm.train import (TrainConfig, TrainReport, adam_update, clip_grads,
                              evaluate_model, load_checkpoint, load_model,
                              predict_dataset, save_checkpoint, save_model, train)
 
-from oracles import adam_ref
-from synthetic import keyword_corpus
+from oracles import adam_ref, optimizer_step_ref
+from synthetic import keyword_corpus, long_range_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,52 @@ class TestClipGrads:
         np.testing.assert_allclose(grads.embedding_rows[5], [0.6, 0.8])
 
 
+class TestOptimizerStep:
+    """The gathered step over the touched embedding rows against a
+    row-by-row loop: bit-identical params and moments."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("update_embeddings", [True, False])
+    def test_gathered_step_matches_row_loop(self, optimizer, update_embeddings):
+        rng = np.random.default_rng(21)
+        params = make_lstm()
+        embedding = make_embedding(n_rows=12)
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.01,
+                             update_embeddings=update_embeddings)
+        opt = train_mod._Optimizer(params, embedding, config)
+        state = {}
+        if optimizer == "adam":
+            # non-zero moments, so a row updated by mistake shows
+            opt.m_emb[...] = rng.normal(size=opt.m_emb.shape)
+            opt.v_emb[...] = rng.uniform(0.1, 1.0, size=opt.v_emb.shape)
+            state = {"m": {n: a.copy() for n, a in opt.m.items()},
+                     "v": {n: a.copy() for n, a in opt.v.items()},
+                     "m_emb": opt.m_emb.copy(), "v_emb": opt.v_emb.copy()}
+        ref_params = params.copy()
+        ref_rows = embedding.rows.copy()
+        before = (embedding.rows.copy(), state.get("m_emb"), state.get("v_emb"))
+        touched = set()
+        for _ in range(3):
+            picked = rng.choice(np.arange(1, 11), size=5, replace=False)
+            touched.update(int(r) for r in picked)
+            grads = Grads(tensors={n: rng.normal(size=t.shape) for n, t in params.tensors().items()},
+                          embedding_rows={int(r): rng.normal(size=4) for r in picked})
+            opt.step(params, embedding, grads)
+            optimizer_step_ref(ref_params.tensors(), grads.tensors, ref_rows, grads.embedding_rows,
+                               state, opt.t, opt.lr, adam_update, optimizer, update_embeddings)
+            for name in params.TENSOR_NAMES:
+                np.testing.assert_array_equal(getattr(params, name), getattr(ref_params, name))
+            np.testing.assert_array_equal(embedding.rows, ref_rows)
+            if optimizer == "adam":
+                np.testing.assert_array_equal(opt.m_emb, state["m_emb"])
+                np.testing.assert_array_equal(opt.v_emb, state["v_emb"])
+        untouched = sorted(set(range(12)) - (touched if update_embeddings else set()))
+        np.testing.assert_array_equal(embedding.rows[untouched], before[0][untouched])
+        if optimizer == "adam":
+            np.testing.assert_array_equal(opt.m_emb[untouched], before[1][untouched])
+            np.testing.assert_array_equal(opt.v_emb[untouched], before[2][untouched])
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -365,6 +411,51 @@ class TestPredictAndEvaluate:
         expected = [forward(params, embedding, ex.indices).predicted
                     for ex in examples]
         np.testing.assert_array_equal(predicted, expected)
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    @pytest.mark.parametrize("source", ["keyword", "long_range"])
+    def test_batched_inference_matches_single_examples(self, kind, source, monkeypatch):
+        # length-sorted chunks give each example its own label, and every
+        # chunk row's probabilities are within 1e-12 of a lone forward
+        rng = np.random.default_rng(31)
+        if source == "keyword":
+            texts, labels = keyword_corpus(n_per_class=30)
+            # every text cut to its own length, so chunks mix lengths
+            token_lists = [t.split()[:int(rng.integers(1, 9))] for t in texts]
+            maxlen = 8
+        else:
+            texts, labels, _, _ = long_range_corpus(n_train=70, n_test=1)
+            token_lists = [t.split() for t in texts]
+            maxlen = 48
+        vocab = build_vocabulary(token_lists, min_count=1)
+        examples = [encode_example(t, l, vocab, maxlen) for t, l in zip(token_lists, labels)]
+        params = (init_lstm_params if kind == "lstm" else init_rnn_params)(6, 4, seed=3)
+        rows = rng.normal(size=(len(vocab), 4))
+        rows[PAD_INDEX] = 0.0
+        embedding = EmbeddingMatrix(rows=rows)
+        # a few epochs, so the labels are not all one class
+        train(examples, params, embedding, TrainConfig(epochs=5, learning_rate=0.05, seed=1))
+        assert len(examples) > train_mod.INFERENCE_CHUNK
+
+        chunks = []
+
+        def recording(params, embedding, indices, **kwargs):
+            trace = forward(params, embedding, indices, **kwargs)
+            chunks.append((indices, trace.probs))
+            return trace
+
+        monkeypatch.setattr(train_mod, "forward", recording)
+        predicted = predict_dataset(params, embedding, examples)
+        monkeypatch.undo()
+        assert len(chunks) == -(-len(examples) // train_mod.INFERENCE_CHUNK)
+        for indices, probs in chunks:
+            for row, p in zip(indices, probs):
+                assert np.max(np.abs(p - forward(params, embedding, row).probs)) <= 1e-12
+        np.testing.assert_array_equal(
+            predicted, [forward(params, embedding, ex.indices).predicted for ex in examples])
+
+    def test_no_examples(self):
+        assert predict_dataset(make_lstm(), make_embedding(), []).shape == (0,)
 
     def test_evaluate_model_report(self):
         params = make_lstm()
