@@ -282,6 +282,8 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
             h_new, c_new = np.where(m, h_new, h), np.where(m, c_new, c)
         h, c = h_new, c_new
     logits = h @ params.head_W.T + params.head_b
+    if not np.isfinite(logits).all():
+        raise TrainingError("non-finite logits (a non-finite parameter or embedding row)")
     probs = softmax(logits)
     if np.ndim(indices) == 1:
         logits, probs = logits[0], probs[0]

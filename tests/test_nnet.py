@@ -232,6 +232,16 @@ class TestForward:
         with pytest.raises(TrainingError, match="empty sequence"):
             forward(params, emb, np.zeros(4, dtype=np.int32))
 
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    def test_non_finite_rejected(self, kind):
+        rng = np.random.default_rng(16)
+        params = random_lstm(3, 2, rng) if kind == "lstm" else random_rnn(3, 2, rng)
+        rows = rng.normal(size=(5, 2))
+        rows[3] = np.nan
+        for indices in (np.array([2, 3]), np.array([[2, 4], [3, 0]])):
+            with pytest.raises(TrainingError, match="non-finite"):
+                forward(params, embedding_for(rows), indices, cache=False)
+
     def test_probs_simplex(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
