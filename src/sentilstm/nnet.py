@@ -219,9 +219,8 @@ def lstm_step(params: LstmParams, state: LstmState, x):
         raise TrainingError("non-finite values in lstm_step input")
     W, b = params.gate_weights()
     h, c, s, cbar, tanh_c = _lstm_cell(np.concatenate([state.h, x], axis=-1) @ W.T + b, state.c)
-    H = params.hidden
-    return LstmState(h=h, c=c), LstmStepCache(f=s[..., :H], i=s[..., H:2 * H], cbar=cbar,
-                                              o=s[..., 2 * H:], tanh_c=tanh_c)
+    f, i, o = np.split(s, 3, axis=-1)
+    return LstmState(h=h, c=c), LstmStepCache(f=f, i=i, cbar=cbar, o=o, tanh_c=tanh_c)
 
 
 @dataclass
@@ -265,7 +264,8 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     H = params.hidden
     W, b = params.gate_weights()
     x = embedding.rows[tokens.T]                           # (T, B, D)
-    xw = (x.reshape(T * B, -1) @ W[:, H:].T + b).reshape(T, B, -1)
+    xw = (x.reshape(T * B, -1) @ W[:, H:].T).reshape(T, B, -1)
+    xw += b  # in place: a second (T, B, G) array would double the peak memory
     w_h = W[:, :H].T
     h = c = np.zeros((B, H))
     steps = []  # per step: (h, c) before it, the cell's activations, the mask column
