@@ -22,7 +22,7 @@ from .errors import DatasetError, FormatError, SentiError, TrainingError
 from .metrics import (CLASS_NAMES, ConfusionMatrix3, MetricsReport, confusion,
                       format_report, format_table, metrics)
 from .nnet import (LstmParams, RnnParams, backward, cross_entropy, forward,
-                   init_lstm_params, init_rnn_params, predict_proba)
+                   init_lstm_params, init_rnn_params)
 from .train import (TrainConfig, TrainReport, evaluate_model, load_checkpoint,
                     load_model, save_checkpoint, save_model, train)
 
@@ -43,7 +43,7 @@ __all__ = [
     "CLASS_NAMES", "ConfusionMatrix3", "MetricsReport", "confusion",
     "format_report", "format_table", "metrics",
     "LstmParams", "RnnParams", "backward", "cross_entropy", "forward",
-    "init_lstm_params", "init_rnn_params", "predict_proba",
+    "init_lstm_params", "init_rnn_params",
     "TrainConfig", "TrainReport", "evaluate_model", "load_checkpoint",
     "load_model", "save_checkpoint", "save_model", "train",
 ]

@@ -138,7 +138,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
                 loaded = json.load(f)
         except FileNotFoundError:
             raise SentiError(f"config file not found: {config_path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8
             raise SentiError(f"{config_path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise SentiError(f"{config_path}: config must be a JSON object")
@@ -351,11 +351,11 @@ def cmd_train(args) -> int:
 def _sniff_dataset(path):
     """Raw `label,text` CSV or an encoded split file, by the first line."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, "rb") as f:
             first = f.readline()
     except FileNotFoundError:
         raise SentiError(f"{path}: no such file") from None
-    return "encoded" if first.startswith("#senti-encoded") else "csv"
+    return "encoded" if first.startswith(b"#senti-encoded") else "csv"
 
 
 def _examples_for_checkpoint(path, vocab, maxlen, mode):
@@ -444,39 +444,28 @@ def cmd_compare(args) -> int:
     baseline_dir = os.path.join(out, "baselines")
     os.makedirs(baseline_dir, exist_ok=True)
 
-    nb = bl.naive_bayes_fit(train_counts, train_labels)
-    reports["naive-bayes"] = metrics(
-        confusion(test_labels, bl.naive_bayes_predict(nb, test_counts)),
-        averaging=cfg.averaging)
-    bl.save_baseline(nb, os.path.join(baseline_dir, "naive_bayes.bin"), vocab.fingerprint())
+    files = {}
+    for name, fit, predict, file in (
+            ("naive-bayes", bl.naive_bayes_fit, bl.naive_bayes_predict, "naive_bayes.bin"),
+            ("logreg", bl.logreg_fit, bl.logreg_predict, "logreg.bin")):
+        model = fit(train_counts, train_labels)
+        reports[name] = metrics(confusion(test_labels, predict(model, test_counts)),
+                                averaging=cfg.averaging)
+        path = os.path.join(baseline_dir, file)
+        bl.save_baseline(model, path, vocab.fingerprint())
+        files[name] = {"file": file, "checksum": binio.sha256_file(path)}
+    binio.write_json(os.path.join(baseline_dir, "manifest.json"),
+                     {"format": "senti-baselines", "version": 1, "models": files})
 
-    lr_model = bl.logreg_fit(train_counts, train_labels)
-    reports["logreg"] = metrics(
-        confusion(test_labels, bl.logreg_predict(lr_model, test_counts)),
-        averaging=cfg.averaging)
-    bl.save_baseline(lr_model, os.path.join(baseline_dir, "logreg.bin"), vocab.fingerprint())
-
-    binio.write_json(os.path.join(baseline_dir, "manifest.json"), {
-        "format": "senti-baselines",
-        "version": 1,
-        "models": {
-            "naive-bayes": {"file": "naive_bayes.bin",
-                            "checksum": binio.sha256_file(os.path.join(baseline_dir, "naive_bayes.bin"))},
-            "logreg": {"file": "logreg.bin",
-                       "checksum": binio.sha256_file(os.path.join(baseline_dir, "logreg.bin"))},
-        },
-    })
-
-    order = ("lstm", "rnn", "naive-bayes", "logreg")
     payload = {
         "seed": cfg.seed,
         "averaging": cfg.averaging,
-        "models": {name: report_to_dict(reports[name]) for name in order},
+        "models": {name: report_to_dict(report) for name, report in reports.items()},
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(format_table({name: reports[name] for name in order}), end="")
+        print(format_table(reports), end="")
     binio.write_json(os.path.join(out, "compare.json"), payload)
     log.info("comparison artifacts written to %s", out)
     return 0
@@ -565,7 +554,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except SentiError as exc:
+    except (SentiError, OSError) as exc:  # OSError: a path that cannot be read, e.g. a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -204,28 +204,25 @@ def load_dataset(path) -> list:
     with f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, expected a 'label,text' header") from None
-        if [h.strip().lower() for h in header] != ["label", "text"]:
-            raise DatasetError(f"{path}: expected header 'label,text', got {','.join(header)!r}")
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DatasetError(f"{path}: row {row_num}: expected 2 fields, got {len(row)}")
-            try:
-                label = parse_label(row[0])
-            except DatasetError as exc:
-                raise DatasetError(f"{path}: row {row_num}: {exc}") from None
-            records.append(RawRecord(text=row[1], label=label))
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file, expected a 'label,text' header")
+            if [h.strip().lower() for h in header] != ["label", "text"]:
+                raise DatasetError(f"{path}: expected header 'label,text', got {','.join(header)!r}")
+            for row_num, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    raise DatasetError(f"{path}: row {row_num}: expected 2 fields, got {len(row)}")
+                try:
+                    label = parse_label(row[0])
+                except DatasetError as exc:
+                    raise DatasetError(f"{path}: row {row_num}: {exc}") from None
+                records.append(RawRecord(text=row[1], label=label))
+        except UnicodeDecodeError as exc:
+            # its position counts from the start of a decoded chunk, not of the file
+            raise DatasetError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
-
-
-def save_dataset(records, path):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label", "text"])
-        for rec in records:
-            writer.writerow([int(rec.label), rec.text])
 
 
 def stratified_split(records, test_fraction: float, seed: int):
@@ -275,12 +272,20 @@ def save_vocabulary(vocab: Vocabulary, path):
 _VOCAB_HEADER_RE = re.compile(r"#senti-vocab v1 min_count=(\d+)$")
 
 
-def load_vocabulary(path) -> Vocabulary:
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file; a missing file or bad UTF-8 raises
+    FormatError."""
     try:
         with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            return f.read().splitlines()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def load_vocabulary(path) -> Vocabulary:
+    lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty vocabulary file")
     m = _VOCAB_HEADER_RE.match(lines[0])
@@ -294,7 +299,10 @@ def load_vocabulary(path) -> Vocabulary:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{path}: line {line_num}: expected index<TAB>token<TAB>frequency")
-        idx, token, freq = int(parts[0]), parts[1], int(parts[2])
+        try:
+            idx, token, freq = int(parts[0]), parts[1], int(parts[2])
+        except ValueError:
+            raise FormatError(f"{path}: line {line_num}: index and frequency must be integers") from None
         if idx != line_num - 2:
             raise FormatError(f"{path}: line {line_num}: indices out of order (got {idx})")
         if idx == PAD_INDEX or idx == UNK_INDEX:
@@ -326,11 +334,7 @@ def save_encoded(examples, maxlen: int, path):
 
 def load_encoded(path):
     """Returns (examples, maxlen)."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except FileNotFoundError:
-        raise FormatError(f"{path}: no such file") from None
+    lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty encoded dataset")
     m = _ENCODED_HEADER_RE.match(lines[0])

@@ -45,7 +45,6 @@ class EmbeddingConfig:
     negatives: int = 5
     learning_rate: float = 0.025
     seed: int = 1
-    dynamic_window: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -104,15 +103,15 @@ def random_embedding(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows=rows, vocab_fingerprint=vocab.fingerprint())
 
 
-def generate_pairs(sequences, window: int, seed, dynamic: bool = True) -> np.ndarray:
+def generate_pairs(sequences, window: int, seed) -> np.ndarray:
     """(n, 2) array of (center, context) index pairs, excluding pad/unk everywhere.
 
     Pad and unk positions are dropped before windowing (the remaining tokens
-    close ranks, as in standard implementations of this objective). With
-    `dynamic`, each center position draws its effective window width
-    uniformly from [1, window] in a fixed order, so a given seed replays the
-    identical stream. Pairs come center by center, each center's contexts
-    left to right.
+    close ranks, as in standard implementations of this objective). Each
+    center position draws its effective window width uniformly from
+    [1, window] in a fixed order, so a given seed replays the identical
+    stream. Pairs come center by center, each center's contexts left to
+    right.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -125,7 +124,7 @@ def generate_pairs(sequences, window: int, seed, dynamic: bool = True) -> np.nda
         if n == 0:
             continue
         # one width per position, drawn even where no pair results (n = 1)
-        widths = rng.integers(1, window + 1, size=n) if dynamic else np.full(n, window)
+        widths = rng.integers(1, window + 1, size=n)
         span = min(window, n - 1)  # no wider than the sequence, whatever the window
         offsets = np.arange(-span, span + 1)
         positions = np.arange(n)[:, None] + offsets
@@ -271,8 +270,7 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
     for epoch in range(total_epochs):
         # the module attribute, so that a wrapper (or a plain list of rows) is honoured
         pairs = np.asarray(generate_pairs(sequences, config.window,
-                                          seed=(config.seed, 2, epoch),
-                                          dynamic=config.dynamic_window),
+                                          seed=(config.seed, 2, epoch)),
                            dtype=np.intp).reshape(-1, 2)
         n_pairs = len(pairs)
         if not n_pairs:

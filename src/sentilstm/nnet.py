@@ -30,8 +30,7 @@ operations in the same order. Inside a larger batch a row agrees with its
 lone run to rounding only.
 """
 
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,19 +184,6 @@ def init_rnn_params(hidden: int, input_dim: int, classes: int = N_CLASSES, seed:
     )
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden: int):
-        return cls(h=np.zeros(hidden), c=np.zeros(hidden))
-
-
-LstmStepCache = namedtuple("LstmStepCache", "f i cbar o tanh_c")  # one lstm_step's activations
-
-
 def _lstm_cell(pre, c_prev):
     """The LSTM cell after its affine map: pre holds the fused
     pre-activations (..., 4H) in f, i, o, c order. Returns (h, c, s, cbar,
@@ -208,19 +194,6 @@ def _lstm_cell(pre, c_prev):
     c = s[..., :H] * c_prev + s[..., H:2 * H] * cbar
     tanh_c = np.tanh(c)
     return s[..., 2 * H:] * tanh_c, c, s, cbar, tanh_c
-
-
-def lstm_step(params: LstmParams, state: LstmState, x):
-    """One LSTM step through the engine's cell, for one example ((H,)
-    state, (D,) input) or a batch ((B, H), (B, D)). Returns (new state,
-    step cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not all(np.isfinite(a).all() for a in (x, state.h, state.c)):
-        raise TrainingError("non-finite values in lstm_step input")
-    W, b = params.gate_weights()
-    h, c, s, cbar, tanh_c = _lstm_cell(np.concatenate([state.h, x], axis=-1) @ W.T + b, state.c)
-    f, i, o = np.split(s, 3, axis=-1)
-    return LstmState(h=h, c=c), LstmStepCache(f=f, i=i, cbar=cbar, o=o, tanh_c=tanh_c)
 
 
 @dataclass
@@ -293,27 +266,23 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
 
 @dataclass
 class Grads:
-    """Gradient tensors keyed like the parameter fields, plus touched embedding rows."""
+    """Gradient tensors keyed like the parameter fields, plus the embedding
+    rows the batch read: their indices as a sorted (k,) array and their
+    gradients as one (k, D) block."""
 
     tensors: dict
-    embedding_rows: dict = field(default_factory=dict)
-
-    @classmethod
-    def zeros_like(cls, params):
-        return cls(tensors={name: np.zeros_like(arr) for name, arr in params.tensors().items()})
+    embedding_index: np.ndarray
+    embedding_grad: np.ndarray
 
     def scale_(self, s: float):
         for arr in self.tensors.values():
             arr *= s
-        for row in self.embedding_rows.values():
-            row *= s
+        self.embedding_grad *= s
         return self
 
     def global_norm(self) -> float:
         total = sum(float(np.vdot(arr, arr)) for arr in self.tensors.values())
-        if self.embedding_rows:
-            rows = np.stack(list(self.embedding_rows.values()))
-            total += float(np.vdot(rows, rows))
+        total += float(np.vdot(self.embedding_grad, self.embedding_grad))
         return float(np.sqrt(total))
 
 
@@ -369,8 +338,4 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     block = np.zeros((rows.size, dx.shape[1]))
     np.add.at(block, where, dx[real])
     return Grads(tensors={name: tensors[name] for name in params.TENSOR_NAMES},
-                 embedding_rows=dict(zip(rows.tolist(), block)))
-
-
-def predict_proba(params, embedding, indices):
-    return forward(params, embedding, indices, cache=False).probs
+                 embedding_index=rows, embedding_grad=block)

@@ -48,8 +48,6 @@ class TrainConfig:
     learning_rate: float = None  # resolved per optimizer when unset
     clip_norm: float = 5.0
     seed: int = 1
-    shuffle: bool = True
-    update_embeddings: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -76,7 +74,6 @@ class TrainReport:
     epoch_accuracies: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
     total_steps: int = 0
-    final_metrics: MetricsReport = None  # held-out evaluation, when requested
 
     @property
     def final_loss(self):
@@ -122,13 +119,9 @@ class _Optimizer:
             else:
                 adam_update(tensors[name], grads.tensors[name],
                             self.m[name], self.v[name], self.t, self.lr)
-        rows = grads.embedding_rows
-        if not (self.config.update_embeddings and rows):
-            return
         # the touched rows as one (k, D) block: every update is elementwise,
         # so this equals a row-by-row update bit for bit
-        index = np.fromiter(rows, dtype=np.intp, count=len(rows))
-        block = np.stack(list(rows.values()))
+        index, block = grads.embedding_index, grads.embedding_grad
         if sgd:
             embedding.rows[index] -= self.lr * block
             return
@@ -164,11 +157,9 @@ def _batch_grads(params, embedding, batch):
     return loss, backward(trace, params, labels), n_correct
 
 
-def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig,
-          eval_examples=None, averaging: str = "macro"):
-    """Train the classifier (and, by default, fine-tune the embedding rows)
-    in place; returns (params, report). When eval_examples is given, the
-    report carries a final held-out MetricsReport."""
+def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
+    """Train the classifier and fine-tune the embedding rows in place;
+    returns (params, report)."""
     examples = list(examples)
     if not examples:
         raise TrainingError("no training examples")
@@ -187,7 +178,7 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig,
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        order = shuffle_rng.permutation(n) if config.shuffle else np.arange(n)
+        order = shuffle_rng.permutation(n)
         loss_weighted = 0.0
         n_correct = 0
         for start in range(0, n, config.batch_size):
@@ -208,9 +199,6 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig,
         log.info("epoch %d/%d: loss %.4f, accuracy %.4f (%.1fs)",
                  epoch + 1, config.epochs, report.epoch_losses[-1],
                  report.epoch_accuracies[-1], report.epoch_seconds[-1])
-    if eval_examples is not None:
-        report.final_metrics = evaluate_model(params, embedding, eval_examples,
-                                              averaging=averaging)
     return params, report
 
 

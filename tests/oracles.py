@@ -180,7 +180,7 @@ def batch_grads_ref(weights: dict, emb_rows, batch, labels, pad_index=0):
 
 
 def optimizer_step_ref(tensors: dict, tensor_grads: dict, emb_rows, row_grads: dict, state: dict,
-                       t: int, lr: float, update, optimizer="adam", update_embeddings=True):
+                       t: int, lr: float, update, optimizer="adam"):
     """One optimizer step in place, one embedding row at a time in row
     order. `update(param, grad, m, v, t, lr)` is the Adam rule under test;
     `state` holds the moment dicts "m", "v" and the row moments "m_emb",
@@ -190,8 +190,6 @@ def optimizer_step_ref(tensors: dict, tensor_grads: dict, emb_rows, row_grads: d
             tensors[name] -= lr * tensor_grads[name]
         else:
             update(tensors[name], tensor_grads[name], state["m"][name], state["v"][name], t, lr)
-    if not update_embeddings:
-        return
     for row in sorted(row_grads):
         if optimizer == "sgd":
             emb_rows[row] -= lr * row_grads[row]
@@ -265,7 +263,7 @@ def skipgram_ref(sequences, config, vocab, gradient, pad_index=0, unk_index=1):
         for seq in sequences:
             tokens = [int(t) for t in np.asarray(seq).ravel() if int(t) not in (pad_index, unk_index)]
             for p in range(len(tokens)):
-                w = int(rng.integers(1, config.window + 1)) if config.dynamic_window else config.window
+                w = int(rng.integers(1, config.window + 1))
                 for q in range(max(0, p - w), min(len(tokens), p + w + 1)):
                     if q != p:
                         pairs.append((tokens[p], tokens[q]))

@@ -29,11 +29,11 @@ from sentilstm import (ConfusionMatrix3, EmbeddingConfig, EmbeddingMatrix,
                        cross_entropy, encode_example, evaluate_model, forward,
                        init_lstm_params, init_rnn_params, logreg_fit,
                        logreg_predict, metrics, naive_bayes_fit,
-                       naive_bayes_predict, predict_proba, random_embedding,
-                       tokenize, train, train_skipgram)
+                       naive_bayes_predict, random_embedding, tokenize, train,
+                       train_skipgram)
 from sentilstm.cli import main as cli_main
 from sentilstm.embedding import sgns_gradient
-from sentilstm.nnet import LstmState, lstm_step
+from sentilstm.nnet import _lstm_cell
 from synthetic import (MARKERS, cooccurrence_corpus, keyword_corpus,
                        long_range_corpus, write_csv)
 
@@ -97,11 +97,12 @@ def test_c1_gradient_fidelity():
             err = relative_error(grads.tensors[name], numeric)
             assert err < 1e-4, f"instance {k}, tensor {name}: rel err {err:.3e}"
 
+        rows = dict(zip(grads.embedding_index.tolist(), grads.embedding_grad))
         touched = {int(t) for t in indices}
-        assert set(grads.embedding_rows) == touched
+        assert set(rows) == touched
         for idx in sorted(touched):
             numeric = finite_difference(loss, emb.rows[idx], eps=1e-4)
-            err = relative_error(grads.embedding_rows[idx], numeric)
+            err = relative_error(rows[idx], numeric)
             assert err < 1e-4, f"instance {k}, embedding row {idx}: rel err {err:.3e}"
 
     elapsed = time.perf_counter() - started
@@ -109,7 +110,7 @@ def test_c1_gradient_fidelity():
 
 
 def test_c2_cell_conformance():
-    """Vectorized LSTM step vs an independent scalar-loop cell.
+    """The engine's LSTM cell vs an independent scalar-loop cell.
 
     100 random instances agree to 1e-12 on the new hidden and cell states
     and on every gate; every cached activation obeys its range invariant.
@@ -122,18 +123,18 @@ def test_c2_cell_conformance():
         c = rng.normal(scale=0.8, size=hidden)
         x = rng.normal(scale=0.8, size=input_dim)
 
-        state, cache = lstm_step(params, LstmState(h=h.copy(), c=c.copy()), x)
+        W, b = params.gate_weights()
+        h_new, c_new, s, cbar, tanh_c = _lstm_cell(np.concatenate([h, x]) @ W.T + b, c)
+        f, i, o = np.split(s, 3)
         h_ref, c_ref, gates = lstm_step_ref(params.tensors(), h, c, x)
 
-        assert np.max(np.abs(state.h - np.array(h_ref))) <= 1e-12
-        assert np.max(np.abs(state.c - np.array(c_ref))) <= 1e-12
-        for name, arr in (("f", cache.f), ("i", cache.i),
-                          ("cbar", cache.cbar), ("o", cache.o)):
+        assert np.max(np.abs(h_new - np.array(h_ref))) <= 1e-12
+        assert np.max(np.abs(c_new - np.array(c_ref))) <= 1e-12
+        for name, arr in (("f", f), ("i", i), ("cbar", cbar), ("o", o)):
             assert np.max(np.abs(arr - np.array(gates[name]))) <= 1e-12, name
 
-        for arr, lo, hi in ((cache.f, 0.0, 1.0), (cache.i, 0.0, 1.0),
-                            (cache.o, 0.0, 1.0), (cache.cbar, -1.0, 1.0),
-                            (cache.tanh_c, -1.0, 1.0)):
+        for arr, lo, hi in ((f, 0.0, 1.0), (i, 0.0, 1.0), (o, 0.0, 1.0),
+                            (cbar, -1.0, 1.0), (tanh_c, -1.0, 1.0)):
             assert np.all(arr > lo) and np.all(arr < hi)
 
 
@@ -354,15 +355,17 @@ def test_c8_padding_invariance():
         n_pad = int(rng.integers(1, 5))
         padded = np.concatenate([base, np.zeros(n_pad, dtype=np.int32)])
 
-        assert np.array_equal(predict_proba(params, emb, base),
-                              predict_proba(params, emb, padded))
+        assert np.array_equal(forward(params, emb, base, cache=False).probs,
+                              forward(params, emb, padded, cache=False).probs)
 
         label = int(rng.integers(0, 3))
         grads_base = backward(forward(params, emb, base), params, label)
         grads_padded = backward(forward(params, emb, padded), params, label)
         for name in params.TENSOR_NAMES:
             assert np.array_equal(grads_base.tensors[name], grads_padded.tensors[name])
-        assert set(grads_base.embedding_rows) == set(grads_padded.embedding_rows)
-        assert 0 not in grads_padded.embedding_rows
-        for idx, row in grads_base.embedding_rows.items():
-            assert np.array_equal(row, grads_padded.embedding_rows[idx])
+        rows_base, rows_padded = (dict(zip(g.embedding_index.tolist(), g.embedding_grad))
+                                  for g in (grads_base, grads_padded))
+        assert set(rows_base) == set(rows_padded)
+        assert 0 not in rows_padded
+        for idx, row in rows_base.items():
+            assert np.array_equal(row, rows_padded[idx])

@@ -635,3 +635,60 @@ class TestMain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") or "error:" in err
+
+    @pytest.mark.parametrize("case", [
+        "config-not-utf8", "config-directory", "csv-not-utf8", "csv-field-too-long",
+        "evaluate-data-directory", "evaluate-data-first-line-not-utf8",
+        "predict-checkpoint-file", "train-embeddings-directory",
+        "vocab-index-not-int", "vocab-frequency-not-int", "vocab-not-utf8", "split-not-utf8",
+    ])
+    def test_unreadable_input_is_one_error_line(self, case, tmp_path, preprocessed,
+                                                trained_checkpoint, corpus_csv, capsys):
+        bad = tmp_path / "bad"
+        prep = tmp_path / "prep"
+        shutil.copytree(preprocessed, prep)
+        vocab_lines = (prep / "vocab.tsv").read_text().splitlines()
+        if case == "config-not-utf8":
+            bad.write_bytes(b'{"seed": "\xff"}')
+            argv = ["preprocess", "--data", corpus_csv, "--config", str(bad)]
+        elif case == "config-directory":
+            bad.mkdir()
+            argv = ["preprocess", "--data", corpus_csv, "--config", str(bad)]
+        elif case == "csv-not-utf8":
+            bad.write_bytes(b"label,text\n2,caf\xe9 good\n")
+            argv = ["preprocess", "--data", str(bad)]
+        elif case == "csv-field-too-long":
+            bad.write_bytes(b"label,text\n2," + b"a" * 131073 + b"\n")
+            argv = ["preprocess", "--data", str(bad)]
+        elif case == "evaluate-data-directory":
+            bad.mkdir()
+            argv = ["evaluate", "--checkpoint", trained_checkpoint, "--data", str(bad)]
+        elif case == "evaluate-data-first-line-not-utf8":
+            bad.write_bytes(b"label,text\xff\n2,good\n")
+            argv = ["evaluate", "--checkpoint", trained_checkpoint, "--data", str(bad)]
+        elif case == "predict-checkpoint-file":
+            bad.write_text("not a checkpoint")
+            argv = ["predict", "--checkpoint", str(bad), "good day"]
+        elif case == "train-embeddings-directory":
+            bad.mkdir()
+            argv = ["train", "--input-dir", str(prep), "--embeddings", str(bad)]
+        elif case.startswith("vocab-"):
+            bad = prep / "vocab.tsv"
+            if case == "vocab-index-not-int":
+                vocab_lines[2] = "x\t<unk>\t0"
+            elif case == "vocab-frequency-not-int":
+                vocab_lines[3] = vocab_lines[3].rsplit("\t", 1)[0] + "\tzz"
+            text = "\n".join(vocab_lines) + "\n"
+            bad.write_bytes(text.encode() + (b"\xff\n" if case == "vocab-not-utf8" else b""))
+            argv = ["train-embeddings", "--input-dir", str(prep), "--dim", "4"]
+        else:  # an encoded split that is not UTF-8
+            bad = prep / "train.tsv"
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+            argv = ["train", "--input-dir", str(prep), "--random-init", "--dim", "4"]
+        capsys.readouterr()
+        assert main(argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(bad) in lines[0]
+        assert "Traceback" not in err

@@ -7,9 +7,10 @@ from oracles import clean_ref
 from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, build_vocabulary,
                               clean_text, detect_tokenizer_mode, encode, encode_example,
                               load_dataset, load_encoded, load_vocabulary, parse_label,
-                              save_dataset, save_encoded, save_vocabulary,
-                              serialize_vocabulary, stratified_split, tokenize)
+                              save_encoded, save_vocabulary, serialize_vocabulary,
+                              stratified_split, tokenize)
 from sentilstm.errors import DatasetError, FormatError
+from synthetic import write_csv
 
 
 class TestCleanText:
@@ -212,9 +213,10 @@ class TestLabels:
 class TestDatasetIO:
     def test_roundtrip(self, tmp_path):
         records = [RawRecord("so good", Sentiment.positive),
-                   RawRecord("it, has commas", Sentiment.negative)]
+                   RawRecord("it, has commas", Sentiment.negative),
+                   RawRecord('a "quoted" word', Sentiment.neutral)]
         path = tmp_path / "d.csv"
-        save_dataset(records, path)
+        write_csv(path, [r.text for r in records], [int(r.label) for r in records])
         loaded = load_dataset(path)
         assert loaded == records
 

@@ -39,7 +39,6 @@ class TestEmbeddingConfig:
         assert config.iterations == 10
         assert config.negatives == 5
         assert config.learning_rate == 0.025
-        assert config.dynamic_window is True
 
     @pytest.mark.parametrize("kwargs", [
         {"dim": 0},
@@ -62,7 +61,7 @@ class TestEmbeddingConfig:
 # pair generation
 
 
-def replay_pairs(sequences, window, seed, dynamic=True):
+def replay_pairs(sequences, window, seed):
     """Independent re-enumeration of the expected pair stream: drop pad/unk,
     close ranks, one width draw per center position from the replayed rng."""
     rng = np.random.default_rng(seed)
@@ -70,7 +69,7 @@ def replay_pairs(sequences, window, seed, dynamic=True):
     for seq in sequences:
         tokens = [int(t) for t in seq if int(t) not in (PAD_INDEX, UNK_INDEX)]
         for p in range(len(tokens)):
-            w = int(rng.integers(1, window + 1)) if dynamic else window
+            w = int(rng.integers(1, window + 1))
             for q in range(len(tokens)):
                 if q != p and abs(q - p) <= w:
                     out.append((tokens[p], tokens[q]))
@@ -118,33 +117,26 @@ class TestGeneratePairs:
 
     def test_matches_replay_on_random_corpora(self):
         # array draws per sequence replay one scalar width draw per position,
-        # across sequence lengths 0..12, pads, unks and every window mode
+        # across sequence lengths 0..12, pads and unks
         rng = np.random.default_rng(2024)
         for case in range(200):
             sequences = [rng.integers(0, 9, size=rng.integers(0, 13)).tolist()
                          for _ in range(rng.integers(0, 6))]
             window = int(rng.integers(1, 8))
-            dynamic = bool(case % 2)
-            got = as_tuples(generate_pairs(sequences, window, seed=(case, 3), dynamic=dynamic))
-            assert got == replay_pairs(sequences, window, (case, 3), dynamic=dynamic), case
+            got = as_tuples(generate_pairs(sequences, window, seed=(case, 3)))
+            assert got == replay_pairs(sequences, window, (case, 3)), case
 
     def test_window_wider_than_any_sequence(self):
         sequences = [[2, 3, 4, 5], [6], [7, 8]]
-        for dynamic in (True, False):
-            got = as_tuples(generate_pairs(sequences, window=10 ** 9, seed=5, dynamic=dynamic))
-            assert got == replay_pairs(sequences, 10 ** 9, 5, dynamic=dynamic)
-
-    def test_fixed_window_mode(self):
-        sequences = [[2, 3, 4, 5, 6]]
-        got = as_tuples(generate_pairs(sequences, window=2, seed=0, dynamic=False))
-        assert got == replay_pairs(sequences, 2, 0, dynamic=False)
-        # no randomness: every context within distance 2 appears
-        assert (2, 4) in got and (4, 6) in got and (2, 5) not in got
+        got = as_tuples(generate_pairs(sequences, window=10 ** 9, seed=5))
+        assert got == replay_pairs(sequences, 10 ** 9, 5)
 
     def test_dynamic_pairs_subset_of_fixed(self):
-        sequences = [[2, 3, 4, 5, 6, 7, 8]]
-        fixed = set(as_tuples(generate_pairs(sequences, window=4, seed=0, dynamic=False)))
-        dynamic = set(as_tuples(generate_pairs(sequences, window=4, seed=123)))
+        seq = [2, 3, 4, 5, 6, 7, 8]
+        # every pair within the full window of 4
+        fixed = {(a, b) for p, a in enumerate(seq) for q, b in enumerate(seq)
+                 if p != q and abs(p - q) <= 4}
+        dynamic = set(as_tuples(generate_pairs([seq], window=4, seed=123)))
         assert dynamic <= fixed
 
     def test_deterministic_stream(self):
@@ -358,10 +350,6 @@ def reference_case(name):
         corpus = [t.split() for t in cooccurrence_corpus(sentences_per_group=5)[0]]
         config = EmbeddingConfig(dim=8, window=3, min_count=1, iterations=2,
                                  negatives=0, seed=2)
-    elif name == "fixed-window":
-        corpus = [t.split() for t in cooccurrence_corpus(sentences_per_group=5)[0]]
-        config = EmbeddingConfig(dim=8, window=2, min_count=1, iterations=2,
-                                 negatives=3, seed=3, dynamic_window=False)
     else:  # "chunk-boundary": over two chunks of pairs per iteration
         rng = np.random.default_rng(17)
         corpus = [[f"w{i}" for i in rng.zipf(1.3, size=12) % 40] for _ in range(400)]
@@ -373,7 +361,7 @@ def reference_case(name):
 
 class TestTrainSkipgramReference:
     @pytest.mark.parametrize("name", ["c6-corpus", "four-tokens", "no-negatives",
-                                      "fixed-window", "chunk-boundary"])
+                                      "chunk-boundary"])
     def test_matches_pairwise_reference(self, name):
         sequences, config, vocab = reference_case(name)
         if name == "chunk-boundary":

@@ -9,9 +9,9 @@ from oracles import (batch_grads_ref, cross_entropy_ref, example_grads_ref,
 from sentilstm.corpus import PAD_INDEX
 from sentilstm.embedding import EmbeddingMatrix
 from sentilstm.errors import TrainingError
-from sentilstm.nnet import (Grads, LstmParams, LstmState, RnnParams, backward,
+from sentilstm.nnet import (Grads, LstmParams, RnnParams, _lstm_cell, backward,
                             cross_entropy, forward, init_lstm_params, init_rnn_params,
-                            lstm_step, predict_proba, sigmoid, softmax)
+                            sigmoid, softmax)
 
 
 def zero_lstm(hidden=1, input_dim=1, classes=3):
@@ -42,6 +42,20 @@ def random_rnn(hidden, input_dim, rng, scale=0.7):
 def embedding_for(rows):
     rows = np.asarray(rows, dtype=np.float64)
     return EmbeddingMatrix(rows=rows, vocab_fingerprint=b"\x00" * 32)
+
+
+def lstm_cell(params, h, c, x):
+    """One step of the engine's cell from state (h, c) on input x: (h', c',
+    gates), gates holding f, i, o, cbar and tanh(c')."""
+    W, b = params.gate_weights()
+    h_new, c_new, s, cbar, tanh_c = _lstm_cell(np.concatenate([h, x]) @ W.T + b, c)
+    f, i, o = np.split(s, 3)
+    return h_new, c_new, {"f": f, "i": i, "o": o, "cbar": cbar, "tanh_c": tanh_c}
+
+
+def row_grads(grads):
+    """The embedding gradient as {row index: gradient row}."""
+    return dict(zip(grads.embedding_index.tolist(), grads.embedding_grad))
 
 
 class TestActivations:
@@ -92,12 +106,11 @@ class TestLstmStep:
         # all-zero parameters: f = i = o = 1/2, cbar = 0, so c' = c/2 and
         # h' = tanh(c/2)/2
         params = zero_lstm(hidden=1, input_dim=1)
-        state = LstmState(h=np.zeros(1), c=np.ones(1))
-        new, cache = lstm_step(params, state, np.array([3.7]))
-        assert abs(new.c[0] - 0.5) < 1e-15
-        assert abs(new.h[0] - 0.5 * math.tanh(0.5)) < 1e-15
-        assert abs(new.h[0] - 0.23105857863000487) < 1e-12
-        assert cache.f[0] == 0.5 and cache.i[0] == 0.5 and cache.o[0] == 0.5
+        h, c, gates = lstm_cell(params, np.zeros(1), np.ones(1), np.array([3.7]))
+        assert abs(c[0] - 0.5) < 1e-15
+        assert abs(h[0] - 0.5 * math.tanh(0.5)) < 1e-15
+        assert abs(h[0] - 0.23105857863000487) < 1e-12
+        assert gates["f"][0] == 0.5 and gates["i"][0] == 0.5 and gates["o"][0] == 0.5
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(2)
@@ -105,30 +118,24 @@ class TestLstmStep:
             hidden = int(rng.integers(1, 6))
             input_dim = int(rng.integers(1, 5))
             params = random_lstm(hidden, input_dim, rng)
-            state = LstmState(h=rng.normal(size=hidden), c=rng.normal(size=hidden))
+            h, c = rng.normal(size=hidden), rng.normal(size=hidden)
             x = rng.normal(size=input_dim)
-            new, cache = lstm_step(params, state, x)
+            h_new, c_new, gates = lstm_cell(params, h, c, x)
             weights = {n: getattr(params, n) for n in params.TENSOR_NAMES}
-            h_ref, c_ref, gates = lstm_step_ref(weights, state.h, state.c, x)
-            assert np.allclose(new.h, h_ref, rtol=0, atol=1e-12)
-            assert np.allclose(new.c, c_ref, rtol=0, atol=1e-12)
-            assert np.allclose(cache.f, gates["f"], atol=1e-12)
-            assert np.allclose(cache.cbar, gates["cbar"], atol=1e-12)
+            h_ref, c_ref, gates_ref = lstm_step_ref(weights, h, c, x)
+            assert np.allclose(h_new, h_ref, rtol=0, atol=1e-12)
+            assert np.allclose(c_new, c_ref, rtol=0, atol=1e-12)
+            assert np.allclose(gates["f"], gates_ref["f"], atol=1e-12)
+            assert np.allclose(gates["cbar"], gates_ref["cbar"], atol=1e-12)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(3)
         params = random_lstm(4, 3, rng, scale=2.0)
-        state = LstmState(h=rng.normal(size=4), c=rng.normal(size=4))
-        _, cache = lstm_step(params, state, rng.normal(size=3) * 3)
-        for gate in (cache.f, cache.i, cache.o):
-            assert np.all(gate > 0) and np.all(gate < 1)
-        assert np.all(cache.cbar > -1) and np.all(cache.cbar < 1)
-
-    def test_rejects_nonfinite(self):
-        params = zero_lstm(2, 2)
-        state = LstmState.zeros(2)
-        with pytest.raises(TrainingError):
-            lstm_step(params, state, np.array([np.nan, 0.0]))
+        h, c = rng.normal(size=4), rng.normal(size=4)
+        _, _, gates = lstm_cell(params, h, c, rng.normal(size=3) * 3)
+        for name in ("f", "i", "o"):
+            assert np.all(gates[name] > 0) and np.all(gates[name] < 1)
+        assert np.all(gates["cbar"] > -1) and np.all(gates["cbar"] < 1)
 
 
 class TestRnnStep:
@@ -247,7 +254,7 @@ class TestForward:
         for _ in range(20):
             params = random_lstm(4, 3, rng, scale=1.5)
             emb = embedding_for(rng.normal(size=(8, 3)) * 2)
-            probs = predict_proba(params, emb, rng.integers(1, 8, size=6))
+            probs = forward(params, emb, rng.integers(1, 8, size=6), cache=False).probs
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs >= 0)
 
@@ -256,10 +263,10 @@ class TestForward:
         params = random_lstm(3, 2, rng)
         emb = embedding_for(rng.normal(size=(4, 2)))
         indices = np.array([1, 2, 3])
-        probs = predict_proba(params, emb, indices)
+        probs = forward(params, emb, indices, cache=False).probs
         assert forward(params, emb, indices).predicted == int(np.argmax(probs))
         batch = np.array([[1, 2, 3], [3, 0, 2], [2, 2, 0]])
-        probs = predict_proba(params, emb, batch)
+        probs = forward(params, emb, batch, cache=False).probs
         assert probs.shape == (3, 3)
         np.testing.assert_array_equal(forward(params, emb, batch).predicted,
                                       np.argmax(probs, axis=1))
@@ -310,7 +317,7 @@ class TestBackward:
         for name, tensor in params.tensors().items():
             numeric = finite_difference(loss, tensor)
             assert relative_error(grads.tensors[name], numeric) < 1e-6, name
-        for row, grad in grads.embedding_rows.items():
+        for row, grad in row_grads(grads).items():
             numeric = finite_difference(loss, emb.rows[row])
             assert relative_error(grad, numeric) < 1e-6, f"embedding row {row}"
 
@@ -330,7 +337,7 @@ class TestBackward:
         for name, tensor in params.tensors().items():
             numeric = finite_difference(loss, tensor)
             assert relative_error(grads.tensors[name], numeric) < 1e-6, name
-        for row, grad in grads.embedding_rows.items():
+        for row, grad in row_grads(grads).items():
             numeric = finite_difference(loss, emb.rows[row])
             assert relative_error(grad, numeric) < 1e-6
 
@@ -342,32 +349,35 @@ class TestBackward:
         indices = np.array([2, 2, 2])
         trace = forward(params, emb, indices)
         grads = backward(trace, params, 0)
-        assert set(grads.embedding_rows) == {2}
+        assert grads.embedding_index.tolist() == [2]
 
         def loss():
             return cross_entropy(forward(params, emb, indices).logits, 0)
 
         numeric = finite_difference(loss, emb.rows[2])
-        assert relative_error(grads.embedding_rows[2], numeric) < 1e-6
+        assert relative_error(grads.embedding_grad[0], numeric) < 1e-6
 
 
 class TestGrads:
+    @staticmethod
+    def zeros_like(params, rows):
+        return Grads(tensors={name: np.zeros_like(arr) for name, arr in params.tensors().items()},
+                     embedding_index=np.array(rows), embedding_grad=np.zeros((len(rows), 2)))
+
     def test_zeros_like_and_norm(self):
-        params = init_lstm_params(3, 2, seed=0)
-        grads = Grads.zeros_like(params)
+        grads = self.zeros_like(init_lstm_params(3, 2, seed=0), [2, 5])
         assert grads.global_norm() == 0.0
         grads.tensors["head_b"][:] = [3.0, 0.0, 4.0]
-        grads.embedding_rows[5] = np.array([12.0, 0.0])
+        grads.embedding_grad[1] = [12.0, 0.0]
         assert abs(grads.global_norm() - 13.0) < 1e-12
 
     def test_scale(self):
-        params = init_lstm_params(2, 2, seed=0)
-        a = Grads.zeros_like(params)
+        a = self.zeros_like(init_lstm_params(2, 2, seed=0), [1])
         a.tensors["b_i"][:] = 3.0
-        a.embedding_rows[1] = np.ones(2)
+        a.embedding_grad[0] = np.ones(2)
         a.scale_(0.5)
         assert np.all(a.tensors["b_i"] == 1.5)
-        assert np.all(a.embedding_rows[1] == 0.5)
+        assert np.all(a.embedding_grad[0] == 0.5)
 
 
 class TestEngineOracle:
@@ -407,10 +417,11 @@ class TestEngineOracle:
                 assert np.max(np.abs(trace.probs[b] - probs)) <= 1e-12
             for name in params.TENSOR_NAMES:
                 assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
-            assert set(grads.embedding_rows) == set(ref_rows)
-            assert PAD_INDEX not in grads.embedding_rows
+            rows = row_grads(grads)
+            assert grads.embedding_index.tolist() == sorted(ref_rows)
+            assert PAD_INDEX not in rows
             for idx, ref in ref_rows.items():
-                assert np.max(np.abs(grads.embedding_rows[idx] - ref)) <= 1e-12, idx
+                assert np.max(np.abs(rows[idx] - ref)) <= 1e-12, idx
 
     @pytest.mark.parametrize("kind", ["lstm", "rnn"])
     def test_single_example_matches_reference(self, kind):
@@ -428,9 +439,10 @@ class TestEngineOracle:
         assert np.max(np.abs(trace.probs - probs)) <= 1e-12
         for name in params.TENSOR_NAMES:
             assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
-        assert set(grads.embedding_rows) == set(ref_rows) == {2, 4}
+        rows = row_grads(grads)
+        assert grads.embedding_index.tolist() == sorted(ref_rows) == [2, 4]
         for idx, ref in ref_rows.items():
-            assert np.max(np.abs(grads.embedding_rows[idx] - ref)) <= 1e-12
+            assert np.max(np.abs(rows[idx] - ref)) <= 1e-12
 
     def test_inference_keeps_no_cache(self):
         rng = np.random.default_rng(15)

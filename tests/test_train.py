@@ -82,8 +82,6 @@ class TestTrainConfig:
         assert config.optimizer == "adam"
         assert config.learning_rate is None
         assert config.clip_norm == 5.0
-        assert config.shuffle is True
-        assert config.update_embeddings is True
 
     def test_resolved_learning_rate(self):
         assert TrainConfig().resolved_learning_rate == 0.001
@@ -163,11 +161,16 @@ class TestAdamUpdate:
 # clipping
 
 
+def tensor_grads(tensors):
+    """Grads with no embedding row."""
+    return Grads(tensors=tensors, embedding_index=np.empty(0, dtype=np.intp),
+                 embedding_grad=np.empty((0, 2)))
+
+
 class TestClipGrads:
     def grads_with_norm(self):
         # two tensors of 9 and 16 ones: global norm sqrt(25) = 5
-        return Grads(tensors={"a": np.ones((3, 3)), "b": np.ones((4, 4))},
-                     embedding_rows={})
+        return tensor_grads({"a": np.ones((3, 3)), "b": np.ones((4, 4))})
 
     def test_scales_down_to_limit(self):
         grads = self.grads_with_norm()
@@ -189,15 +192,15 @@ class TestClipGrads:
         np.testing.assert_array_equal(grads.tensors["b"], np.ones((4, 4)))
 
     def test_zero_grads_safe(self):
-        grads = Grads(tensors={"a": np.zeros(3)}, embedding_rows={})
+        grads = tensor_grads({"a": np.zeros(3)})
         assert clip_grads(grads, clip_norm=1.0) == 0.0
 
     def test_embedding_rows_included(self):
-        grads = Grads(tensors={"a": np.zeros(1)},
-                      embedding_rows={5: np.array([3.0, 4.0])})
+        grads = Grads(tensors={"a": np.zeros(1)}, embedding_index=np.array([5]),
+                      embedding_grad=np.array([[3.0, 4.0]]))
         pre = clip_grads(grads, clip_norm=1.0)
         assert pre == pytest.approx(5.0, rel=1e-12)
-        np.testing.assert_allclose(grads.embedding_rows[5], [0.6, 0.8])
+        np.testing.assert_allclose(grads.embedding_grad, [[0.6, 0.8]])
 
 
 class TestOptimizerStep:
@@ -205,13 +208,11 @@ class TestOptimizerStep:
     row-by-row loop: bit-identical params and moments."""
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    @pytest.mark.parametrize("update_embeddings", [True, False])
-    def test_gathered_step_matches_row_loop(self, optimizer, update_embeddings):
+    def test_gathered_step_matches_row_loop(self, optimizer):
         rng = np.random.default_rng(21)
         params = make_lstm()
         embedding = make_embedding(n_rows=12)
-        config = TrainConfig(optimizer=optimizer, learning_rate=0.01,
-                             update_embeddings=update_embeddings)
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.01)
         opt = train_mod._Optimizer(params, embedding, config)
         state = {}
         if optimizer == "adam":
@@ -226,20 +227,21 @@ class TestOptimizerStep:
         before = (embedding.rows.copy(), state.get("m_emb"), state.get("v_emb"))
         touched = set()
         for _ in range(3):
-            picked = rng.choice(np.arange(1, 11), size=5, replace=False)
+            picked = np.sort(rng.choice(np.arange(1, 11), size=5, replace=False))
             touched.update(int(r) for r in picked)
             grads = Grads(tensors={n: rng.normal(size=t.shape) for n, t in params.tensors().items()},
-                          embedding_rows={int(r): rng.normal(size=4) for r in picked})
+                          embedding_index=picked, embedding_grad=rng.normal(size=(5, 4)))
+            row_grads = dict(zip(picked.tolist(), grads.embedding_grad))
             opt.step(params, embedding, grads)
-            optimizer_step_ref(ref_params.tensors(), grads.tensors, ref_rows, grads.embedding_rows,
-                               state, opt.t, opt.lr, adam_update, optimizer, update_embeddings)
+            optimizer_step_ref(ref_params.tensors(), grads.tensors, ref_rows, row_grads,
+                               state, opt.t, opt.lr, adam_update, optimizer)
             for name in params.TENSOR_NAMES:
                 np.testing.assert_array_equal(getattr(params, name), getattr(ref_params, name))
             np.testing.assert_array_equal(embedding.rows, ref_rows)
             if optimizer == "adam":
                 np.testing.assert_array_equal(opt.m_emb, state["m_emb"])
                 np.testing.assert_array_equal(opt.v_emb, state["v_emb"])
-        untouched = sorted(set(range(12)) - (touched if update_embeddings else set()))
+        untouched = sorted(set(range(12)) - touched)
         np.testing.assert_array_equal(embedding.rows[untouched], before[0][untouched])
         if optimizer == "adam":
             np.testing.assert_array_equal(opt.m_emb[untouched], before[1][untouched])
@@ -332,14 +334,6 @@ class TestTrain:
         _, report = train(examples, params, make_embedding(), TrainConfig(epochs=1, seed=1))
         assert report.total_steps == 1
 
-    def test_embeddings_frozen_when_disabled(self):
-        examples = toy_examples()
-        embedding = make_embedding()
-        before = embedding.rows.copy()
-        config = TrainConfig(epochs=2, batch_size=4, seed=1, update_embeddings=False)
-        train(examples, make_lstm(), embedding, config)
-        np.testing.assert_array_equal(embedding.rows, before)
-
     def test_embeddings_updated_by_default(self):
         # two epochs: the zero-initialized head blocks all gradient flow
         # below it on the very first update step
@@ -350,29 +344,6 @@ class TestTrain:
         assert not np.array_equal(embedding.rows, before)
         # pad row is never touched: no pad position reaches the backward pass
         np.testing.assert_array_equal(embedding.rows[PAD_INDEX], np.zeros(4))
-
-    def test_no_shuffle_preserves_order(self, monkeypatch):
-        examples = toy_examples(n=6)
-        seen = []
-        original = train_mod._batch_grads
-
-        def recording(params, embedding, batch):
-            seen.extend(ex.indices.tobytes() for ex in batch)
-            return original(params, embedding, batch)
-
-        monkeypatch.setattr(train_mod, "_batch_grads", recording)
-        config = TrainConfig(epochs=1, batch_size=2, seed=1, shuffle=False)
-        train(examples, make_lstm(), make_embedding(), config)
-        assert seen == [ex.indices.tobytes() for ex in examples]
-
-    def test_eval_examples_populate_final_metrics(self):
-        examples = toy_examples()
-        _, report = train(examples, make_lstm(), make_embedding(),
-                          TrainConfig(epochs=1, seed=1),
-                          eval_examples=examples, averaging="weighted")
-        assert report.final_metrics is not None
-        assert report.final_metrics.averaging == "weighted"
-        assert 0.0 <= report.final_metrics.accuracy <= 1.0
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError, match="no training examples"):
