@@ -5,13 +5,11 @@ integer encoding), skip-gram embedding pretraining with negative sampling,
 an LSTM classifier with hand-derived backpropagation through time (plus a
 vanilla RNN and classical bag-of-words baselines), and evaluation with
 per-class and averaged precision/recall/F1.
+
+Importing the package does not load scipy: the baseline names are re-exported
+lazily, and the first use of one imports `sentilstm.baselines` and scipy.
 """
 
-from .baselines import (LogRegConfig, LogRegModel, NaiveBayesModel,
-                        TfidfModel, count_features, load_baseline,
-                        logreg_fit, logreg_predict, naive_bayes_fit,
-                        naive_bayes_predict, save_baseline, tfidf_fit,
-                        tfidf_transform)
 from .corpus import (PAD_INDEX, UNK_INDEX, EncodedExample, RawRecord,
                      Sentiment, Vocabulary, build_vocabulary, clean_text,
                      encode, encode_example, load_dataset, load_vocabulary,
@@ -28,11 +26,24 @@ from .train import (TrainConfig, TrainReport, evaluate_model, load_checkpoint,
 
 __version__ = "0.1.0"
 
-__all__ = [
+# scipy.sparse takes longer to import than the rest of the package together
+_BASELINE_NAMES = (
     "LogRegConfig", "LogRegModel", "NaiveBayesModel", "TfidfModel",
     "count_features", "load_baseline", "logreg_fit", "logreg_predict",
     "naive_bayes_fit", "naive_bayes_predict", "save_baseline", "tfidf_fit",
     "tfidf_transform",
+)
+
+
+def __getattr__(name):
+    if name in _BASELINE_NAMES:
+        from . import baselines
+        return getattr(baselines, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [
+    *_BASELINE_NAMES,
     "PAD_INDEX", "UNK_INDEX", "EncodedExample", "RawRecord", "Sentiment",
     "Vocabulary", "build_vocabulary", "clean_text", "encode", "encode_example",
     "load_dataset", "load_vocabulary", "save_vocabulary", "stratified_split",

@@ -121,9 +121,13 @@ def sha256(*chunks: bytes) -> bytes:
     return h.digest()
 
 
-def sha256_file(path) -> str:
+def read_bytes(path) -> bytes:
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        return f.read()
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
 def write_atomic(path, data: bytes):
@@ -148,10 +152,8 @@ def read_json(path, fmt: str, version: int, required: dict = None) -> dict:
     is `version`, and whose value under each key of `required` is one of
     that key's allowed values, else FormatError. A missing file raises
     FileNotFoundError, which each caller words for its own directory."""
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        payload = json.loads(data)
+        payload = json.loads(read_bytes(path))
     except ValueError as exc:  # bad JSON, bad UTF-8
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -195,11 +197,12 @@ def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dic
     write_atomic(path, append_crc(chunks))
 
 
-def load(path, kinds) -> Artifact:
-    """Read one container whose kind is in `kinds`. The magic is checked
-    first, then the CRC, then the layout; any mismatch raises FormatError."""
-    with open(path, "rb") as f:
-        data = f.read()
+def load(path, kinds, data: bytes = None) -> Artifact:
+    """Read one container whose kind is in `kinds` from `data`, the bytes of
+    `path` (read from disk when not given). The magic is checked first, then
+    the CRC, then the layout; any mismatch raises FormatError."""
+    if data is None:
+        data = read_bytes(path)
     if not data.startswith(MAGIC):
         raise FormatError(f"{path}: not a senti artifact (bad magic)")
     reader = Reader(strip_crc(data, str(path)), str(path))

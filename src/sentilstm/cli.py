@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import baselines as bl
 from . import binio, corpus
 from .metrics import (AVERAGING_SCHEMES, CLASS_NAMES, confusion, format_report,
                       format_table, metrics, report_to_dict, report_to_json)
@@ -33,6 +32,7 @@ from .embedding import (EmbeddingConfig, load_embeddings, random_embedding,
                         save_embeddings, train_skipgram)
 from .errors import DatasetError, SentiError
 from .nnet import forward, init_lstm_params, init_rnn_params
+# predict_dataset has no caller here; perfbench/tracing.py wraps cli.predict_dataset
 from .train import (OPTIMIZERS, TrainConfig, evaluate_model, load_checkpoint,
                     predict_dataset, save_checkpoint, train)
 
@@ -376,14 +376,11 @@ def cmd_evaluate(args) -> int:
     examples = _examples_for_checkpoint(
         args.data, vocab, manifest["maxlen"], manifest["tokenizer"]
     )
-    actual = np.array([ex.label for ex in examples], dtype=np.int64)
-    predicted = predict_dataset(params, embedding, examples)
-    cm = confusion(actual, predicted)
-    report = metrics(cm, averaging=cfg.averaging)
+    report = evaluate_model(params, embedding, examples, averaging=cfg.averaging)
     if args.format == "json":
-        print(report_to_json(report, cm), end="")
+        print(report_to_json(report, report.confusion), end="")
     else:
-        print(format_report(report, cm), end="")
+        print(format_report(report, report.confusion), end="")
     return 0
 
 
@@ -410,6 +407,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import baselines as bl  # scipy loads here, not in the other subcommands
     cfg = merge_config(args)
     prep = prepare(cfg, args.data)
     vocab = prep.vocab

@@ -17,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .binio import sha256
+from .binio import read_bytes, sha256
 from .errors import DatasetError, FormatError
 
 PAD_INDEX = 0
@@ -272,20 +272,19 @@ def save_vocabulary(vocab: Vocabulary, path):
 _VOCAB_HEADER_RE = re.compile(r"#senti-vocab v1 min_count=(\d+)$")
 
 
-def _read_lines(path) -> list:
-    """The lines of a UTF-8 text file; a missing file or bad UTF-8 raises
-    FormatError."""
+def _read_lines(path, data: bytes = None) -> list:
+    """The lines of a UTF-8 text file, from `data` when the caller has already
+    read its bytes; a missing file or bad UTF-8 raises FormatError."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
+        return (read_bytes(path) if data is None else data).decode("utf-8").splitlines()
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def load_vocabulary(path) -> Vocabulary:
-    lines = _read_lines(path)
+def load_vocabulary(path, data: bytes = None) -> Vocabulary:
+    lines = _read_lines(path, data)
     if not lines:
         raise FormatError(f"{path}: empty vocabulary file")
     m = _VOCAB_HEADER_RE.match(lines[0])
@@ -295,6 +294,7 @@ def load_vocabulary(path) -> Vocabulary:
     index_to_token = [PAD_TOKEN, UNK_TOKEN]
     token_to_index = {}
     frequencies = {}
+    line_of = {}
     for line_num, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -305,6 +305,9 @@ def load_vocabulary(path) -> Vocabulary:
             raise FormatError(f"{path}: line {line_num}: index and frequency must be integers") from None
         if idx != line_num - 2:
             raise FormatError(f"{path}: line {line_num}: indices out of order (got {idx})")
+        if token in line_of:
+            raise FormatError(f"{path}: lines {line_of[token]} and {line_num} both list token {token!r}")
+        line_of[token] = line_num
         if idx == PAD_INDEX or idx == UNK_INDEX:
             expected = PAD_TOKEN if idx == PAD_INDEX else UNK_TOKEN
             if token != expected:

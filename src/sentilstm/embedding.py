@@ -300,9 +300,9 @@ def save_embeddings(matrix: EmbeddingMatrix, path):
     binio.save(path, "embedding", matrix.vocab_fingerprint, {"rows": matrix.rows}, "f32")
 
 
-def load_embeddings(path, vocab: Vocabulary = None) -> EmbeddingMatrix:
+def load_embeddings(path, vocab: Vocabulary = None, data: bytes = None) -> EmbeddingMatrix:
     """Load and validate; if `vocab` is given, its fingerprint must match."""
-    artifact = binio.load(path, ("embedding",))
+    artifact = binio.load(path, ("embedding",), data)
     if list(artifact.tensors) != ["rows"] or artifact.tensors["rows"].ndim != 2:
         raise FormatError(f"{path}: expected one 2-D tensor 'rows', got {sorted(artifact.tensors)}")
     if vocab is not None and vocab.fingerprint() != artifact.binding:

@@ -2,8 +2,9 @@
 
 Per-class scores come from the one-vs-rest reduction of the binary
 definitions; macro, micro, and weighted aggregates are all computed, and a
-report always carries which scheme is its headline. Zero denominators yield
-0.0 and are flagged rather than producing NaN.
+report always carries which scheme is its headline and the confusion matrix
+it was computed from. Zero denominators yield 0.0 and are flagged rather
+than producing NaN.
 """
 
 import json
@@ -78,6 +79,7 @@ class MetricsReport:
     weighted_f1: float
     averaging: str = "macro"
     zero_division_flags: list = field(default_factory=list)
+    confusion: ConfusionMatrix3 = field(default=None, repr=False, compare=False)
 
     @property
     def precision(self) -> float:
@@ -154,6 +156,7 @@ def metrics(cm: ConfusionMatrix3, averaging: str = "macro") -> MetricsReport:
         weighted_f1=sum(w * f for w, f in zip(weights, f1s)),
         averaging=averaging,
         zero_division_flags=flags,
+        confusion=cm,
     )
 
 

@@ -231,10 +231,10 @@ def save_model(params, path, embedding_fingerprint: bytes, maxlen: int):
                {"maxlen": maxlen})
 
 
-def load_model(path):
+def load_model(path, data: bytes = None):
     """Returns (params, maxlen, embedding_fingerprint). A corrupt file or an
     inconsistent tensor set raises FormatError."""
-    artifact = binio.load(path, _KINDS)
+    artifact = binio.load(path, _KINDS, data)
     if set(artifact.fields) != {"maxlen"}:
         raise FormatError(f"{path}: model header fields {sorted(artifact.fields)} != ['maxlen']")
     try:
@@ -297,17 +297,19 @@ def load_checkpoint(directory):
     checksums = manifest.get("checksums", {})
     if not isinstance(checksums, dict):
         raise FormatError(f"{directory}: manifest checksums must be a JSON object")
+    paths, blobs = {}, {}  # each file is read once: the checked bytes are the parsed bytes
     for name in (MODEL_FILE, EMBEDDINGS_FILE, VOCAB_FILE):
-        path = os.path.join(directory, name)
-        if not os.path.exists(path):
-            raise FormatError(f"{directory}: checkpoint is missing {name}")
-        digest = binio.sha256_file(path)
-        if checksums.get(name) != digest:
+        paths[name] = os.path.join(directory, name)
+        try:
+            blobs[name] = binio.read_bytes(paths[name])
+        except FileNotFoundError:
+            raise FormatError(f"{directory}: checkpoint is missing {name}") from None
+        if checksums.get(name) != binio.sha256(blobs[name]).hex():
             raise FormatError(f"{directory}: {name} does not match its manifest checksum")
 
-    vocab = load_vocabulary(os.path.join(directory, VOCAB_FILE))
-    embedding = load_embeddings(os.path.join(directory, EMBEDDINGS_FILE), vocab=vocab)
-    params, maxlen, emb_fp = load_model(os.path.join(directory, MODEL_FILE))
+    vocab = load_vocabulary(paths[VOCAB_FILE], blobs[VOCAB_FILE])
+    embedding = load_embeddings(paths[EMBEDDINGS_FILE], vocab, blobs[EMBEDDINGS_FILE])
+    params, maxlen, emb_fp = load_model(paths[MODEL_FILE], blobs[MODEL_FILE])
     if emb_fp != embedding.fingerprint():
         raise FormatError(
             f"{directory}: model was trained against a different embedding matrix"

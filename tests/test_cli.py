@@ -5,12 +5,15 @@ import argparse
 import io
 import json
 import logging
+import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sentilstm
 from sentilstm.cli import (OUTPUT_DIR_ENV, RunConfig, build_parser, main,
                            merge_config)
 from sentilstm.corpus import load_vocabulary
@@ -534,6 +537,58 @@ class TestCompare:
 
 
 # ---------------------------------------------------------------------------
+# cold start: only compare imports the baselines, and scipy with them
+
+
+def run_python(args):
+    """A fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(sentilstm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        proc = run_python(["-c", "import sys, sentilstm.cli\n"
+                                 "cold = 'scipy' in sys.modules\n"
+                                 "from sentilstm import logreg_fit\n"
+                                 "print(cold, 'scipy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_predict_loads_no_scipy(self, trained_checkpoint):
+        proc = run_python(["-X", "importtime", "-m", "sentilstm.cli", "predict",
+                           "--checkpoint", trained_checkpoint, "great wonderful day", "--quiet"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("prediction:")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "sentilstm.train" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+    def test_compare_in_fresh_process_matches_in_process(self, tmp_path, corpus_csv):
+        flags = ["--data", corpus_csv, "--min-count", "1", "--maxlen", "8", "--random-init",
+                 "--dim", "5", "--hidden", "6", "--epochs", "1", "--quiet"]
+        assert main(["compare", "--output-dir", str(tmp_path / "here")] + flags) == 0
+        proc = run_python(["-m", "sentilstm.cli", "compare",
+                           "--output-dir", str(tmp_path / "fresh")] + flags)
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(os.listdir(tmp_path / "here" / "baselines"))
+        assert files == sorted(os.listdir(tmp_path / "fresh" / "baselines"))
+        for rel in ["compare.json"] + [f"baselines/{name}" for name in files]:
+            assert (tmp_path / "fresh" / rel).read_bytes() == (tmp_path / "here" / rel).read_bytes()
+
+    def test_baseline_names_reexported(self):
+        from sentilstm import baselines
+        assert sentilstm.logreg_fit is baselines.logreg_fit
+        for name in sentilstm._BASELINE_NAMES:
+            assert getattr(sentilstm, name) is getattr(baselines, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sentilstm.no_such_name
+
+
+# ---------------------------------------------------------------------------
 # one option table
 
 
@@ -692,3 +747,21 @@ class TestMain:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert str(bad) in lines[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train-embeddings", "train"])
+    def test_repeated_vocabulary_token_is_one_error_line(self, command, tmp_path,
+                                                         preprocessed, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(preprocessed, prep)
+        vocab = prep / "vocab.tsv"
+        lines = vocab.read_text().splitlines()
+        index, _, freq = lines[4].split("\t")
+        lines[4] = "\t".join([index, lines[3].split("\t")[1], freq])  # line 5 repeats line 4
+        vocab.write_text("\n".join(lines) + "\n")
+        argv = [command, "--input-dir", str(prep), "--dim", "4",
+                "--output-dir", str(tmp_path / "out"), "--quiet"]
+        capsys.readouterr()
+        assert main(argv + (["--random-init"] if command == "train" else [])) == 1
+        token = lines[3].split("\t")[1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {vocab}: lines 4 and 5 both list token {token!r}"]

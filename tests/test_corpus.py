@@ -165,6 +165,25 @@ class TestVocabulary:
         with pytest.raises(FormatError):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize("rows, lines", [
+        ("2\tx\t1\n3\ty\t1\n4\tx\t1\n", "lines 4 and 6"),
+        ("2\t<unk>\t1\n", "lines 3 and 4"),
+    ])
+    def test_load_rejects_repeated_token(self, tmp_path, rows, lines):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#senti-vocab v1 min_count=1\n0\t<pad>\t0\n1\t<unk>\t0\n" + rows)
+        with pytest.raises(FormatError, match=f"{lines} both list token"):
+            load_vocabulary(path)
+
+    def test_load_from_bytes_matches_file(self, tmp_path):
+        vocab = build_vocabulary([["a", "a", "b"]], min_count=1)
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary("named-in-errors.tsv", path.read_bytes())
+        assert loaded.fingerprint() == load_vocabulary(path).fingerprint()
+        with pytest.raises(FormatError, match="named-in-errors.tsv"):
+            load_vocabulary("named-in-errors.tsv", b"\xff")
+
 
 class TestEncode:
     def setup_method(self):

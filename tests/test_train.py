@@ -3,6 +3,7 @@ and determinism on a toy task, model files, and checkpoint integrity."""
 
 import importlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -619,6 +620,24 @@ class TestCheckpoint:
         (directory / "model.bin").unlink()
         with pytest.raises(FormatError, match="missing"):
             load_checkpoint(directory)
+
+    def test_each_file_read_once(self, tmp_path, monkeypatch):
+        # the bytes checked against the manifest are the bytes parsed
+        _, vocab, embedding, params = keyword_checkpoint_pieces()
+        directory = tmp_path / "ckpt"
+        save_checkpoint(directory, params, embedding, vocab, maxlen=8,
+                        tokenizer_mode="whitespace")
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(os.path.basename(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        load_checkpoint(directory)
+        monkeypatch.undo()
+        assert sorted(opened) == ["embeddings.bin", "manifest.json", "model.bin", "vocab.tsv"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
