@@ -130,9 +130,9 @@ def sha256_file(path) -> str:
     return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
-def write_atomic(path, data: bytes):
+def write_atomic(path, data: bytes) -> str:
     """Replace `path` with `data` by one rename, so a crash leaves the old
-    file or the new one, never part of either."""
+    file or the new one, never part of either; returns data's SHA-256 hex."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
@@ -141,6 +141,7 @@ def write_atomic(path, data: bytes):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_json(path, payload):
@@ -178,8 +179,8 @@ class Artifact(NamedTuple):
     tensors: dict  # name -> float64 array
 
 
-def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dict = None):
-    """Write one container; every tensor is stored as `dtype` ("f32" or "f64")."""
+def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dict = None) -> str:
+    """Write one container, tensors stored as `dtype` ("f32"/"f64"); returns its SHA-256 hex."""
     if len(binding) != 32:
         raise FormatError(f"{kind} binding fingerprint must be 32 bytes, got {len(binding)}")
     fields = fields or {}
@@ -194,7 +195,7 @@ def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dic
         chunks += [_pack_str(name), _pack_str(dtype), pack_u32(tensor.ndim)]
         chunks += [pack_u32(d) for d in tensor.shape]
         chunks.append(np.ascontiguousarray(tensor, dtype=DTYPES[dtype]).tobytes())
-    write_atomic(path, append_crc(chunks))
+    return write_atomic(path, append_crc(chunks))
 
 
 def load(path, kinds, data: bytes = None) -> Artifact:

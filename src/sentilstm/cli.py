@@ -238,11 +238,8 @@ def prepare(cfg: RunConfig, csv_path) -> Prepared:
         raise DatasetError(
             f"no token reaches min_count={cfg.min_count}; lower --min-count or add data"
         )
-
-    def encode(split):
-        return [corpus.encode_example(t.tokens, t.label, vocab, cfg.maxlen) for t in split]
-
-    return Prepared(mode, vocab, encode(train_split), encode(test_split), n_dropped)
+    return Prepared(mode, vocab, corpus.encode_split(train_split, vocab, cfg.maxlen),
+                    corpus.encode_split(test_split, vocab, cfg.maxlen), n_dropped)
 
 
 def cmd_preprocess(args) -> int:
@@ -287,7 +284,7 @@ def _load_split(path, vocab):
     """(examples, maxlen) of an encoded split whose every index is a row of
     `vocab`."""
     examples, maxlen = corpus.load_encoded(path)
-    top = max((int(ex.indices.max()) for ex in examples if ex.indices.size), default=0)
+    top = int(np.max([ex.indices for ex in examples], initial=0))
     if top >= len(vocab):
         raise DatasetError(
             f"{path}: token index {top} is outside the vocabulary of {len(vocab)} rows"
@@ -367,7 +364,7 @@ def _examples_for_checkpoint(path, vocab, maxlen, mode):
             )
         return examples
     kept, _ = _tokenize_records(corpus.load_dataset(path), mode)
-    return [corpus.encode_example(t.tokens, t.label, vocab, maxlen) for t in kept]
+    return corpus.encode_split(kept, vocab, maxlen)
 
 
 def cmd_evaluate(args) -> int:

@@ -7,17 +7,17 @@ re-cleaning.
 """
 
 import csv
-import functools
 import re
 import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain, repeat
 
 import numpy as np
 
-from .binio import read_bytes, sha256
+from .binio import read_bytes, sha256, write_atomic
 from .errors import DatasetError, FormatError
 
 PAD_INDEX = 0
@@ -57,7 +57,6 @@ class RawRecord:
     label: Sentiment
 
 
-@functools.lru_cache(maxsize=None)
 def _is_punct(ch: str) -> bool:
     # ASCII punctuation-class symbols, every Unicode P* character, and the
     # full-width CJK forms of both (including currency signs U+FFE0..U+FFE6).
@@ -71,6 +70,24 @@ def _is_punct(ch: str) -> bool:
     return 0xFFE0 <= cp <= 0xFFE6
 
 
+class _CharTable(dict):
+    """A str.translate table that asks `rule` once per code point and keeps
+    the answer (a string to put in its place, or None to drop it)."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, cp):
+        self[cp] = out = self.rule(chr(cp))
+        return out
+
+
+_PUNCT_TO_SPACE = _CharTable(lambda ch: " " if _is_punct(ch) else ch)
+# "c" for a CJK ideograph, "l" for any other letter; the rest is dropped
+_LETTER_KIND = _CharTable(lambda ch: None if not ch.isalpha() else "c" if (
+    "\u4e00" <= ch <= "\u9fff" or "\u3400" <= ch <= "\u4dbf") else "l")
+
+
 def clean_text(raw: str) -> str:
     """Strip URLs, #topic# spans, @mentions, and punctuation; collapse whitespace.
 
@@ -80,8 +97,7 @@ def clean_text(raw: str) -> str:
     text = _URL_RE.sub(" ", raw)
     text = _TOPIC_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
-    text = "".join(" " if _is_punct(ch) else ch for ch in text)
-    return " ".join(text.split())
+    return " ".join(text.translate(_PUNCT_TO_SPACE).split())
 
 
 def tokenize(cleaned: str, mode: str = "whitespace") -> list:
@@ -95,24 +111,16 @@ def tokenize(cleaned: str, mode: str = "whitespace") -> list:
     if mode in ("whitespace", "presegmented"):
         return cleaned.split()
     if mode == "character":
-        return [ch for ch in cleaned if not ch.isspace()]
+        return list("".join(cleaned.split()))
     raise ValueError(f"unknown tokenizer mode {mode!r} (expected one of {TOKENIZER_MODES})")
 
 
 def detect_tokenizer_mode(texts) -> str:
     """Pick 'character' when CJK scalars dominate the letters, else 'whitespace'."""
-    cjk = 0
-    letters = 0
-    for text in texts:
-        for ch in text:
-            if not ch.isalpha():
-                continue
-            letters += 1
-            if 0x4E00 <= ord(ch) <= 0x9FFF or 0x3400 <= ord(ch) <= 0x4DBF:
-                cjk += 1
-    if letters == 0:
+    letters = "".join(texts).translate(_LETTER_KIND)
+    if not letters:
         return "whitespace"
-    return "character" if cjk / letters > 0.5 else "whitespace"
+    return "character" if letters.count("c") / len(letters) > 0.5 else "whitespace"
 
 
 @dataclass
@@ -164,16 +172,6 @@ def build_vocabulary(corpus, min_count: int) -> Vocabulary:
     return Vocabulary(token_to_index, index_to_token, frequencies, min_count)
 
 
-def encode(tokens, vocab: Vocabulary, maxlen: int) -> np.ndarray:
-    """Map tokens to indices, truncating to the first maxlen and right-padding."""
-    if maxlen < 1:
-        raise ValueError("maxlen must be >= 1")
-    out = np.full(maxlen, vocab.pad_index, dtype=np.int32)
-    for pos, token in enumerate(tokens[:maxlen]):
-        out[pos] = vocab.token_to_index.get(token, vocab.unk_index)
-    return out
-
-
 @dataclass
 class EncodedExample:
     indices: np.ndarray
@@ -186,12 +184,26 @@ class EncodedExample:
             self.original_length = int(nonpad[-1]) + 1 if len(nonpad) else 0
 
 
+def encode_split(pairs, vocab: Vocabulary, maxlen: int) -> list:
+    """EncodedExamples of a list of (label, tokens) pairs. Their indices are the rows of one
+    (N, maxlen) int32 block: each the indices of its first maxlen tokens, right-padded."""
+    if maxlen < 1:
+        raise ValueError("maxlen must be >= 1")
+    kept = [tokens[:maxlen] for _, tokens in pairs]
+    lengths = list(map(len, kept))
+    block = np.full((len(kept), maxlen), vocab.pad_index, dtype=np.int32)
+    indices = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(vocab.unk_index))
+    block[np.arange(maxlen) < np.array(lengths, dtype=np.intp)[:, None]] = list(indices)
+    return [EncodedExample(row, label, n) for row, (label, _), n in zip(block, pairs, lengths)]
+
+
 def encode_example(tokens, label, vocab: Vocabulary, maxlen: int) -> EncodedExample:
-    return EncodedExample(
-        indices=encode(tokens, vocab, maxlen),
-        label=label,
-        original_length=min(len(tokens), maxlen),
-    )
+    return encode_split([(label, tokens)], vocab, maxlen)[0]
+
+
+def encode(tokens, vocab: Vocabulary, maxlen: int) -> np.ndarray:
+    """Map tokens to indices, truncating to the first maxlen and right-padding."""
+    return encode_example(tokens, None, vocab, maxlen).indices
 
 
 def load_dataset(path) -> list:
@@ -264,9 +276,8 @@ def serialize_vocabulary(vocab: Vocabulary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_vocabulary(vocab: Vocabulary, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(serialize_vocabulary(vocab))
+def save_vocabulary(vocab: Vocabulary, path) -> str:
+    return write_atomic(path, serialize_vocabulary(vocab).encode("utf-8"))
 
 
 _VOCAB_HEADER_RE = re.compile(r"#senti-vocab v1 min_count=(\d+)$")
@@ -327,16 +338,33 @@ def load_vocabulary(path, data: bytes = None) -> Vocabulary:
 _ENCODED_HEADER_RE = re.compile(r"#senti-encoded v1 maxlen=(\d+)$")
 
 
-def save_encoded(examples, maxlen: int, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"#senti-encoded v1 maxlen={maxlen}\n")
-        for ex in examples:
-            joined = " ".join(str(int(i)) for i in ex.indices)
-            f.write(f"{int(ex.label)}\t{ex.original_length}\t{joined}\n")
+def save_encoded(examples, maxlen: int, path) -> str:
+    lines = [f"#senti-encoded v1 maxlen={maxlen}\n"]
+    lines += [f"{int(ex.label)}\t{ex.original_length}\t{' '.join(map(str, ex.indices.tolist()))}\n"
+              for ex in examples]
+    return write_atomic(path, "".join(lines).encode("utf-8"))
+
+
+def _check_encoded_line(path, line_num: int, line: str, maxlen: int):
+    """Raise a FormatError naming what is wrong with one line of a split, if anything."""
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise FormatError(f"{path}: line {line_num}: expected 3 tab-separated fields")
+    if parts[0] not in _LABEL_DIGITS:
+        raise FormatError(f"{path}: line {line_num}: label {parts[0]!r} is not 0, 1 or 2")
+    try:
+        int(parts[1])
+        indices = np.array([int(tok) for tok in parts[2].split()], dtype=np.int32)
+    except (ValueError, OverflowError):
+        raise FormatError(f"{path}: line {line_num}: length and indices must be integers") from None
+    if np.any(indices < 0):
+        raise FormatError(f"{path}: line {line_num}: negative token index")
+    if len(indices) != maxlen:
+        raise FormatError(f"{path}: line {line_num}: expected {maxlen} indices, got {len(indices)}")
 
 
 def load_encoded(path):
-    """Returns (examples, maxlen)."""
+    """Returns (examples, maxlen); the indices are rows of one (N, maxlen) int32 block."""
     lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty encoded dataset")
@@ -344,22 +372,18 @@ def load_encoded(path):
     if not m:
         raise FormatError(f"{path}: bad encoded-dataset header {lines[0]!r}")
     maxlen = int(m.group(1))
-    examples = []
-    for line_num, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"{path}: line {line_num}: expected 3 tab-separated fields")
-        label = _LABEL_DIGITS.get(parts[0])
-        if label is None:
-            raise FormatError(f"{path}: line {line_num}: label {parts[0]!r} is not 0, 1 or 2")
-        try:
-            original_length = int(parts[1])
-            indices = np.array([int(tok) for tok in parts[2].split()], dtype=np.int32)
-        except (ValueError, OverflowError):
-            raise FormatError(f"{path}: line {line_num}: length and indices must be integers") from None
-        if np.any(indices < 0):
-            raise FormatError(f"{path}: line {line_num}: negative token index")
-        if len(indices) != maxlen:
-            raise FormatError(f"{path}: line {line_num}: expected {maxlen} indices, got {len(indices)}")
-        examples.append(EncodedExample(indices=indices, label=label, original_length=original_length))
-    return examples, maxlen
+    fields = [line.split("\t") for line in lines[1:]]
+    try:
+        labels = [_LABEL_DIGITS[label] for label, _, _ in fields]
+        lengths = [int(length) for _, length, _ in fields]
+        cells = [row.split() for _, _, row in fields]
+        block = np.array(list(map(int, chain.from_iterable(cells))), dtype=np.int32)
+        if any(len(c) != maxlen for c in cells) or np.any(block < 0):
+            raise ValueError
+    except (KeyError, ValueError, OverflowError):
+        # the first bad line, checked on its own, names what is wrong
+        for line_num, line in enumerate(lines[1:], start=2):
+            _check_encoded_line(path, line_num, line, maxlen)
+        raise
+    rows = block.reshape(len(fields), maxlen)
+    return [EncodedExample(row, label, n) for row, label, n in zip(rows, labels, lengths)], maxlen

@@ -294,10 +294,10 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
     return EmbeddingMatrix(rows=W, vocab_fingerprint=vocab.fingerprint())
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path):
+def save_embeddings(matrix: EmbeddingMatrix, path) -> str:
     """An "embedding" container bound to the vocabulary checksum, holding
-    one f32 tensor "rows"."""
-    binio.save(path, "embedding", matrix.vocab_fingerprint, {"rows": matrix.rows}, "f32")
+    one f32 tensor "rows". Returns the file's SHA-256 hex digest."""
+    return binio.save(path, "embedding", matrix.vocab_fingerprint, {"rows": matrix.rows}, "f32")
 
 
 def load_embeddings(path, vocab: Vocabulary = None, data: bytes = None) -> EmbeddingMatrix:

@@ -224,11 +224,11 @@ def evaluate_model(params, embedding, examples, averaging="macro") -> MetricsRep
 _KINDS = {cls.KIND: cls for cls in (LstmParams, RnnParams)}
 
 
-def save_model(params, path, embedding_fingerprint: bytes, maxlen: int):
-    """An "lstm" or "rnn" container bound to the embedding checksum, with
-    maxlen as its one header field and the tensors stored as f32."""
-    binio.save(path, params.KIND, embedding_fingerprint, params.tensors(), "f32",
-               {"maxlen": maxlen})
+def save_model(params, path, embedding_fingerprint: bytes, maxlen: int) -> str:
+    """An "lstm" or "rnn" container bound to the embedding checksum, with maxlen
+    as its one header field and f32 tensors; returns the file's SHA-256 hex."""
+    return binio.save(path, params.KIND, embedding_fingerprint, params.tensors(), "f32",
+                      {"maxlen": maxlen})
 
 
 def load_model(path, data: bytes = None):
@@ -256,9 +256,11 @@ def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
 
     if embedding.vocab_fingerprint != vocab.fingerprint():
         raise FormatError("embedding matrix does not match the vocabulary being saved")
-    save_vocabulary(vocab, vocab_path)
-    save_embeddings(embedding, emb_path)
-    save_model(params, model_path, embedding.fingerprint(), maxlen)
+    checksums = {
+        VOCAB_FILE: save_vocabulary(vocab, vocab_path),
+        EMBEDDINGS_FILE: save_embeddings(embedding, emb_path),
+        MODEL_FILE: save_model(params, model_path, embedding.fingerprint(), maxlen),
+    }
 
     manifest = {
         "format": "senti-checkpoint",
@@ -269,11 +271,7 @@ def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
         "classes": params.classes,
         "maxlen": maxlen,
         "tokenizer": tokenizer_mode,
-        "checksums": {
-            MODEL_FILE: binio.sha256_file(model_path),
-            EMBEDDINGS_FILE: binio.sha256_file(emb_path),
-            VOCAB_FILE: binio.sha256_file(vocab_path),
-        },
+        "checksums": checksums,
     }
     if extra:
         manifest["extra"] = extra

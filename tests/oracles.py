@@ -393,3 +393,72 @@ def clean_ref(raw: str) -> str:
 
     text = "".join(" " if _is_punct_ref(ch) else ch for ch in text)
     return " ".join(text.split())
+
+
+def detect_tokenizer_mode_ref(texts) -> str:
+    """Per-character twin of tokenizer detection: 'character' when CJK
+    ideographs (U+3400..4DBF, U+4E00..9FFF) are over half of the letters."""
+    cjk = 0
+    letters = 0
+    for text in texts:
+        for ch in text:
+            if not ch.isalpha():
+                continue
+            letters += 1
+            if 0x4E00 <= ord(ch) <= 0x9FFF or 0x3400 <= ord(ch) <= 0x4DBF:
+                cjk += 1
+    if letters == 0:
+        return "whitespace"
+    return "character" if cjk / letters > 0.5 else "whitespace"
+
+
+def encode_ref(tokens, vocab, maxlen: int) -> np.ndarray:
+    """Per-token encoder: the first maxlen tokens' indices (unknown tokens
+    map to vocab.unk_index), right-padded with vocab.pad_index."""
+    out = np.full(maxlen, vocab.pad_index, dtype=np.int32)
+    for pos, token in enumerate(tokens[:maxlen]):
+        out[pos] = vocab.token_to_index.get(token, vocab.unk_index)
+    return out
+
+
+def save_encoded_ref(examples, maxlen: int, path):
+    """Per-element writer of an encoded split: a header line, then
+    label<TAB>original_length<TAB>space-joined indices per example."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"#senti-encoded v1 maxlen={maxlen}\n")
+        for ex in examples:
+            joined = " ".join(str(int(i)) for i in ex.indices)
+            f.write(f"{int(ex.label)}\t{ex.original_length}\t{joined}\n")
+
+
+def load_encoded_ref(text: str):
+    """Line-by-line reader of an encoded split's text. Returns (maxlen,
+    [(label, original_length, indices)]); a bad file raises ValueError whose
+    message is what the package's error says after the path."""
+    lines = text.splitlines()
+    header = "#senti-encoded v1 maxlen="
+    if not lines or not lines[0].startswith(header) or not lines[0][len(header):].isdecimal():
+        raise ValueError("bad header")
+    maxlen = int(lines[0][len(header):])
+    rows = []
+    for line_num, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"line {line_num}: expected 3 tab-separated fields")
+        if parts[0] not in ("0", "1", "2"):
+            raise ValueError(f"line {line_num}: label {parts[0]!r} is not 0, 1 or 2")
+        try:
+            length = int(parts[1])
+            indices = [int(tok) for tok in parts[2].split()]
+        except ValueError:
+            raise ValueError(f"line {line_num}: length and indices must be integers") from None
+        if any(i < -2 ** 31 or i >= 2 ** 31 for i in indices):
+            raise ValueError(f"line {line_num}: length and indices must be integers")
+        if any(i < 0 for i in indices):
+            raise ValueError(f"line {line_num}: negative token index")
+        if len(indices) != maxlen:
+            raise ValueError(f"line {line_num}: expected {maxlen} indices, got {len(indices)}")
+        if length < 0:  # derived from the last non-pad position
+            length = max((pos + 1 for pos, i in enumerate(indices) if i != 0), default=0)
+        rows.append((int(parts[0]), length, indices))
+    return maxlen, rows

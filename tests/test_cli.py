@@ -2,6 +2,7 @@
 temp-directory pipeline, and the documented error paths."""
 
 import argparse
+import hashlib
 import io
 import json
 import logging
@@ -158,7 +159,71 @@ def trained_checkpoint(tmp_path_factory, preprocessed):
 # preprocess
 
 
+# Fixed corpora whose preprocess outputs are pinned by SHA-256 digest: URLs,
+# @user, #topic#, full-width punctuation, one row that cleans to nothing.
+GOLDEN_CORPORA = {
+    "latin": [
+        (2, "Loved it!!! see https://example.com/a?b=1 #FilmNight# @bob_99"),
+        (2, "great acting, great story :-) www.movies.org/x"),
+        (2, "Wonderful… truly the best！ @ann"),
+        (2, "best day ever ＃tag＃ love it"),
+        (0, "terrible plot; awful pacing -- never again"),
+        (0, "worst film @critic said so #fail#"),
+        (0, "bad bad BAD. http://t.co/xyz"),
+        (0, "awful（really）awful"),
+        (1, "it was a film, it had actors"),
+        (1, "okay I guess ... www.x.io"),
+        (1, "normal day, normal table report"),
+        (1, "“quoted” neutral text ￥100"),
+        (1, "!!! ... ???"),
+    ],
+    "cjk": [
+        (2, "这部电影太好看了！推荐 http://t.cn/abc"),
+        (2, "#好片# 演员很棒，剧情很好"),
+        (2, "喜欢喜欢！@小明 一起看"),
+        (2, "非常精彩。。。值得一看"),
+        (0, "太糟糕了，浪费时间！"),
+        (0, "难看 @用户 别去看 www.bad.cn"),
+        (0, "剧情很烂？？？#差评#"),
+        (0, "讨厌这种电影（真的）"),
+        (1, "一般般吧，还行"),
+        (1, "电影是昨天看的。"),
+        (1, "没什么感觉 ok"),
+        (1, "普通的故事，普通的演员 ￥35"),
+        (1, "！！！"),
+    ],
+}
+GOLDEN_ARGS = ["--min-count", "1", "--maxlen", "8", "--test-fraction", "0.25", "--quiet"]
+# recorded from the per-character front end these files were first written by
+GOLDEN_DIGESTS = {
+    "latin": {
+        "meta.json": "a0e74558daee98ded13fd0069c7bb9031d1b4794e36e0e7707c5d1b4394c5aa7",
+        "test.tsv": "9294d07293d63311622e4c353b829a10dcbb78bed98633cc78b5806f3651402d",
+        "train.tsv": "61bcb53a1f4316da55a736f98596b92e6ecf099d1f5ac177a8689837bef0a151",
+        "vocab.tsv": "1f0ec9361c0b804f49fa88cad097e95c47641ac039da8f5aea4648a753ef31df",
+    },
+    "cjk": {
+        "meta.json": "b1a2198e880b247ff2bbfc60c9e849fd5ce523773f2957baca72b6e858919ff6",
+        "test.tsv": "3de1cf15c4e73234a91b15adbce707cc02b0621eb0ef2322f37c473b7f2ec6d1",
+        "train.tsv": "d36fdc0d26d26c983a44ba727f312980e7ac741a24f00860c86876ec40330daa",
+        "vocab.tsv": "93666deccf0c9d93bd476c01929937583cc8fa6acfc2018f819b815906bd8e3c",
+    },
+}
+
+
 class TestPreprocess:
+    @pytest.mark.parametrize("name, tokenizer", [("latin", "whitespace"), ("cjk", "character")])
+    def test_golden_digests(self, tmp_path, name, tokenizer):
+        labels, texts = zip(*GOLDEN_CORPORA[name])
+        write_csv(tmp_path / "corpus.csv", texts, labels)
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--data", str(tmp_path / "corpus.csv"),
+                     "--output-dir", str(out)] + GOLDEN_ARGS) == 0
+        assert json.loads((out / "meta.json").read_text())["tokenizer"] == tokenizer
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == GOLDEN_DIGESTS[name]
+
     def test_artifacts_and_meta(self, preprocessed):
         import os
         for name in ("vocab.tsv", "train.tsv", "test.tsv", "meta.json"):

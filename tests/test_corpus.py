@@ -1,14 +1,21 @@
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import clean_ref
+from oracles import (clean_ref, detect_tokenizer_mode_ref, encode_ref, load_encoded_ref,
+                     save_encoded_ref)
+from sentilstm import binio
 from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, build_vocabulary,
                               clean_text, detect_tokenizer_mode, encode, encode_example,
-                              load_dataset, load_encoded, load_vocabulary, parse_label,
-                              save_encoded, save_vocabulary, serialize_vocabulary,
-                              stratified_split, tokenize)
+                              encode_split, load_dataset, load_encoded, load_vocabulary,
+                              parse_label, save_encoded, save_vocabulary,
+                              serialize_vocabulary, stratified_split, tokenize)
 from sentilstm.errors import DatasetError, FormatError
 from synthetic import write_csv
 
@@ -85,6 +92,11 @@ class TestTokenize:
     def test_character(self):
         assert tokenize("我喜欢 它", "character") == ["我", "喜", "欢", "它"]
 
+    @given(st.text(max_size=40))
+    @settings(max_examples=200)
+    def test_character_drops_every_space(self, text):
+        assert tokenize(text, "character") == [ch for ch in text if not ch.isspace()]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             tokenize("x", "words")
@@ -99,6 +111,39 @@ class TestDetectTokenizerMode:
 
     def test_no_letters(self):
         assert detect_tokenizer_mode(["123 456", ""]) == "whitespace"
+        assert detect_tokenizer_mode([]) == "whitespace"
+
+    def test_takes_a_generator(self):
+        texts = ["这个电影很好看", "ok"]
+        assert detect_tokenizer_mode(t for t in texts) == "character"
+
+    @pytest.mark.parametrize("texts, mode", [
+        (["中a"], "whitespace"),  # exactly half is not a majority
+        (["中文a"], "character"),
+        (["\u3400\u3400a"], "character"),
+        (["\u4dbf\u4dbfa"], "character"),
+        (["\u4e00\u4e00a"], "character"),
+        (["\u9fff\u9fffa"], "character"),
+        (["\u33ff\u33ffa"], "whitespace"),  # a symbol, not a letter
+        (["\u4dc0\u4dc0a"], "whitespace"),  # a symbol, not a letter
+        (["\ua000\ua000a"], "whitespace"),  # a letter outside both blocks
+        (["\u9fffa", "\u4e00"], "character"),
+        (["ａｂ中"], "whitespace"),
+        (["𠀀𠀁中"], "whitespace"),
+    ])
+    def test_block_edges_and_ties(self, texts, mode):
+        assert detect_tokenizer_mode(texts) == detect_tokenizer_mode_ref(texts) == mode
+
+    @given(st.lists(st.text(alphabet=st.one_of(
+        st.characters(),
+        st.characters(min_codepoint=0x3400, max_codepoint=0x4DBF),
+        st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+        st.characters(min_codepoint=0xFF01, max_codepoint=0xFFEE),
+        st.characters(min_codepoint=0x10000, categories=("Lu", "Ll", "Lo")),
+    ), max_size=30), max_size=5))
+    @settings(max_examples=300)
+    def test_matches_reference_scanner(self, texts):
+        assert detect_tokenizer_mode(texts) == detect_tokenizer_mode_ref(texts)
 
 
 class TestVocabulary:
@@ -208,6 +253,37 @@ class TestEncode:
         assert ex.label == Sentiment.positive
         long = encode_example(["a"] * 9, Sentiment.neutral, self.vocab, maxlen=4)
         assert long.original_length == 4
+
+    _TOKENS = st.lists(st.sampled_from(["a", "b", "c", "zz", "<pad>", "<unk>", "Ａ", "中"]),
+                       max_size=9)
+
+    @given(st.lists(_TOKENS, max_size=6), st.integers(1, 10))
+    @settings(max_examples=200)
+    def test_matches_reference_encoder(self, token_lists, maxlen):
+        pairs = [(Sentiment(i % 3), tokens) for i, tokens in enumerate(token_lists)]
+        examples = encode_split(pairs, self.vocab, maxlen)
+        assert len(examples) == len(pairs)
+        for ex, (label, tokens) in zip(examples, pairs):
+            want = encode_ref(tokens, self.vocab, maxlen)
+            assert ex.indices.dtype == np.int32
+            assert ex.indices.tolist() == want.tolist()
+            assert ex.label == label
+            assert ex.original_length == min(len(tokens), maxlen)
+            assert encode(tokens, self.vocab, maxlen).tolist() == want.tolist()
+            single = encode_example(tokens, label, self.vocab, maxlen)
+            assert (single.indices.tolist(), single.label, single.original_length) == \
+                (want.tolist(), label, ex.original_length)
+
+    def test_split_rows_share_one_block(self):
+        examples = encode_split([(Sentiment.negative, ["a"]), (Sentiment.positive, ["b", "c"])],
+                                self.vocab, 3)
+        assert examples[0].indices.base is not None
+        assert examples[0].indices.base is examples[1].indices.base
+
+    def test_split_validates_maxlen(self):
+        with pytest.raises(ValueError):
+            encode_split([(Sentiment.negative, ["a"])], self.vocab, 0)
+        assert encode_split([], self.vocab, 4) == []
 
     def test_original_length_derived(self):
         ex = EncodedExample(indices=np.array([2, 0, 3, 0], dtype=np.int32),
@@ -371,3 +447,142 @@ class TestEncodedIO:
         path.write_text(f"#senti-encoded v1 maxlen=3\n0\t1\t2 0 0\n{line}\n")
         with pytest.raises(FormatError, match=f"line 3: .*{message}"):
             load_encoded(path)
+
+    @staticmethod
+    def _valid_lines(n, maxlen=3):
+        return [f"{i % 3}\t2\t{i % 7 + 2} 5{' 0' * (maxlen - 2)}" for i in range(n)]
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_last_line_off_by_one_width(self, tmp_path, width):
+        path = tmp_path / "enc.tsv"
+        lines = self._valid_lines(50) + ["1\t2\t" + " ".join(["3"] * width)]
+        path.write_text("#senti-encoded v1 maxlen=3\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"line 52: expected 3 indices, got {width}"):
+            load_encoded(path)
+
+    def test_fifty_good_lines_load_as_one_block(self, tmp_path):
+        path = tmp_path / "enc.tsv"
+        lines = self._valid_lines(50)
+        path.write_text("#senti-encoded v1 maxlen=3\n" + "\n".join(lines) + "\n")
+        examples, maxlen = load_encoded(path)
+        assert maxlen == 3
+        assert [ex.indices.tolist() for ex in examples] == \
+            [[i % 7 + 2, 5, 0] for i in range(50)]
+        assert all(ex.indices.dtype == np.int32 for ex in examples)
+        assert examples[0].indices.base is examples[-1].indices.base
+
+    @pytest.mark.parametrize("line, message", [
+        ("7\t1\t2 0 0", "label '7'"),
+        ("0\tx\t2 0 0", "integers"),
+        ("0\t1\t2 a 0", "integers"),
+        ("0\t1\t2 0 4294967296", "integers"),
+        ("0\t1\t2 -1 0", "negative token index"),
+        ("0\t1\t2 -1", "negative token index"),
+        ("0\t1\t2 0", "expected 3 indices, got 2"),
+        ("0\t1", "expected 3 tab-separated fields"),
+        ("", "expected 3 tab-separated fields"),
+    ])
+    def test_bad_middle_line_of_fifty_is_named(self, tmp_path, line, message):
+        # the bad line is line 27; a later line is bad too, and is not the one named
+        lines = self._valid_lines(50)
+        lines[25] = line
+        lines[40] = "9\t1\t2 0 0"
+        path = tmp_path / "enc.tsv"
+        path.write_text("#senti-encoded v1 maxlen=3\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"line 27: .*{message}"):
+            load_encoded(path)
+
+    _ODD_FIELD = st.one_of(
+        st.sampled_from(["3", "", " 1", "01", "x", "-1", "+2", "1_0", "٣", "00", "2147483647",
+                         "2147483648", "-2147483648", "-2147483649", "1.0", "4294967296"]),
+        st.integers(0, 40).map(str))
+
+    @staticmethod
+    @st.composite
+    def _encoded_text(draw, odd_field=_ODD_FIELD):
+        """A split of mostly valid lines; about one line in five has one
+        odd field, a missing or extra index, or an unusual separator."""
+        maxlen = draw(st.integers(0, 4))
+        lines = []
+        for _ in range(draw(st.integers(0, 6))):
+            label, length = draw(st.sampled_from("012")), str(draw(st.integers(-2, 5)))
+            indices = [str(draw(st.integers(0, 40))) for _ in range(maxlen)]
+            sep = " "
+            if draw(st.integers(0, 4)) == 0:
+                kind = draw(st.sampled_from(["label", "length", "index", "width", "sep"]))
+                if kind == "label":
+                    label = draw(odd_field)
+                elif kind == "length":
+                    length = draw(odd_field)
+                elif kind == "index" and indices:
+                    indices[draw(st.integers(0, maxlen - 1))] = draw(odd_field)
+                elif kind == "width":
+                    indices = indices[:-1] if indices and draw(st.booleans()) else indices + ["1"]
+                else:
+                    sep = draw(st.sampled_from(["  ", "\u3000", "\t", " \x0b ", " \x1c "]))
+            lines.append(f"{label}\t{length}\t{sep.join(indices)}\n")
+        return f"#senti-encoded v1 maxlen={maxlen}\n" + "".join(lines)
+
+    @given(_encoded_text())
+    @settings(max_examples=400)
+    def test_accepts_and_refuses_what_the_reference_does(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "enc.tsv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                want = load_encoded_ref(text)
+            except ValueError as exc:
+                with pytest.raises(FormatError) as caught:
+                    load_encoded(path)
+                assert str(caught.value) == f"{path}: {exc}"
+                return
+            examples, maxlen = load_encoded(path)
+        assert (maxlen, [(int(ex.label), ex.original_length, ex.indices.tolist())
+                         for ex in examples]) == want
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 9),
+                              st.lists(st.integers(0, 2 ** 31 - 1), min_size=3, max_size=3)),
+                    max_size=6))
+    @settings(max_examples=200)
+    def test_writes_the_bytes_of_the_reference_writer(self, rows):
+        examples = [EncodedExample(np.array(indices, dtype=np.int32), Sentiment(label), length)
+                    for label, length, indices in rows]
+        vocab = build_vocabulary([["a", "b"]], min_count=1)
+        examples += encode_split([(Sentiment.neutral, ["b", "x", "a", "a"]),
+                                  (Sentiment.positive, ["a"])], vocab, 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
+            digest = save_encoded(examples, 3, got)
+            save_encoded_ref(examples, 3, want)
+            assert got.read_bytes() == want.read_bytes()
+            assert digest == hashlib.sha256(want.read_bytes()).hexdigest()
+
+
+class TestAtomicWrites:
+    def test_digest_is_of_the_bytes_written(self, tmp_path):
+        path = tmp_path / "f.bin"
+        assert binio.write_atomic(path, b"abc") == hashlib.sha256(b"abc").hexdigest()
+        assert path.read_bytes() == b"abc"
+        vocab = build_vocabulary([["a", "a", "b"]], min_count=1)
+        digest = save_vocabulary(vocab, tmp_path / "vocab.tsv")
+        assert digest == binio.sha256_file(tmp_path / "vocab.tsv")
+
+    def test_failed_rename_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        vocab = build_vocabulary([["a", "a", "b"]], min_count=1)
+        vocab_path, split_path = tmp_path / "vocab.tsv", tmp_path / "train.tsv"
+        save_vocabulary(vocab, vocab_path)
+        save_encoded(encode_split([(Sentiment.negative, ["a", "b"])], vocab, 3), 3, split_path)
+        before = {path: path.read_bytes() for path in (vocab_path, split_path)}
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        other = build_vocabulary([["c", "d", "e"]], min_count=1)
+        with pytest.raises(OSError, match="rename failed"):
+            save_vocabulary(other, vocab_path)
+        with pytest.raises(OSError, match="rename failed"):
+            save_encoded(encode_split([(Sentiment.positive, ["e"])] * 4, other, 5), 5, split_path)
+        monkeypatch.undo()
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(os.listdir(tmp_path)) == ["train.tsv", "vocab.tsv"]

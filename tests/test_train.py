@@ -639,6 +639,26 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert sorted(opened) == ["embeddings.bin", "manifest.json", "model.bin", "vocab.tsv"]
 
+    def test_save_reads_nothing_back(self, tmp_path, monkeypatch):
+        # the manifest digests are of the bytes written, not of a re-read
+        _, vocab, embedding, params = keyword_checkpoint_pieces()
+        directory = tmp_path / "ckpt"
+        opened = []
+        real_open = open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            opened.append((os.path.basename(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        save_checkpoint(directory, params, embedding, vocab, maxlen=8,
+                        tokenizer_mode="whitespace")
+        monkeypatch.undo()
+        assert all("r" not in mode for _, mode in opened)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["checksums"] == {name: sha256_file(directory / name) for name in
+                                         ("model.bin", "embeddings.bin", "vocab.tsv")}
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
             load_checkpoint(tmp_path)
