@@ -40,10 +40,6 @@ def pack_u32(value: int) -> bytes:
     return U32.pack(value)
 
 
-def pack_f32_array(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
 def _pack_str(text: str) -> bytes:
     raw = text.encode("ascii")
     return pack_u32(len(raw)) + raw

@@ -14,6 +14,7 @@ seed reproduces them byte for byte.
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -382,6 +383,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    merge_config(args)  # --config, --seed and --output-dir are checked, though unused
     params, embedding, vocab, manifest = load_checkpoint(args.checkpoint)
     text = args.text if args.text is not None else sys.stdin.read()
     tokens = corpus.tokenize(corpus.clean_text(text), manifest["tokenizer"])
@@ -500,12 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="clean, split, build vocabulary, encode")
     p.add_argument("--data", required=True, help="label,text CSV")
     _add_options(p, PREPROCESS_OPTIONS)
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-embeddings", help="skip-gram pretraining on the train split")
     p.add_argument("--input-dir", required=True, help="preprocess output directory")
     _add_options(p, EMBEDDING_OPTIONS)
-    p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("train", help="train the classifier into a checkpoint directory")
     p.add_argument("--input-dir", required=True, help="preprocess output directory")
@@ -513,21 +513,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-init", action="store_true",
                    help="random embeddings instead of a pretrained file")
     _add_options(p, TRAIN_OPTIONS)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="label,text CSV or encoded split")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_options(p, ("averaging",))
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify one text (argument or stdin)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("text", nargs="?", help="text to classify (default: read stdin)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_options(p, ())
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("compare", help="train recurrent models and baselines, print a table")
     p.add_argument("--data", required=True, help="label,text CSV")
@@ -535,20 +532,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip embedding pretraining")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_options(p, COMPARE_OPTIONS)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses for every call in this process, built on the
+    first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if getattr(args, "quiet", False) else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        # looked up at call time: a wrapper put on a cmd_* function after the
+        # parser was built is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (SentiError, OSError) as exc:  # OSError: a path that cannot be read, e.g. a directory
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,12 +85,14 @@ class EmbeddingMatrix:
         return EmbeddingMatrix(rows=self.rows.copy(), vocab_fingerprint=self.vocab_fingerprint)
 
     def fingerprint(self) -> bytes:
-        """Checksum over shape, vocab binding, and float32 payload."""
+        """Checksum over shape, vocab binding, and float32 payload. Computed
+        from the rows on every call, as training changes them in place; the
+        float32 copy is hashed as it is, with no bytes object made of it."""
         return binio.sha256(
             binio.pack_u32(self.n_rows),
             binio.pack_u32(self.dim),
             self.vocab_fingerprint,
-            binio.pack_f32_array(self.rows),
+            np.ascontiguousarray(self.rows, dtype="<f4"),
         )
 
 

@@ -462,3 +462,48 @@ def load_encoded_ref(text: str):
             length = max((pos + 1 for pos, i in enumerate(indices) if i != 0), default=0)
         rows.append((int(parts[0]), length, indices))
     return maxlen, rows
+
+
+def load_vocabulary_ref(data: bytes):
+    """Line-by-line reader of a vocabulary file's bytes. Returns
+    (token_to_index, index_to_token, frequencies, min_count); a bad file
+    raises ValueError whose message is what the package's error says after
+    the path."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(str(exc)) from None
+    if not lines:
+        raise ValueError("empty vocabulary file")
+    header = "#senti-vocab v1 min_count="
+    if not lines[0].startswith(header) or not lines[0][len(header):].isdecimal():
+        raise ValueError(f"bad vocabulary header {lines[0]!r}")
+    min_count = int(lines[0][len(header):])
+    index_to_token = ["<pad>", "<unk>"]
+    token_to_index = {}
+    frequencies = {}
+    line_of = {}
+    for line_num, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"line {line_num}: expected index<TAB>token<TAB>frequency")
+        try:
+            idx, token, freq = int(parts[0]), parts[1], int(parts[2])
+        except ValueError:
+            raise ValueError(f"line {line_num}: index and frequency must be integers") from None
+        if idx != line_num - 2:
+            raise ValueError(f"line {line_num}: indices out of order (got {idx})")
+        if token in line_of:
+            raise ValueError(f"lines {line_of[token]} and {line_num} both list token {token!r}")
+        line_of[token] = line_num
+        if idx in (0, 1):
+            expected = "<pad>" if idx == 0 else "<unk>"
+            if token != expected:
+                raise ValueError(f"line {line_num}: reserved index {idx} must be {expected}")
+            continue
+        if freq < min_count:
+            raise ValueError(f"line {line_num}: frequency {freq} below min_count {min_count}")
+        token_to_index[token] = idx
+        index_to_token.append(token)
+        frequencies[token] = freq
+    return token_to_index, index_to_token, frequencies, min_count

@@ -534,6 +534,20 @@ class TestPredict:
         assert rc == 1
         assert "empty after cleaning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--config", "{tmp}/none.json"], "config file not found: {tmp}/none.json"),
+        (["--seed", "-5"], "seed must be >= 0, got -5"),
+        (["--output-dir", ""], "output_dir must not be empty"),
+    ])
+    def test_bad_option_is_one_error_line(self, flags, message, trained_checkpoint, tmp_path,
+                                          capsys):
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", trained_checkpoint, "good day", "--quiet"]
+                    + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: " + message.format(tmp=tmp_path)]
+
 
 # ---------------------------------------------------------------------------
 # compare
@@ -651,6 +665,56 @@ class TestColdStart:
             assert getattr(sentilstm, name) is getattr(baselines, name)
         with pytest.raises(AttributeError, match="no_such_name"):
             sentilstm.no_such_name
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+COUNT_PARSERS = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import sentilstm.cli as cli
+counts = [len(built)]
+for _ in range(2):
+    cli.main(["predict", "--checkpoint", sys.argv[1], "good day", "--quiet"])
+    counts.append(len(built))
+cli.build_parser()
+print(*counts, len(built) - counts[-1])
+"""
+
+
+class TestParserReuse:
+    def test_import_builds_no_parser_and_main_builds_one(self, trained_checkpoint):
+        proc = run_python(["-c", COUNT_PARSERS, trained_checkpoint])
+        assert proc.returncode == 0, proc.stderr
+        at_import, first, second, one_parser = map(int, proc.stdout.splitlines()[-1].split())
+        assert at_import == 0
+        assert first == second == one_parser > 0
+
+    def test_calls_in_one_process_match_fresh_processes(self, trained_checkpoint, corpus_csv,
+                                                        capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage message wraps at the terminal width
+        checkpoint = ["--checkpoint", trained_checkpoint]
+        for argv in (["predict"] + checkpoint + ["--format", "json", "love the best day"],
+                     ["predict"] + checkpoint + ["terrible awful day"],
+                     ["evaluate"] + checkpoint + ["--data", corpus_csv, "--averaging", "micro"],
+                     ["predict"] + checkpoint + ["--no-such-flag", "good day"],
+                     ["predict"] + checkpoint + ["great wonderful day"]):
+            argv += ["--quiet"]
+            capsys.readouterr()
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_python(["-m", "sentilstm.cli"] + argv)
+            assert (status, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert out if status == 0 else status == 2 and "--no-such-flag" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (clean_ref, detect_tokenizer_mode_ref, encode_ref, load_encoded_ref,
-                     save_encoded_ref)
+                     load_vocabulary_ref, save_encoded_ref)
 from sentilstm import binio
-from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, build_vocabulary,
+from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, Vocabulary, build_vocabulary,
                               clean_text, detect_tokenizer_mode, encode, encode_example,
                               encode_split, load_dataset, load_encoded, load_vocabulary,
                               parse_label, save_encoded, save_vocabulary,
@@ -220,6 +220,18 @@ class TestVocabulary:
         with pytest.raises(FormatError, match=f"{lines} both list token"):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize("rows, line", [
+        ("2\tx\t1\n3\ty\t1\tz\n", 5),  # a field too many on the last line
+        # one field short, then one too many: every column still parses
+        ("2\n9\t5\t3\tbar\t7\n", 4),
+    ])
+    def test_load_names_a_line_with_a_wrong_field_count(self, rows, line):
+        data = ("#senti-vocab v1 min_count=1\n0\t<pad>\t0\n1\t<unk>\t0\n" + rows).encode()
+        with pytest.raises(FormatError) as caught:
+            load_vocabulary("vocab.tsv", data)
+        assert str(caught.value) == (
+            f"vocab.tsv: line {line}: expected index<TAB>token<TAB>frequency")
+
     def test_load_from_bytes_matches_file(self, tmp_path):
         vocab = build_vocabulary([["a", "a", "b"]], min_count=1)
         path = tmp_path / "vocab.tsv"
@@ -228,6 +240,97 @@ class TestVocabulary:
         assert loaded.fingerprint() == load_vocabulary(path).fingerprint()
         with pytest.raises(FormatError, match="named-in-errors.tsv"):
             load_vocabulary("named-in-errors.tsv", b"\xff")
+
+
+    def test_loaded_fingerprint_is_hash_of_canonical_bytes(self, tmp_path):
+        vocab = build_vocabulary([["b", "a", "a", "c", "c", "c"]], min_count=1)
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert loaded == vocab
+        assert loaded.digest == hashlib.sha256(path.read_bytes()).digest()
+        assert loaded.fingerprint() == hashlib.sha256(
+            serialize_vocabulary(loaded).encode("utf-8")).digest()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text[:-1],
+        lambda text: text.replace("\n2\t", "\n02\t"),
+        lambda text: text.replace("\ta\t2", "\ta\t+2"),
+        lambda text: text.replace("min_count=1", "min_count=01"),
+    ])
+    def test_accepted_non_canonical_file_keeps_the_reserialized_fingerprint(self, tmp_path,
+                                                                            edit):
+        vocab = build_vocabulary([["b", "a", "a"]], min_count=1)
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(edit(serialize_vocabulary(vocab)).encode("utf-8"))
+        loaded = load_vocabulary(path)
+        assert loaded == vocab and loaded.digest is None
+        assert loaded.fingerprint() == vocab.fingerprint()
+
+    _TOKENS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                               max_size=4).filter(lambda t: t == "".join(t.split())),
+                       min_size=0, max_size=6, unique=True)
+
+    @staticmethod
+    @st.composite
+    def _vocabulary_bytes(draw, tokens=_TOKENS):
+        """A valid vocab.tsv, then up to three edits: a flipped byte, CRLF
+        endings, a non-canonical index, no final newline, a repeated token,
+        swapped reserved rows or a frequency below min_count."""
+        min_count = draw(st.integers(1, 3))
+        lines = [f"#senti-vocab v1 min_count={min_count}", "0\t<pad>\t0", "1\t<unk>\t0"]
+        for i, token in enumerate(draw(tokens), start=2):
+            lines.append(f"{i}\t{token}\t{draw(st.integers(min_count, 12))}")
+        text = "\n".join(lines) + "\n"
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["flip", "crlf", "index", "no-newline", "repeat",
+                                         "reserved", "low", "count"]))
+            lines = text.split("\n")
+            row = draw(st.integers(1, max(1, len(lines) - 2)))
+            parts = lines[row].split("\t")
+            if kind == "flip":
+                data = bytearray(text.encode("utf-8"))
+                data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+                return bytes(data)
+            if kind == "crlf":
+                text = text.replace("\n", "\r\n")
+            elif kind == "no-newline":
+                text = text.rstrip("\n")
+            elif kind == "reserved":
+                lines[1], lines[2] = lines[2], lines[1]
+                text = "\n".join(lines)
+            elif len(parts) == 3:
+                if kind == "index":
+                    parts[0] = draw(st.sampled_from(["0", "+", " ", "", "_0", "\u0662"])).join(
+                        [parts[0][:1], parts[0][1:]])
+                elif kind == "repeat":
+                    parts[1] = draw(st.sampled_from(["<pad>", "<unk>"]
+                                                    + [line.split("\t")[1] for line in lines[1:]
+                                                       if line.count("\t") == 2]))
+                elif kind == "low":
+                    parts[2] = str(draw(st.integers(0, min_count)))
+                else:  # a count that int() reads and str() would not write
+                    parts[2] = draw(st.sampled_from(["0", " ", "+", "_", "00"])) + parts[2]
+                lines[row] = "\t".join(parts)
+                text = "\n".join(lines)
+        return text.encode("utf-8")
+
+    @given(_vocabulary_bytes())
+    @settings(max_examples=500)
+    def test_accepts_and_refuses_what_the_reference_does(self, data):
+        try:
+            want = load_vocabulary_ref(data)
+        except ValueError as exc:
+            with pytest.raises(FormatError) as caught:
+                load_vocabulary("vocab.tsv", data)
+            assert str(caught.value) == f"vocab.tsv: {exc}"
+            return
+        got = load_vocabulary("vocab.tsv", data)
+        reference = Vocabulary(*want)
+        assert got == reference
+        assert got.fingerprint() == reference.fingerprint()
+        assert (got.digest is not None) == (data == serialize_vocabulary(got).encode("utf-8"))
 
 
 class TestEncode:

@@ -13,8 +13,10 @@ import pytest
 train_mod = importlib.import_module("sentilstm.train")
 from sentilstm import binio
 from sentilstm.binio import sha256_file
-from sentilstm.corpus import PAD_INDEX, EncodedExample, build_vocabulary, encode_example
-from sentilstm.embedding import EmbeddingMatrix, random_embedding
+from sentilstm.corpus import (PAD_INDEX, EncodedExample, build_vocabulary, encode_example,
+                              load_vocabulary, save_vocabulary, serialize_vocabulary)
+from sentilstm.embedding import (EmbeddingMatrix, load_embeddings, random_embedding,
+                                 save_embeddings)
 from sentilstm.errors import FormatError, TrainingError
 from sentilstm.nnet import Grads, forward, init_lstm_params, init_rnn_params
 from sentilstm.train import (TrainConfig, TrainReport, adam_update, clip_grads,
@@ -559,6 +561,24 @@ def keyword_checkpoint_pieces(maxlen=8):
 
 
 class TestCheckpoint:
+    def test_model_bound_to_trained_rows_of_loaded_embeddings(self, tmp_path):
+        # loaded inputs carry fingerprints of what was read; training changes
+        # the rows in place, so the model must be bound to the trained ones
+        examples, vocab, embedding, params = keyword_checkpoint_pieces()
+        save_vocabulary(vocab, tmp_path / "vocab.tsv")
+        save_embeddings(embedding, tmp_path / "embeddings.bin")
+        vocab = load_vocabulary(tmp_path / "vocab.tsv")
+        assert vocab.fingerprint() == binio.sha256(serialize_vocabulary(vocab).encode("utf-8"))
+        embedding = load_embeddings(tmp_path / "embeddings.bin", vocab)
+        untrained = embedding.fingerprint()
+        train(examples, params, embedding, TrainConfig(epochs=1, batch_size=4))
+        save_checkpoint(tmp_path / "ckpt", params, embedding, vocab, maxlen=8,
+                        tokenizer_mode="whitespace")
+        _, _, binding = load_model(tmp_path / "ckpt" / "model.bin")
+        assert binding == embedding.fingerprint() != untrained
+        _, loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.fingerprint() == binding
+
     def test_round_trip(self, tmp_path):
         examples, vocab, embedding, params = keyword_checkpoint_pieces()
         directory = tmp_path / "ckpt"
