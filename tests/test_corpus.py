@@ -241,7 +241,6 @@ class TestVocabulary:
         with pytest.raises(FormatError, match="named-in-errors.tsv"):
             load_vocabulary("named-in-errors.tsv", b"\xff")
 
-
     def test_loaded_fingerprint_is_hash_of_canonical_bytes(self, tmp_path):
         vocab = build_vocabulary([["b", "a", "a", "c", "c", "c"]], min_count=1)
         path = tmp_path / "vocab.tsv"
@@ -277,7 +276,8 @@ class TestVocabulary:
     def _vocabulary_bytes(draw, tokens=_TOKENS):
         """A valid vocab.tsv, then up to three edits: a flipped byte, CRLF
         endings, a non-canonical index, no final newline, a repeated token,
-        swapped reserved rows or a frequency below min_count."""
+        swapped reserved rows, a frequency below min_count or a frequency
+        that str() would not write."""
         min_count = draw(st.integers(1, 3))
         lines = [f"#senti-vocab v1 min_count={min_count}", "0\t<pad>\t0", "1\t<unk>\t0"]
         for i, token in enumerate(draw(tokens), start=2):
@@ -301,9 +301,12 @@ class TestVocabulary:
                 lines[1], lines[2] = lines[2], lines[1]
                 text = "\n".join(lines)
             elif len(parts) == 3:
-                if kind == "index":
-                    parts[0] = draw(st.sampled_from(["0", "+", " ", "", "_0", "\u0662"])).join(
-                        [parts[0][:1], parts[0][1:]])
+                if kind == "index":  # forms int() reads, some of them another number
+                    digits = parts[0]
+                    parts[0] = draw(st.sampled_from([
+                        "0" + digits, "+" + digits, " " + digits, digits + " ",
+                        digits[:1] + "_" + digits[1:], digits + "_0",
+                        "".join(chr(ord(d) + 0x630) for d in digits)]))  # Arabic-Indic
                 elif kind == "repeat":
                     parts[1] = draw(st.sampled_from(["<pad>", "<unk>"]
                                                     + [line.split("\t")[1] for line in lines[1:]
