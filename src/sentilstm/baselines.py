@@ -26,27 +26,32 @@ NB_ALPHA = 1.0
 def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
     """Token-count matrix, one row per sequence, one column per vocabulary
     token (column j holds the count of vocabulary index j+2)."""
-    indptr = [0]
-    col_indices = []
-    data = []
-    for seq in sequences:
-        arr = np.asarray(seq).ravel()
-        arr = arr[arr >= 2] - 2
-        if arr.size and arr.max() >= n_tokens:
-            raise TrainingError(
-                f"token index {int(arr.max()) + 2} out of range for vocabulary of {n_tokens}"
-            )
-        if arr.size:
-            counts = np.bincount(arr)
-            nz = np.flatnonzero(counts)
-            col_indices.extend(nz.tolist())
-            data.extend(counts[nz].tolist())
-        indptr.append(len(col_indices))
+    # the empty tail row gives concatenate an array when there are no sequences
+    parts = [*sequences, np.empty(0, dtype=np.int64)]
+    n_rows = len(parts) - 1
+    flat = np.concatenate(parts)
+    if flat.dtype.kind != "i":  # e.g. float64 when an empty Python list is among them
+        flat, given = flat.astype(np.int64), flat
+        if np.any(flat != given):
+            raise TrainingError("token indices must be integers")
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    keep = flat >= 2
+    rows = np.repeat(np.arange(n_rows + 1), lengths)[keep]
+    cols = flat[keep] - 2
+    over = cols >= n_tokens
+    if over.any():
+        # the message names the largest index of the first offending sequence
+        row = rows[over.argmax()]
+        raise TrainingError(
+            f"token index {int(cols[rows == row].max()) + 2} out of range for vocabulary of {n_tokens}"
+        )
+    # one sorted key per (row, column) cell: CSR order, duplicates counted
+    keys, counts = np.unique(rows * n_tokens + cols, return_counts=True)
     return sparse.csr_matrix(
-        (np.array(data, dtype=np.float64),
-         np.array(col_indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, n_tokens),
+        (counts.astype(np.float64),
+         keys % n_tokens,
+         np.searchsorted(keys, np.arange(n_rows + 1) * n_tokens)),
+        shape=(n_rows, n_tokens),
     )
 
 
@@ -92,23 +97,34 @@ class NaiveBayesModel:
         self.log_likelihood = np.asarray(self.log_likelihood, dtype=np.float64)
 
 
+def _class_labels(counts, labels) -> np.ndarray:
+    """`labels` as int64 class indices, one per row of `counts`; a value
+    other than 0, 1 or 2 is refused."""
+    given = np.asarray(labels)
+    if given.shape != counts.shape[:1]:
+        raise TrainingError("feature matrix and labels disagree on the number of rows")
+    valid = (given == 0) | (given == 1) | (given == 2)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        raise TrainingError(f"label {given[row].item()!r} in row {row} is not a class (0, 1 or 2)")
+    return given.astype(np.int64)
+
+
 def naive_bayes_fit(counts: sparse.csr_matrix, labels, alpha: float = NB_ALPHA) -> NaiveBayesModel:
     """Multinomial Naive Bayes with Laplace smoothing on raw counts."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if counts.shape[0] != labels.shape[0]:
-        raise TrainingError("feature matrix and labels disagree on the number of rows")
+    labels = _class_labels(counts, labels)
     n_docs, n_tokens = counts.shape
-    class_counts = np.zeros(N_CLASSES, dtype=np.float64)
-    token_counts = np.zeros((N_CLASSES, n_tokens), dtype=np.float64)
-    for c in range(N_CLASSES):
-        mask = labels == c
-        class_counts[c] = mask.sum()
-        if class_counts[c]:
-            token_counts[c] = np.asarray(counts[mask].sum(axis=0)).ravel()
-    if np.any(class_counts == 0):
-        missing = [c for c in range(N_CLASSES) if class_counts[c] == 0]
+    per_class = np.bincount(labels, minlength=N_CLASSES)
+    if not per_class.all():
+        missing = np.flatnonzero(per_class == 0).tolist()
         raise TrainingError(f"no training examples for class(es) {missing}")
-    log_prior = np.log(class_counts / n_docs)
+    # the (3, n_docs) one-hot label matrix times the counts: exact, as the
+    # counts are integers
+    one_hot = sparse.csr_matrix(
+        (np.ones(n_docs), np.argsort(labels, kind="stable"), np.r_[0, np.cumsum(per_class)]),
+        shape=(N_CLASSES, n_docs))
+    token_counts = (one_hot @ counts).toarray()
+    log_prior = np.log(per_class / n_docs)
     totals = token_counts.sum(axis=1, keepdims=True)
     log_likelihood = np.log((token_counts + alpha) / (totals + alpha * n_tokens))
     return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood)
@@ -148,20 +164,35 @@ class LogRegModel:
         self.idf = np.asarray(self.idf, dtype=np.float64).ravel()
 
 
-def _loss_and_grad(W, b, X, labels, l2):
-    """Mean softmax cross-entropy with an L2 penalty on W (not b)."""
-    n = X.shape[0]
-    scores = np.asarray(X.dot(W.T)) + b
-    shift = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    log_probs = shift - log_z
-    loss = -log_probs[np.arange(n), labels].mean() + 0.5 * l2 * float(np.sum(W * W))
-    delta = np.exp(log_probs)
-    delta[np.arange(n), labels] -= 1.0
+def _append_ones(X: sparse.csr_matrix) -> sparse.csr_matrix:
+    """X with a column of ones appended, stored last in each row: a row's
+    product with [W.T; b] adds b after the row's own terms, in X's order."""
+    n, width = X.shape
+    return sparse.csr_matrix((np.insert(X.data, X.indptr[1:], 1.0),
+                              np.insert(X.indices, X.indptr[1:], width),
+                              X.indptr + np.arange(n + 1)), shape=(n, width + 1))
+
+
+def _loss_and_grad(Wb, X1, X1T, one_hot, l2):
+    """Mean softmax cross-entropy with an L2 penalty on W (not b), and its
+    gradient, for the weights stacked as `Wb` = [W.T; b] of shape
+    (n_tokens + 1, 3). `X1` is `_append_ones(X)`, `X1T` its transpose as
+    CSR and `one_hot` the (n, 3) label indicator. The row max and row sum
+    over the three classes go column by column."""
+    n = X1.shape[0]
+    W = Wb[:-1]
+    scores = X1 @ Wb
+    s0, s1, s2 = scores.T
+    scores -= np.maximum(np.maximum(s0, s1), s2)[:, None]
+    p0, p1, p2 = np.exp(scores).T
+    scores -= np.log((p0 + p1) + p2)[:, None]  # log-probabilities
+    loss = -np.vdot(scores, one_hot) / n + 0.5 * l2 * np.vdot(W, W)
+    delta = np.exp(scores)
+    delta -= one_hot
     delta /= n
-    grad_W = np.asarray(X.T.dot(delta)).T + l2 * W
-    grad_b = delta.sum(axis=0)
-    return loss, grad_W, grad_b
+    grad = X1T @ delta
+    grad[:-1] += l2 * W
+    return loss, grad
 
 
 def logreg_fit(counts: sparse.csr_matrix, labels,
@@ -169,21 +200,20 @@ def logreg_fit(counts: sparse.csr_matrix, labels,
     """Softmax regression on TF-IDF features by full-batch gradient descent
     from zero weights."""
     config = config or LogRegConfig()
-    labels = np.asarray(labels, dtype=np.int64)
-    if counts.shape[0] != labels.shape[0]:
-        raise TrainingError("feature matrix and labels disagree on the number of rows")
+    labels = _class_labels(counts, labels)
     tfidf = tfidf_fit(counts)
-    X = tfidf_transform(tfidf, counts)
-    W = np.zeros((N_CLASSES, counts.shape[1]), dtype=np.float64)
-    b = np.zeros(N_CLASSES, dtype=np.float64)
+    X1 = _append_ones(tfidf_transform(tfidf, counts))
+    X1T = X1.T.tocsr()  # each token's gradient sums its documents in ascending order
+    one_hot = np.eye(N_CLASSES)[labels]
+    Wb = np.zeros((counts.shape[1] + 1, N_CLASSES))
     for it in range(config.iterations):
-        loss, grad_W, grad_b = _loss_and_grad(W, b, X, labels, config.l2)
+        loss, grad = _loss_and_grad(Wb, X1, X1T, one_hot, config.l2)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at logistic regression iteration {it}")
-        W -= config.learning_rate * grad_W
-        b -= config.learning_rate * grad_b
+        grad *= config.learning_rate
+        Wb -= grad
     log.info("logistic regression: final loss %.4f after %d iterations", loss, config.iterations)
-    return LogRegModel(W=W, b=b, idf=tfidf.idf)
+    return LogRegModel(W=Wb[:-1].T, b=Wb[-1], idf=tfidf.idf)
 
 
 def logreg_predict(model: LogRegModel, counts: sparse.csr_matrix) -> np.ndarray:

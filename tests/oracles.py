@@ -507,3 +507,90 @@ def load_vocabulary_ref(data: bytes):
         index_to_token.append(token)
         frequencies[token] = freq
     return token_to_index, index_to_token, frequencies, min_count
+
+
+def count_features_ref(sequences, n_tokens: int):
+    """Token-count CSR matrix built one sequence at a time: column j counts
+    vocabulary index j+2 (pad 0 and unknown 1 dropped). An index past the
+    vocabulary raises ValueError naming the largest index of the first
+    sequence that has one."""
+    from scipy import sparse
+    indptr = [0]
+    col_indices = []
+    data = []
+    for seq in sequences:
+        arr = np.asarray(seq).ravel()
+        arr = arr[arr >= 2] - 2
+        if arr.size and arr.max() >= n_tokens:
+            raise ValueError(
+                f"token index {int(arr.max()) + 2} out of range for vocabulary of {n_tokens}"
+            )
+        if arr.size:
+            counts = np.bincount(arr)
+            nz = np.flatnonzero(counts)
+            col_indices.extend(nz.tolist())
+            data.extend(counts[nz].tolist())
+        indptr.append(len(col_indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.float64),
+         np.array(col_indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, n_tokens),
+    )
+
+
+def naive_bayes_fit_ref(counts, labels, alpha: float = 1.0):
+    """Multinomial Naive Bayes, one class mask at a time. Returns
+    (log_prior (3,), log_likelihood (3, n_tokens))."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n_docs, n_tokens = counts.shape
+    class_counts = np.zeros(3, dtype=np.float64)
+    token_counts = np.zeros((3, n_tokens), dtype=np.float64)
+    for c in range(3):
+        mask = labels == c
+        class_counts[c] = mask.sum()
+        if class_counts[c]:
+            token_counts[c] = np.asarray(counts[mask].sum(axis=0)).ravel()
+    log_prior = np.log(class_counts / n_docs)
+    totals = token_counts.sum(axis=1, keepdims=True)
+    log_likelihood = np.log((token_counts + alpha) / (totals + alpha * n_tokens))
+    return log_prior, log_likelihood
+
+
+def logreg_loss_and_grad_ref(W, b, X, labels, l2):
+    """Mean softmax cross-entropy with an L2 penalty on W (3, n_tokens), not
+    on b, and its gradient, with X a CSR matrix: (loss, grad_W, grad_b)."""
+    n = X.shape[0]
+    scores = np.asarray(X.dot(W.T)) + b
+    shift = scores - scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    log_probs = shift - log_z
+    loss = -log_probs[np.arange(n), labels].mean() + 0.5 * l2 * float(np.sum(W * W))
+    delta = np.exp(log_probs)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad_W = np.asarray(X.T.dot(delta)).T + l2 * W
+    grad_b = delta.sum(axis=0)
+    return loss, grad_W, grad_b
+
+
+def logreg_fit_ref(counts, labels, iterations=300, learning_rate=0.5, l2=1e-4):
+    """Softmax regression on tf-idf rows (idf = ln((1 + N) / (1 + df)) + 1,
+    rows scaled to unit L2 norm) by full-batch gradient descent from zero.
+    Returns (W (3, n_tokens), b (3,), idf (n_tokens,), final loss)."""
+    from scipy import sparse
+    labels = np.asarray(labels, dtype=np.int64)
+    n_docs = counts.shape[0]
+    df = np.asarray((counts > 0).sum(axis=0)).ravel().astype(np.float64)
+    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    weighted = counts.astype(np.float64).multiply(idf[np.newaxis, :]).tocsr()
+    norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1)).ravel())
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    X = sparse.diags(scale).dot(weighted).tocsr()
+    W = np.zeros((3, counts.shape[1]), dtype=np.float64)
+    b = np.zeros(3, dtype=np.float64)
+    for _ in range(iterations):
+        loss, grad_W, grad_b = logreg_loss_and_grad_ref(W, b, X, labels, l2)
+        W -= learning_rate * grad_W
+        b -= learning_rate * grad_b
+    return W, b, idf, loss

@@ -2,29 +2,72 @@
 Naive Bayes against brute-force Bayes rule, logistic regression gradients,
 and the kind-tagged baseline file format."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from sentilstm import binio
 from sentilstm.baselines import (LogRegConfig, LogRegModel, NaiveBayesModel,
-                                 TfidfModel, _loss_and_grad, count_features,
-                                 load_baseline, logreg_fit, logreg_predict,
-                                 naive_bayes_fit, naive_bayes_predict,
-                                 save_baseline, tfidf_fit, tfidf_transform)
-from sentilstm.corpus import EncodedExample, build_vocabulary
+                                 TfidfModel, _append_ones, _loss_and_grad,
+                                 count_features, load_baseline, logreg_fit,
+                                 logreg_predict, naive_bayes_fit,
+                                 naive_bayes_predict, save_baseline, tfidf_fit,
+                                 tfidf_transform)
+from sentilstm.cli import main
+from sentilstm.corpus import (EncodedExample, build_vocabulary, load_encoded,
+                              load_vocabulary)
 from sentilstm.embedding import EmbeddingMatrix
 from sentilstm.errors import FormatError, TrainingError
 from sentilstm.nnet import RnnParams, init_rnn_params
 from sentilstm.train import TrainConfig, train
 
-from oracles import finite_difference, relative_error
+from oracles import (count_features_ref, finite_difference, logreg_fit_ref,
+                     logreg_loss_and_grad_ref, naive_bayes_fit_ref, relative_error)
+from synthetic import keyword_corpus, write_csv
 
 
 def csr(rows):
     return sparse.csr_matrix(np.asarray(rows, dtype=np.float64))
+
+
+def assert_same_bits(actual, expected):
+    """Equal dtype, shape and every bit (so also -0.0 against 0.0)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def assert_same_csr(actual, expected):
+    assert sparse.isspmatrix_csr(actual)
+    assert actual.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(actual, name), getattr(expected, name))
+
+
+# token sequences: ragged Python lists or int32 arrays, empty ones included,
+# with pad (0), unknown (1) and every vocabulary index
+@st.composite
+def sequences_and_width(draw, min_rows=0):
+    n_tokens = draw(st.integers(1, 9))
+    seqs = draw(st.lists(st.lists(st.integers(0, n_tokens + 1), max_size=12),
+                         min_size=min_rows, max_size=25))
+    if draw(st.booleans()):
+        seqs = [np.array(seq, dtype=np.int32) for seq in seqs]
+    return seqs, n_tokens
+
+
+@st.composite
+def labelled_counts(draw, every_class):
+    seqs, n_tokens = draw(sequences_and_width(min_rows=3 if every_class else 1))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(seqs), max_size=len(seqs)))
+    if every_class:
+        labels[:3] = draw(st.permutations([0, 1, 2]))
+    return count_features(seqs, n_tokens), np.array(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +103,55 @@ class TestCountFeatures:
         with pytest.raises(TrainingError, match="out of range"):
             count_features([[2, 9]], n_tokens=3)
 
+    def test_out_of_range_names_first_offending_sequence(self):
+        # two offending sequences with different maxima: the message names
+        # the largest index of the first, word for word as the reference
+        seqs = [[2, 3], [2, 7, 9, 4], [12, 2]]
+        with pytest.raises(ValueError) as ref:
+            count_features_ref(seqs, n_tokens=3)
+        with pytest.raises(TrainingError) as exc:
+            count_features(seqs, n_tokens=3)
+        assert str(exc.value) == str(ref.value) == "token index 9 out of range for vocabulary of 3"
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(TrainingError, match="integers"):
+            count_features([[2, 3.5]], n_tokens=3)
+
     def test_accepts_numpy_sequences(self):
         X = count_features([np.array([2, 3, 3], dtype=np.int32)], n_tokens=2)
         np.testing.assert_array_equal(X.toarray(), [[1, 2]])
+
+    @pytest.mark.parametrize("seqs, n_tokens", [
+        ([[2, 3, 3], [], [4, 0, 1, 2], [5]], 4),
+        ([np.array(s, dtype=np.int32) for s in ([2, 3, 3], [], [4, 0, 1, 2], [5])], 4),
+        ([], 4),
+        ([[], []], 4),
+        ([[0, 1, 0]], 4),
+        ([[0, 1], []], 0),
+    ], ids=["ragged-lists", "int32-arrays", "empty-input", "empty-sequences", "pad-and-unk",
+            "no-vocabulary"])
+    def test_matches_reference(self, seqs, n_tokens):
+        assert_same_csr(count_features(seqs, n_tokens), count_features_ref(seqs, n_tokens))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequences_and_width())
+    def test_matches_reference_property(self, case):
+        seqs, n_tokens = case
+        assert_same_csr(count_features(seqs, n_tokens), count_features_ref(seqs, n_tokens))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences_and_width(min_rows=1), st.integers(1, 4))
+    def test_out_of_range_matches_reference_property(self, case, overshoot):
+        seqs, n_tokens = case
+        # one sequence gets an index past the vocabulary; later ones may too
+        seqs = [list(map(int, seq)) for seq in seqs]
+        seqs[len(seqs) // 2].append(n_tokens + 1 + overshoot)
+        seqs[-1].append(n_tokens + 2)
+        with pytest.raises(ValueError) as ref:
+            count_features_ref(seqs, n_tokens)
+        with pytest.raises(TrainingError) as exc:
+            count_features(seqs, n_tokens)
+        assert str(exc.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +282,15 @@ class TestNaiveBayes:
         with pytest.raises(TrainingError, match="rows"):
             naive_bayes_fit(csr([[1], [1]]), [0, 1, 2])
 
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_counts(every_class=True), st.sampled_from([1.0, 0.5, 1e-3]))
+    def test_matches_reference_property(self, case, alpha):
+        counts, labels = case
+        model = naive_bayes_fit(counts, labels, alpha=alpha)
+        log_prior, log_likelihood = naive_bayes_fit_ref(counts, labels, alpha=alpha)
+        assert_same_bits(model.log_prior, log_prior)
+        assert_same_bits(model.log_likelihood, log_likelihood)
+
 
 # ---------------------------------------------------------------------------
 # logistic regression
@@ -207,38 +305,54 @@ class TestLogReg:
         with pytest.raises(ValueError):
             LogRegConfig(l2=-1e-3)
 
+    @staticmethod
+    def kernel(X, labels, l2):
+        """The loss and gradient of the stacked weights [W.T; b], as the
+        fit loop calls them."""
+        X1 = _append_ones(X)
+        one_hot = np.eye(3)[labels]
+        return lambda Wb: _loss_and_grad(Wb, X1, X1.T.tocsr(), one_hot, l2)
+
     def test_zero_weights_uniform_loss(self):
         X = csr([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        W = np.zeros((3, 2))
-        b = np.zeros(3)
-        loss, _, _ = _loss_and_grad(W, b, X, np.array([0, 1, 2]), l2=0.0)
+        loss, _ = self.kernel(X, np.array([0, 1, 2]), l2=0.0)(np.zeros((3, 3)))
         assert loss == pytest.approx(math.log(3.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         X = csr(rng.normal(size=(9, 4)))
         labels = np.array([i % 3 for i in range(9)])
-        W = rng.normal(scale=0.5, size=(3, 4))
-        b = rng.normal(scale=0.5, size=3)
-        l2 = 0.01
-        _, grad_W, grad_b = _loss_and_grad(W, b, X, labels, l2)
-        num_W = finite_difference(lambda: _loss_and_grad(W, b, X, labels, l2)[0], W)
-        num_b = finite_difference(lambda: _loss_and_grad(W, b, X, labels, l2)[0], b)
-        assert relative_error(grad_W, num_W) < 1e-5
-        assert relative_error(grad_b, num_b) < 1e-5
+        Wb = rng.normal(scale=0.5, size=(5, 3))  # four weight rows, then b
+        loss_and_grad = self.kernel(X, labels, l2=0.01)
+        _, grad = loss_and_grad(Wb)
+        num = finite_difference(lambda: loss_and_grad(Wb)[0], Wb)
+        assert relative_error(grad[:-1], num[:-1]) < 1e-5
+        assert relative_error(grad[-1], num[-1]) < 1e-5
+
+    def test_kernel_matches_reference(self):
+        # the gradient bit for bit, the loss to rounding (its sums run in
+        # another order)
+        rng = np.random.default_rng(15)
+        X = csr(rng.normal(size=(11, 4)) * (rng.random((11, 4)) < 0.5))
+        labels = np.array([i % 3 for i in range(11)])
+        Wb = rng.normal(scale=0.5, size=(5, 3))
+        loss, grad = self.kernel(X, labels, l2=0.01)(Wb)
+        ref_loss, grad_W, grad_b = logreg_loss_and_grad_ref(Wb[:-1].T, Wb[-1], X, labels, 0.01)
+        assert_same_bits(grad[:-1], grad_W.T)
+        assert_same_bits(grad[-1], grad_b)
+        assert loss == pytest.approx(ref_loss, rel=1e-13)
 
     def test_loss_decreases_monotonically_small_steps(self):
         rng = np.random.default_rng(11)
         X = csr(rng.normal(size=(12, 3)))
         labels = np.array([i % 3 for i in range(12)])
-        W = np.zeros((3, 3))
-        b = np.zeros(3)
+        loss_and_grad = self.kernel(X, labels, l2=1e-4)
+        Wb = np.zeros((4, 3))
         losses = []
         for _ in range(50):
-            loss, grad_W, grad_b = _loss_and_grad(W, b, X, labels, l2=1e-4)
+            loss, grad = loss_and_grad(Wb)
             losses.append(loss)
-            W -= 0.1 * grad_W
-            b -= 0.1 * grad_b
+            Wb -= 0.1 * grad
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_separable_toy_reaches_full_accuracy(self):
@@ -270,6 +384,67 @@ class TestLogReg:
     def test_label_row_mismatch_rejected(self):
         with pytest.raises(TrainingError, match="rows"):
             logreg_fit(csr([[1], [1]]), [0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_counts(every_class=False), st.integers(1, 40))
+    def test_matches_reference_property(self, case, iterations):
+        counts, labels = case
+        model = logreg_fit(counts, labels, LogRegConfig(iterations=iterations))
+        W, b, idf, _ = logreg_fit_ref(counts, labels, iterations=iterations)
+        assert_same_bits(model.W, W)
+        assert_same_bits(model.b, b)
+        assert_same_bits(model.idf, idf)
+
+    def test_matches_reference_at_default_config(self, caplog):
+        rng = np.random.default_rng(16)
+        seqs = [rng.integers(0, 42, size=rng.integers(0, 15)) for _ in range(120)]
+        counts = count_features(seqs, 40)
+        labels = rng.integers(0, 3, size=120)
+        with caplog.at_level(logging.INFO, logger="sentilstm.baselines"):
+            model = logreg_fit(counts, labels)
+        W, b, idf, loss = logreg_fit_ref(counts, labels)
+        assert_same_bits(model.W, W)
+        assert_same_bits(model.b, b)
+        assert_same_bits(model.idf, idf)
+        assert f"final loss {loss:.4f} after 300 iterations" in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# labels
+
+
+@pytest.mark.parametrize("fit", [naive_bayes_fit, logreg_fit])
+@pytest.mark.parametrize("bad", [-1, 3, 2.7])
+def test_label_outside_classes_rejected(fit, bad):
+    # -1 was class 2 to logreg and left NB priors summing to 0.75; 3 was an
+    # IndexError; 2.7 was truncated to 2
+    counts = csr([[1, 0], [0, 1], [1, 1], [2, 0], [0, 2]])
+    with pytest.raises(TrainingError, match=rf"^label {bad} in row 3 is not a class"):
+        fit(counts, [0, 1, 2, bad, 1])
+
+
+def test_compare_saves_the_reference_baselines(tmp_path):
+    data = tmp_path / "corpus.csv"
+    texts, labels = keyword_corpus(n_per_class=10)
+    write_csv(data, texts, labels)
+    flags = ["--data", str(data), "--min-count", "1", "--maxlen", "8", "--seed", "3", "--quiet"]
+    assert main(["preprocess", "--output-dir", str(tmp_path / "prep")] + flags) == 0
+    assert main(["compare", "--output-dir", str(tmp_path / "cmp"), "--random-init",
+                 "--dim", "4", "--hidden", "4", "--epochs", "1"] + flags) == 0
+    # compare splits and encodes as preprocess does
+    examples, _ = load_encoded(tmp_path / "prep" / "train.tsv")
+    n_tokens = load_vocabulary(tmp_path / "prep" / "vocab.tsv").n_tokens
+    counts = count_features_ref([ex.indices for ex in examples], n_tokens)
+    train_labels = [int(ex.label) for ex in examples]
+    nb = load_baseline(tmp_path / "cmp" / "baselines" / "naive_bayes.bin")
+    log_prior, log_likelihood = naive_bayes_fit_ref(counts, train_labels)
+    assert_same_bits(nb.log_prior, log_prior)
+    assert_same_bits(nb.log_likelihood, log_likelihood)
+    lr = load_baseline(tmp_path / "cmp" / "baselines" / "logreg.bin")
+    W, b, idf, _ = logreg_fit_ref(counts, train_labels)
+    assert_same_bits(lr.W, W)
+    assert_same_bits(lr.b, b)
+    assert_same_bits(lr.idf, idf)
 
 
 # ---------------------------------------------------------------------------

@@ -717,6 +717,35 @@ class TestParserReuse:
             assert out if status == 0 else status == 2 and "--no-such-flag" in err
 
 
+class TestLogLevel:
+    # each call logs through one stderr handler at its own --quiet level
+    CALLS = ("import sys\n"
+             "from sentilstm.cli import main\n"
+             "data, out, *flags = sys.argv[1:]\n"
+             "for n, flag in enumerate(flags):\n"
+             "    print(f'--- call {n}', file=sys.stderr, flush=True)\n"
+             "    quiet = ['--quiet'] if flag == 'quiet' else []\n"
+             "    assert main(['preprocess', '--data', data, '--output-dir', f'{out}/{n}',\n"
+             "                 '--min-count', '1'] + quiet) == 0\n")
+
+    @pytest.mark.parametrize("flags", [("quiet", "loud"), ("loud", "quiet")])
+    def test_each_call_in_one_process_keeps_its_own_quiet(self, tmp_path, corpus_csv, flags):
+        proc = run_python(["-c", self.CALLS, corpus_csv, str(tmp_path)] + list(flags))
+        assert proc.returncode == 0, proc.stderr
+        calls = proc.stderr.split("--- call ")[1:]
+        assert len(calls) == 2
+        for flag, err in zip(flags, calls):
+            info = [line for line in err.splitlines() if line.startswith("INFO sentilstm.")]
+            assert bool(info) == (flag == "loud"), (flags, err)
+
+    def test_run_as_main_module_logs_info(self, tmp_path, corpus_csv):
+        # under -m the cli module is __main__; its lines still go out
+        proc = run_python(["-m", "sentilstm.cli", "preprocess", "--data", corpus_csv,
+                           "--output-dir", str(tmp_path / "prep"), "--min-count", "1"])
+        assert proc.returncode == 0, proc.stderr
+        assert "INFO sentilstm.cli: preprocess:" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # one option table
 
