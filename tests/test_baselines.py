@@ -143,7 +143,8 @@ class TestCountFeatures:
     @given(sequences_and_width(min_rows=1), st.integers(1, 4))
     def test_out_of_range_matches_reference_property(self, case, overshoot):
         seqs, n_tokens = case
-        # one sequence gets an index past the vocabulary; later ones may too
+        # the middle and the last sequence get an index past the vocabulary
+        # (the same sequence when there is one)
         seqs = [list(map(int, seq)) for seq in seqs]
         seqs[len(seqs) // 2].append(n_tokens + 1 + overshoot)
         seqs[-1].append(n_tokens + 2)
