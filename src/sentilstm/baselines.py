@@ -164,35 +164,25 @@ class LogRegModel:
         self.idf = np.asarray(self.idf, dtype=np.float64).ravel()
 
 
-def _append_ones(X: sparse.csr_matrix) -> sparse.csr_matrix:
-    """X with a column of ones appended, stored last in each row: a row's
-    product with [W.T; b] adds b after the row's own terms, in X's order."""
-    n, width = X.shape
-    return sparse.csr_matrix((np.insert(X.data, X.indptr[1:], 1.0),
-                              np.insert(X.indices, X.indptr[1:], width),
-                              X.indptr + np.arange(n + 1)), shape=(n, width + 1))
-
-
-def _loss_and_grad(Wb, X1, X1T, one_hot, l2):
+def _loss_and_grad(Wt, b, X, XT, one_hot, l2):
     """Mean softmax cross-entropy with an L2 penalty on W (not b), and its
-    gradient, for the weights stacked as `Wb` = [W.T; b] of shape
-    (n_tokens + 1, 3). `X1` is `_append_ones(X)`, `X1T` its transpose as
-    CSR and `one_hot` the (n, 3) label indicator. The row max and row sum
-    over the three classes go column by column."""
-    n = X1.shape[0]
-    W = Wb[:-1]
-    scores = X1 @ Wb
+    gradient, for the weights kept as `Wt` = W.T of shape (n_tokens, 3).
+    `XT` is `X.T` as CSR and `one_hot` the (n, 3) label indicator. The row
+    max and row sum over the three classes go column by column. Returns
+    (loss, grad of Wt, grad of b)."""
+    n = X.shape[0]
+    scores = X @ Wt + b
     s0, s1, s2 = scores.T
     scores -= np.maximum(np.maximum(s0, s1), s2)[:, None]
     p0, p1, p2 = np.exp(scores).T
     scores -= np.log((p0 + p1) + p2)[:, None]  # log-probabilities
-    loss = -np.vdot(scores, one_hot) / n + 0.5 * l2 * np.vdot(W, W)
+    loss = -np.vdot(scores, one_hot) / n + 0.5 * l2 * np.vdot(Wt, Wt)
     delta = np.exp(scores)
     delta -= one_hot
     delta /= n
-    grad = X1T @ delta
-    grad[:-1] += l2 * W
-    return loss, grad
+    grad_Wt = XT @ delta
+    grad_Wt += l2 * Wt
+    return loss, grad_Wt, delta.sum(axis=0)
 
 
 def logreg_fit(counts: sparse.csr_matrix, labels,
@@ -202,18 +192,21 @@ def logreg_fit(counts: sparse.csr_matrix, labels,
     config = config or LogRegConfig()
     labels = _class_labels(counts, labels)
     tfidf = tfidf_fit(counts)
-    X1 = _append_ones(tfidf_transform(tfidf, counts))
-    X1T = X1.T.tocsr()  # each token's gradient sums its documents in ascending order
+    X = tfidf_transform(tfidf, counts)
+    XT = X.T.tocsr()  # each token's gradient sums its documents in ascending order
     one_hot = np.eye(N_CLASSES)[labels]
-    Wb = np.zeros((counts.shape[1] + 1, N_CLASSES))
+    Wt = np.zeros((counts.shape[1], N_CLASSES))
+    b = np.zeros(N_CLASSES)
     for it in range(config.iterations):
-        loss, grad = _loss_and_grad(Wb, X1, X1T, one_hot, config.l2)
+        loss, grad_Wt, grad_b = _loss_and_grad(Wt, b, X, XT, one_hot, config.l2)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at logistic regression iteration {it}")
-        grad *= config.learning_rate
-        Wb -= grad
+        grad_Wt *= config.learning_rate
+        grad_b *= config.learning_rate
+        Wt -= grad_Wt
+        b -= grad_b
     log.info("logistic regression: final loss %.4f after %d iterations", loss, config.iterations)
-    return LogRegModel(W=Wb[:-1].T, b=Wb[-1], idf=tfidf.idf)
+    return LogRegModel(W=Wt.T, b=b, idf=tfidf.idf)
 
 
 def logreg_predict(model: LogRegModel, counts: sparse.csr_matrix) -> np.ndarray:

@@ -37,9 +37,7 @@ from .nnet import forward, init_lstm_params, init_rnn_params
 from .train import (OPTIMIZERS, TrainConfig, evaluate_model, load_checkpoint,
                     predict_dataset, save_checkpoint, train)
 
-# named, not __name__: under `python -m sentilstm.cli` this module is __main__,
-# and main() sets the level of the "sentilstm" logger tree
-log = logging.getLogger("sentilstm.cli")
+log = logging.getLogger(__name__)
 
 META_NAME = "meta.json"
 TRAIN_SPLIT = "train.tsv"
@@ -551,7 +549,7 @@ def main(argv=None) -> int:
     # the root logger has one); the level is set on every call, so each
     # call's --quiet holds for that call
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("sentilstm").setLevel(
+    logging.getLogger().setLevel(
         logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     try:
         # looked up at call time: a wrapper put on a cmd_* function after the

@@ -1,16 +1,7 @@
-import os
 import sys
 from pathlib import Path
 
-from hypothesis import settings
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-# HYPOTHESIS_PROFILE=ci: a failing property example is printed with the
-# @reproduce_failure blob that replays it
-settings.register_profile("ci", deadline=None, print_blob=True)
-if "HYPOTHESIS_PROFILE" in os.environ:
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 _ACCEPTANCE_RESULTS = {}
 

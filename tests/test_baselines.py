@@ -13,7 +13,7 @@ from scipy import sparse
 
 from sentilstm import binio
 from sentilstm.baselines import (LogRegConfig, LogRegModel, NaiveBayesModel,
-                                 TfidfModel, _append_ones, _loss_and_grad,
+                                 TfidfModel, _loss_and_grad,
                                  count_features, load_baseline, logreg_fit,
                                  logreg_predict, naive_bayes_fit,
                                  naive_bayes_predict, save_baseline, tfidf_fit,
@@ -308,27 +308,28 @@ class TestLogReg:
 
     @staticmethod
     def kernel(X, labels, l2):
-        """The loss and gradient of the stacked weights [W.T; b], as the
-        fit loop calls them."""
-        X1 = _append_ones(X)
+        """The loss and gradients of (W.T, b), as the fit loop calls them."""
+        XT = X.T.tocsr()
         one_hot = np.eye(3)[labels]
-        return lambda Wb: _loss_and_grad(Wb, X1, X1.T.tocsr(), one_hot, l2)
+        return lambda Wt, b: _loss_and_grad(Wt, b, X, XT, one_hot, l2)
 
     def test_zero_weights_uniform_loss(self):
         X = csr([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        loss, _ = self.kernel(X, np.array([0, 1, 2]), l2=0.0)(np.zeros((3, 3)))
+        loss, _, _ = self.kernel(X, np.array([0, 1, 2]), l2=0.0)(np.zeros((2, 3)), np.zeros(3))
         assert loss == pytest.approx(math.log(3.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         X = csr(rng.normal(size=(9, 4)))
         labels = np.array([i % 3 for i in range(9)])
-        Wb = rng.normal(scale=0.5, size=(5, 3))  # four weight rows, then b
+        Wt = rng.normal(scale=0.5, size=(4, 3))
+        b = rng.normal(scale=0.5, size=3)
         loss_and_grad = self.kernel(X, labels, l2=0.01)
-        _, grad = loss_and_grad(Wb)
-        num = finite_difference(lambda: loss_and_grad(Wb)[0], Wb)
-        assert relative_error(grad[:-1], num[:-1]) < 1e-5
-        assert relative_error(grad[-1], num[-1]) < 1e-5
+        _, grad_Wt, grad_b = loss_and_grad(Wt, b)
+        num_Wt = finite_difference(lambda: loss_and_grad(Wt, b)[0], Wt)
+        num_b = finite_difference(lambda: loss_and_grad(Wt, b)[0], b)
+        assert relative_error(grad_Wt, num_Wt) < 1e-5
+        assert relative_error(grad_b, num_b) < 1e-5
 
     def test_kernel_matches_reference(self):
         # the gradient bit for bit, the loss to rounding (its sums run in
@@ -336,11 +337,12 @@ class TestLogReg:
         rng = np.random.default_rng(15)
         X = csr(rng.normal(size=(11, 4)) * (rng.random((11, 4)) < 0.5))
         labels = np.array([i % 3 for i in range(11)])
-        Wb = rng.normal(scale=0.5, size=(5, 3))
-        loss, grad = self.kernel(X, labels, l2=0.01)(Wb)
-        ref_loss, grad_W, grad_b = logreg_loss_and_grad_ref(Wb[:-1].T, Wb[-1], X, labels, 0.01)
-        assert_same_bits(grad[:-1], grad_W.T)
-        assert_same_bits(grad[-1], grad_b)
+        Wt = rng.normal(scale=0.5, size=(4, 3))
+        b = rng.normal(scale=0.5, size=3)
+        loss, grad_Wt, grad_b = self.kernel(X, labels, l2=0.01)(Wt, b)
+        ref_loss, ref_grad_W, ref_grad_b = logreg_loss_and_grad_ref(Wt.T, b, X, labels, 0.01)
+        assert_same_bits(grad_Wt, ref_grad_W.T)
+        assert_same_bits(grad_b, ref_grad_b)
         assert loss == pytest.approx(ref_loss, rel=1e-13)
 
     def test_loss_decreases_monotonically_small_steps(self):
@@ -348,12 +350,14 @@ class TestLogReg:
         X = csr(rng.normal(size=(12, 3)))
         labels = np.array([i % 3 for i in range(12)])
         loss_and_grad = self.kernel(X, labels, l2=1e-4)
-        Wb = np.zeros((4, 3))
+        Wt = np.zeros((3, 3))
+        b = np.zeros(3)
         losses = []
         for _ in range(50):
-            loss, grad = loss_and_grad(Wb)
+            loss, grad_Wt, grad_b = loss_and_grad(Wt, b)
             losses.append(loss)
-            Wb -= 0.1 * grad
+            Wt -= 0.1 * grad_Wt
+            b -= 0.1 * grad_b
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_separable_toy_reaches_full_accuracy(self):

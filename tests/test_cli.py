@@ -738,13 +738,6 @@ class TestLogLevel:
             info = [line for line in err.splitlines() if line.startswith("INFO sentilstm.")]
             assert bool(info) == (flag == "loud"), (flags, err)
 
-    def test_run_as_main_module_logs_info(self, tmp_path, corpus_csv):
-        # under -m the cli module is __main__; its lines still go out
-        proc = run_python(["-m", "sentilstm.cli", "preprocess", "--data", corpus_csv,
-                           "--output-dir", str(tmp_path / "prep"), "--min-count", "1"])
-        assert proc.returncode == 0, proc.stderr
-        assert "INFO sentilstm.cli: preprocess:" in proc.stderr
-
 
 # ---------------------------------------------------------------------------
 # one option table
