@@ -1,18 +1,21 @@
 """The one binary container every artifact is stored in, and the atomic
 write every artifact file goes through.
 
-Embeddings, recurrent models and baselines are all written by `save` and
-read by `load`; no other module knows the byte layout. Integers are
-little-endian u32; a string is a u32 byte length, then ASCII bytes.
+Embeddings, recurrent models, baselines and encoded splits are all written
+by `save` and read by `load`; no other module knows the byte layout.
+Integers are little-endian u32; a string is a u32 byte length, then ASCII
+bytes.
 
     magic      b"SENTI-BIN\\x00"
     version    u32
-    kind       string ("embedding", "lstm", "rnn", "naive-bayes", "logreg")
+    kind       string ("embedding", "lstm", "rnn", "naive-bayes", "logreg",
+               "encoded")
     binding    32-byte SHA-256 fingerprint of what the artifact was built
                against (the vocabulary, or a model's embedding matrix)
     fields     u32 count, then per field: name string, u32 value
     tensors    u32 count, then per tensor: name string, dtype string
-               ("f32" or "f64"), u32 ndim, ndim u32 dims, row-major payload
+               ("f32", "f64" or "i32"), u32 ndim, ndim u32 dims, row-major
+               payload
     crc        u32 CRC32 of every preceding byte
 """
 
@@ -33,7 +36,7 @@ U32 = struct.Struct("<I")
 MAGIC = b"SENTI-BIN\x00"
 # version 1 was a separate layout per artifact kind
 VERSION = 2
-DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i32": np.dtype("<i4")}
 
 
 def pack_u32(value: int) -> bytes:
@@ -46,14 +49,15 @@ def _pack_str(text: str) -> bytes:
 
 
 class Reader:
-    """Sequential reader over one file's bytes with strict length checks."""
+    """Sequential reader over one file's bytes with strict length checks;
+    `take` returns views into `data`, not copies."""
 
-    def __init__(self, data: bytes, path: str = "<bytes>"):
+    def __init__(self, data: memoryview, path: str = "<bytes>"):
         self.data = data
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"{self.path}: truncated file (wanted {n} bytes at offset {self.pos})")
         out = self.data[self.pos:self.pos + n]
@@ -66,19 +70,20 @@ class Reader:
     def text(self) -> str:
         raw = self.take(self.u32())
         try:
-            return raw.decode("ascii")
+            return str(raw, "ascii")
         except UnicodeDecodeError:
             raise FormatError(f"{self.path}: non-ASCII name before offset {self.pos}") from None
 
     def tensor(self) -> np.ndarray:
         """dtype string, u32 ndim, the dims, then the row-major payload; the
-        values come back as a float64 copy."""
+        values come back as a copy, float64 for a float dtype, int32 for "i32"."""
         dtype = DTYPES.get(self.text())
         if dtype is None:
             raise FormatError(f"{self.path}: unknown tensor dtype before offset {self.pos}")
         shape = tuple(self.u32() for _ in range(self.u32()))
         raw = self.take(dtype.itemsize * math.prod(shape))
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(np.float64)
+        values = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        return values.astype(np.float64 if dtype.kind == "f" else np.int32)
 
     def named(self, read_value) -> dict:
         """A u32 count, then that many (name string, value) entries."""
@@ -95,7 +100,7 @@ class Reader:
             raise FormatError(f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
 
 
-def strip_crc(data: bytes, path: str = "<bytes>") -> bytes:
+def strip_crc(data: memoryview, path: str = "<bytes>") -> memoryview:
     """Validate a trailing u32 CRC32 and return the body it covers."""
     if len(data) < 4:
         raise FormatError(f"{path}: truncated file (no room for a checksum)")
@@ -172,11 +177,11 @@ class Artifact(NamedTuple):
     kind: str
     binding: bytes
     fields: dict   # name -> int
-    tensors: dict  # name -> float64 array
+    tensors: dict  # name -> float64 array, or int32 for an "i32" tensor
 
 
 def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dict = None) -> str:
-    """Write one container, tensors stored as `dtype` ("f32"/"f64"); returns its SHA-256 hex."""
+    """Write one container, tensors stored as `dtype` ("f32"/"f64"/"i32"); returns its SHA-256 hex."""
     if len(binding) != 32:
         raise FormatError(f"{kind} binding fingerprint must be 32 bytes, got {len(binding)}")
     fields = fields or {}
@@ -202,7 +207,7 @@ def load(path, kinds, data: bytes = None) -> Artifact:
         data = read_bytes(path)
     if not data.startswith(MAGIC):
         raise FormatError(f"{path}: not a senti artifact (bad magic)")
-    reader = Reader(strip_crc(data, str(path)), str(path))
+    reader = Reader(strip_crc(memoryview(data), str(path)), str(path))
     reader.take(len(MAGIC))
     version = reader.u32()
     if version != VERSION:
@@ -212,7 +217,7 @@ def load(path, kinds, data: bytes = None) -> Artifact:
     kind = reader.text()
     if kind not in kinds:
         raise FormatError(f"{path}: unknown artifact kind {kind!r} (expected {' or '.join(kinds)})")
-    binding = reader.take(32)
+    binding = bytes(reader.take(32))
     fields = reader.named(reader.u32)
     tensors = reader.named(reader.tensor)
     reader.expect_eof()

@@ -189,11 +189,8 @@ def _init_params(kind, cfg: RunConfig, input_dim):
     return init_rnn_params(cfg.hidden, input_dim, seed=(cfg.seed, 7))
 
 
-def _class_counts(examples):
-    counts = {name: 0 for name in CLASS_NAMES}
-    for ex in examples:
-        counts[CLASS_NAMES[int(ex.label)]] += 1
-    return counts
+def _class_counts(labels):
+    return dict(zip(CLASS_NAMES, np.bincount(labels, minlength=len(CLASS_NAMES)).tolist()))
 
 
 class _Tokenized(NamedTuple):
@@ -248,9 +245,9 @@ def cmd_preprocess(args) -> int:
     prep = prepare(cfg, args.data)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    corpus.save_vocabulary(prep.vocab, os.path.join(out, "vocab.tsv"))
-    corpus.save_encoded(prep.train, cfg.maxlen, os.path.join(out, TRAIN_SPLIT))
-    corpus.save_encoded(prep.test, cfg.maxlen, os.path.join(out, TEST_SPLIT))
+    fingerprint = bytes.fromhex(corpus.save_vocabulary(prep.vocab, os.path.join(out, "vocab.tsv")))
+    corpus.save_encoded(prep.train, cfg.maxlen, os.path.join(out, TRAIN_SPLIT), fingerprint)
+    corpus.save_encoded(prep.test, cfg.maxlen, os.path.join(out, TEST_SPLIT), fingerprint)
     binio.write_json(os.path.join(out, META_NAME), {
         "format": "senti-preprocess",
         "version": 1,
@@ -262,8 +259,8 @@ def cmd_preprocess(args) -> int:
         "n_train": len(prep.train),
         "n_test": len(prep.test),
         "n_dropped_empty": prep.n_dropped,
-        "train_class_counts": _class_counts(prep.train),
-        "test_class_counts": _class_counts(prep.test),
+        "train_class_counts": _class_counts([ex.label for ex in prep.train]),
+        "test_class_counts": _class_counts([ex.label for ex in prep.test]),
         "vocab_size": prep.vocab.n_tokens,
     })
     log.info("preprocess: %d train / %d test examples, %d vocabulary tokens -> %s",
@@ -281,23 +278,11 @@ def _load_meta(input_dir):
         raise SentiError(f"{input_dir}: not a preprocess directory (missing {META_NAME})") from None
 
 
-def _load_split(path, vocab):
-    """(examples, maxlen) of an encoded split whose every index is a row of
-    `vocab`."""
-    examples, maxlen = corpus.load_encoded(path)
-    top = int(np.max([ex.indices for ex in examples], initial=0))
-    if top >= len(vocab):
-        raise DatasetError(
-            f"{path}: token index {top} is outside the vocabulary of {len(vocab)} rows"
-        )
-    return examples, maxlen
-
-
 def cmd_train_embeddings(args) -> int:
     cfg = merge_config(args)
     _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
-    examples, _ = _load_split(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
+    examples, _ = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
     matrix = train_skipgram([ex.indices for ex in examples], _embedding_config(cfg), vocab)
     # default to dropping the file next to its inputs
     out_dir = cfg.output_dir if "output_dir" in cfg.explicit else args.input_dir
@@ -313,7 +298,7 @@ def cmd_train(args) -> int:
     cfg = merge_config(args)
     meta = _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
-    examples, maxlen = _load_split(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
+    examples, maxlen = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
 
     if args.random_init:
         embedding = random_embedding(vocab, cfg.dim, seed=(cfg.seed, 4))
@@ -347,18 +332,19 @@ def cmd_train(args) -> int:
 
 
 def _sniff_dataset(path):
-    """Raw `label,text` CSV or an encoded split file, by the first line."""
+    """Raw `label,text` CSV or an encoded split file (a container, or the
+    text split that `load_encoded` refuses by name), by the first bytes."""
     try:
         with open(path, "rb") as f:
-            first = f.readline()
+            head = f.read(len(corpus.TEXT_SPLIT_HEADER))
     except FileNotFoundError:
         raise SentiError(f"{path}: no such file") from None
-    return "encoded" if first.startswith(b"#senti-encoded") else "csv"
+    return "encoded" if head.startswith((binio.MAGIC, corpus.TEXT_SPLIT_HEADER)) else "csv"
 
 
 def _examples_for_checkpoint(path, vocab, maxlen, mode):
     if _sniff_dataset(path) == "encoded":
-        examples, file_maxlen = _load_split(path, vocab)
+        examples, file_maxlen = corpus.load_encoded(path, vocab)
         if file_maxlen != maxlen:
             raise SentiError(
                 f"{path}: encoded with maxlen={file_maxlen}, checkpoint expects {maxlen}"

@@ -17,6 +17,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import binio
 from .binio import read_bytes, sha256, write_atomic
 from .errors import DatasetError, FormatError
 
@@ -162,13 +163,10 @@ def build_vocabulary(corpus, min_count: int) -> Vocabulary:
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter()
-    for tokens in corpus:
-        counts.update(tokens)
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_count),
-        key=lambda t: (-counts[t], t),
-    )
+    counts = Counter(chain.from_iterable(corpus))
+    kept = sorted(t for t, c in counts.items() if c >= min_count)
+    # a stable sort keeps the lexicographic order among equal counts
+    kept.sort(key=counts.__getitem__, reverse=True)
     index_to_token = [PAD_TOKEN, UNK_TOKEN] + kept
     token_to_index = {t: i + 2 for i, t in enumerate(kept)}
     frequencies = {t: counts[t] for t in kept}
@@ -179,12 +177,6 @@ def build_vocabulary(corpus, min_count: int) -> Vocabulary:
 class EncodedExample:
     indices: np.ndarray
     label: Sentiment
-    original_length: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.original_length < 0:
-            nonpad = np.nonzero(self.indices != PAD_INDEX)[0]
-            self.original_length = int(nonpad[-1]) + 1 if len(nonpad) else 0
 
 
 def encode_split(pairs, vocab: Vocabulary, maxlen: int) -> list:
@@ -193,11 +185,11 @@ def encode_split(pairs, vocab: Vocabulary, maxlen: int) -> list:
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     kept = [tokens[:maxlen] for _, tokens in pairs]
-    lengths = list(map(len, kept))
+    lengths = np.array(list(map(len, kept)), dtype=np.intp)
     block = np.full((len(kept), maxlen), vocab.pad_index, dtype=np.int32)
     indices = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(vocab.unk_index))
-    block[np.arange(maxlen) < np.array(lengths, dtype=np.intp)[:, None]] = list(indices)
-    return [EncodedExample(row, label, n) for row, (label, _), n in zip(block, pairs, lengths)]
+    block[np.arange(maxlen) < lengths[:, None]] = list(indices)
+    return [EncodedExample(row, label) for row, (label, _) in zip(block, pairs)]
 
 
 def encode_example(tokens, label, vocab: Vocabulary, maxlen: int) -> EncodedExample:
@@ -374,58 +366,50 @@ def load_vocabulary(path, data: bytes = None) -> Vocabulary:
     return vocab
 
 
-# --- encoded dataset file: "#senti-encoded v1 maxlen=<m>" header, then
-# --- label<TAB>original_length<TAB>space-joined indices per example.
+# --- encoded split: one binio container of kind "encoded", bound to the
+# --- fingerprint of the vocabulary it was encoded with; field maxlen, int32
+# --- tensors indices (N, maxlen) and labels (N,).
 
-_ENCODED_HEADER_RE = re.compile(r"#senti-encoded v1 maxlen=(\d+)$")
-
-
-def save_encoded(examples, maxlen: int, path) -> str:
-    lines = [f"#senti-encoded v1 maxlen={maxlen}\n"]
-    lines += [f"{int(ex.label)}\t{ex.original_length}\t{' '.join(map(str, ex.indices.tolist()))}\n"
-              for ex in examples]
-    return write_atomic(path, "".join(lines).encode("utf-8"))
+# the first bytes of the text split format that preceded the container
+TEXT_SPLIT_HEADER = b"#senti-encoded"
+_SENTIMENTS = tuple(Sentiment)
 
 
-def _check_encoded_line(path, line_num: int, line: str, maxlen: int):
-    """Raise a FormatError naming what is wrong with one line of a split, if anything."""
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise FormatError(f"{path}: line {line_num}: expected 3 tab-separated fields")
-    if parts[0] not in _LABEL_DIGITS:
-        raise FormatError(f"{path}: line {line_num}: label {parts[0]!r} is not 0, 1 or 2")
-    try:
-        int(parts[1])
-        indices = np.array([int(tok) for tok in parts[2].split()], dtype=np.int32)
-    except (ValueError, OverflowError):
-        raise FormatError(f"{path}: line {line_num}: length and indices must be integers") from None
-    if np.any(indices < 0):
-        raise FormatError(f"{path}: line {line_num}: negative token index")
-    if len(indices) != maxlen:
-        raise FormatError(f"{path}: line {line_num}: expected {maxlen} indices, got {len(indices)}")
+def save_encoded(examples, maxlen: int, path, binding: bytes) -> str:
+    """Write a split as one container bound to `binding`, the fingerprint
+    of the vocabulary it was encoded with; returns its SHA-256 hex."""
+    indices = np.array([ex.indices for ex in examples], dtype=np.int32).reshape(-1, maxlen)
+    labels = np.array([ex.label for ex in examples], dtype=np.int32)
+    return binio.save(path, "encoded", binding, {"indices": indices, "labels": labels}, "i32",
+                      {"maxlen": maxlen})
 
 
-def load_encoded(path):
-    """Returns (examples, maxlen); the indices are rows of one (N, maxlen) int32 block."""
-    lines = _read_text(path)[1].splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty encoded dataset")
-    m = _ENCODED_HEADER_RE.match(lines[0])
-    if not m:
-        raise FormatError(f"{path}: bad encoded-dataset header {lines[0]!r}")
-    maxlen = int(m.group(1))
-    fields = [line.split("\t") for line in lines[1:]]
-    try:
-        labels = [_LABEL_DIGITS[label] for label, _, _ in fields]
-        lengths = [int(length) for _, length, _ in fields]
-        cells = [row.split() for _, _, row in fields]
-        block = np.array(list(map(int, chain.from_iterable(cells))), dtype=np.int32)
-        if any(len(c) != maxlen for c in cells) or np.any(block < 0):
-            raise ValueError
-    except (KeyError, ValueError, OverflowError):
-        # the first bad line, checked on its own, names what is wrong
-        for line_num, line in enumerate(lines[1:], start=2):
-            _check_encoded_line(path, line_num, line, maxlen)
-        raise
-    rows = block.reshape(len(fields), maxlen)
-    return [EncodedExample(row, label, n) for row, label, n in zip(rows, labels, lengths)], maxlen
+def load_encoded(path, vocab: Vocabulary = None):
+    """Returns (examples, maxlen); the indices are rows of one (N, maxlen)
+    int32 block. If `vocab` is given, the split must have been encoded with
+    it, and every index must be one of its rows."""
+    data = read_bytes(path)
+    if data.startswith(TEXT_SPLIT_HEADER):
+        raise FormatError(f"{path}: a text split from an older version; re-run preprocess")
+    artifact = binio.load(path, ("encoded",), data)
+    maxlen = artifact.fields.get("maxlen")
+    indices, labels = artifact.tensors.get("indices"), artifact.tensors.get("labels")
+    if (list(artifact.fields) != ["maxlen"] or list(artifact.tensors) != ["indices", "labels"]
+            or indices.dtype != np.int32 or labels.dtype != np.int32
+            or labels.ndim != 1 or indices.shape != (len(labels), maxlen)):
+        raise FormatError(f"{path}: expected field maxlen and int32 tensors indices "
+                          f"(N, maxlen) and labels (N,)")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) > 2:
+        raise FormatError(f"{path}: a label is not 0, 1 or 2")
+    if indices.min(initial=0) < 0:
+        raise FormatError(f"{path}: negative token index")
+    if vocab is not None:
+        if vocab.fingerprint() != artifact.binding:
+            raise FormatError(f"{path}: split was encoded with a different vocabulary")
+        top = int(indices.max(initial=0))
+        if top >= len(vocab):
+            raise DatasetError(
+                f"{path}: token index {top} is outside the vocabulary of {len(vocab)} rows"
+            )
+    examples = list(map(EncodedExample, indices, map(_SENTIMENTS.__getitem__, labels.tolist())))
+    return examples, maxlen

@@ -421,47 +421,17 @@ def encode_ref(tokens, vocab, maxlen: int) -> np.ndarray:
     return out
 
 
-def save_encoded_ref(examples, maxlen: int, path):
-    """Per-element writer of an encoded split: a header line, then
-    label<TAB>original_length<TAB>space-joined indices per example."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"#senti-encoded v1 maxlen={maxlen}\n")
-        for ex in examples:
-            joined = " ".join(str(int(i)) for i in ex.indices)
-            f.write(f"{int(ex.label)}\t{ex.original_length}\t{joined}\n")
-
-
-def load_encoded_ref(text: str):
-    """Line-by-line reader of an encoded split's text. Returns (maxlen,
-    [(label, original_length, indices)]); a bad file raises ValueError whose
-    message is what the package's error says after the path."""
-    lines = text.splitlines()
-    header = "#senti-encoded v1 maxlen="
-    if not lines or not lines[0].startswith(header) or not lines[0][len(header):].isdecimal():
-        raise ValueError("bad header")
-    maxlen = int(lines[0][len(header):])
-    rows = []
-    for line_num, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"line {line_num}: expected 3 tab-separated fields")
-        if parts[0] not in ("0", "1", "2"):
-            raise ValueError(f"line {line_num}: label {parts[0]!r} is not 0, 1 or 2")
-        try:
-            length = int(parts[1])
-            indices = [int(tok) for tok in parts[2].split()]
-        except ValueError:
-            raise ValueError(f"line {line_num}: length and indices must be integers") from None
-        if any(i < -2 ** 31 or i >= 2 ** 31 for i in indices):
-            raise ValueError(f"line {line_num}: length and indices must be integers")
-        if any(i < 0 for i in indices):
-            raise ValueError(f"line {line_num}: negative token index")
-        if len(indices) != maxlen:
-            raise ValueError(f"line {line_num}: expected {maxlen} indices, got {len(indices)}")
-        if length < 0:  # derived from the last non-pad position
-            length = max((pos + 1 for pos, i in enumerate(indices) if i != 0), default=0)
-        rows.append((int(parts[0]), length, indices))
-    return maxlen, rows
+def build_vocabulary_ref(corpus, min_count: int):
+    """Per-token counter of a token-list corpus. Returns (index_to_token,
+    frequencies): the tokens seen min_count times or more, by count
+    descending, ties broken by the tokens' own order, after the two
+    reserved entries."""
+    counts = {}
+    for tokens in corpus:
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+    kept = sorted((t for t in counts if counts[t] >= min_count), key=lambda t: (-counts[t], t))
+    return ["<pad>", "<unk>"] + kept, {t: counts[t] for t in kept}
 
 
 def load_vocabulary_ref(data: bytes):

@@ -1,6 +1,7 @@
-"""Every binary artifact is tamper-evident: one flipped byte or one cut
-anywhere in the file, or a valid file of another kind, is refused with
-FormatError by its loader and with one `error:` line by the CLI."""
+"""Every binary artifact, the encoded splits included, is tamper-evident:
+one flipped byte or one cut anywhere in the file, or a valid file of
+another kind, is refused with FormatError by its loader and with one
+`error:` line by the CLI."""
 
 import contextlib
 import io
@@ -18,7 +19,7 @@ from sentilstm.baselines import (count_features, load_baseline, logreg_fit,
                                  naive_bayes_fit, save_baseline)
 from sentilstm.binio import sha256_file
 from sentilstm.cli import main
-from sentilstm.corpus import build_vocabulary, encode_example
+from sentilstm.corpus import build_vocabulary, encode_example, load_encoded, save_encoded
 from sentilstm.embedding import load_embeddings, random_embedding
 from sentilstm.errors import FormatError
 from sentilstm.nnet import init_lstm_params, init_rnn_params
@@ -33,13 +34,15 @@ LOADERS = {
     "lstm/embeddings.bin": load_embeddings,
     "naive_bayes.bin": load_baseline,
     "logreg.bin": load_baseline,
+    "prep/train.tsv": load_encoded,
 }
 
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """An LSTM and an RNN checkpoint and both baselines, built from a small
-    keyword corpus, plus that corpus as a CSV for `evaluate`."""
+    """An LSTM and an RNN checkpoint, both baselines and an encoded split,
+    built from a small keyword corpus, plus that corpus as a CSV for
+    `evaluate`."""
     root = tmp_path_factory.mktemp("artifacts")
     texts, labels = keyword_corpus(n_per_class=6)
     write_csv(root / "data.csv", texts, labels)
@@ -51,6 +54,8 @@ def artifacts(tmp_path_factory):
         save_checkpoint(root / name, params, embedding, vocab, maxlen=6,
                         tokenizer_mode="whitespace")
     examples = [encode_example(t, label, vocab, 6) for t, label in zip(tokens, labels)]
+    (root / "prep").mkdir()
+    save_encoded(examples, 6, root / "prep" / "train.tsv", vocab.fingerprint())
     counts = count_features([ex.indices for ex in examples], vocab.n_tokens)
     save_baseline(naive_bayes_fit(counts, labels), root / "naive_bayes.bin", vocab.fingerprint())
     save_baseline(logreg_fit(counts, np.array(labels)), root / "logreg.bin", vocab.fingerprint())
@@ -86,7 +91,11 @@ def test_tampered_or_foreign_artifact_refused(artifacts, name, data):
         with pytest.raises(FormatError):
             load(artifacts / foreign)
 
-        if "/" in name:  # part of a checkpoint: through the CLI as well
+        if load is load_encoded:  # evaluated as --data: through the CLI as well
+            rc, err = _evaluate_stderr(artifacts / "lstm", path)
+            assert rc == 1
+            assert len(err) == 1 and err[0].startswith("error: "), err
+        elif "/" in name:  # part of a checkpoint: through the CLI as well
             checkpoint = Path(tmp) / "ckpt"
             shutil.copytree(artifacts / Path(name).parent, checkpoint)
             (checkpoint / path.name).write_bytes(bytes(tampered))
@@ -105,3 +114,4 @@ def test_untampered_artifacts_load(artifacts):
         load(artifacts / name)
     for name in ("lstm", "rnn"):
         assert _evaluate_stderr(artifacts / name, artifacts / "data.csv") == (0, [])
+        assert _evaluate_stderr(artifacts / name, artifacts / "prep" / "train.tsv") == (0, [])

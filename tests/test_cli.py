@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import sentilstm
+from sentilstm import binio
 from sentilstm.cli import (OUTPUT_DIR_ENV, RunConfig, build_parser, main,
                            merge_config)
-from sentilstm.corpus import load_vocabulary
+from sentilstm.corpus import load_encoded, load_vocabulary
 from sentilstm.embedding import load_embeddings, random_embedding
 from sentilstm.nnet import init_lstm_params
 from sentilstm.train import load_checkpoint, save_checkpoint
@@ -194,18 +195,19 @@ GOLDEN_CORPORA = {
     ],
 }
 GOLDEN_ARGS = ["--min-count", "1", "--maxlen", "8", "--test-fraction", "0.25", "--quiet"]
-# recorded from the per-character front end these files were first written by
+# meta.json and vocab.tsv recorded from the per-character front end these
+# files were first written by; the splits from the first container writer
 GOLDEN_DIGESTS = {
     "latin": {
         "meta.json": "a0e74558daee98ded13fd0069c7bb9031d1b4794e36e0e7707c5d1b4394c5aa7",
-        "test.tsv": "9294d07293d63311622e4c353b829a10dcbb78bed98633cc78b5806f3651402d",
-        "train.tsv": "61bcb53a1f4316da55a736f98596b92e6ecf099d1f5ac177a8689837bef0a151",
+        "test.tsv": "2bb53dbbe0a911c5be9e349e0a99a04d3c041557ed62eb4cc7df1be621d12f97",
+        "train.tsv": "1d8c707f3a2eefc877bda0872888ecb85b7cb250a0e74038a488391366a3d9bb",
         "vocab.tsv": "1f0ec9361c0b804f49fa88cad097e95c47641ac039da8f5aea4648a753ef31df",
     },
     "cjk": {
         "meta.json": "b1a2198e880b247ff2bbfc60c9e849fd5ce523773f2957baca72b6e858919ff6",
-        "test.tsv": "3de1cf15c4e73234a91b15adbce707cc02b0621eb0ef2322f37c473b7f2ec6d1",
-        "train.tsv": "d36fdc0d26d26c983a44ba727f312980e7ac741a24f00860c86876ec40330daa",
+        "test.tsv": "2ac3f4b7579736e0c637ffa3b02358e228a76608b4a37a43b7832c01a95c4c07",
+        "train.tsv": "a559eb8fa7bcdce0b2f9e4029152ed83b28ff76853a441bdec3fc4a9c9b3aafa",
         "vocab.tsv": "93666deccf0c9d93bd476c01929937583cc8fa6acfc2018f819b815906bd8e3c",
     },
 }
@@ -238,6 +240,20 @@ class TestPreprocess:
         assert meta["vocab_size"] > 0
         assert sum(meta["train_class_counts"].values()) == meta["n_train"]
         assert sum(meta["test_class_counts"].values()) == meta["n_test"]
+
+    def test_class_counts_are_those_of_the_splits(self, tmp_path):
+        texts, labels = keyword_corpus(n_per_class=10)
+        keep = [i for i, label in enumerate(labels) if label != 0 or i < 4]  # 4, 10, 10 rows
+        write_csv(tmp_path / "corpus.csv", [texts[i] for i in keep], [labels[i] for i in keep])
+        out = tmp_path / "prep"
+        assert main(["preprocess", "--data", str(tmp_path / "corpus.csv"),
+                     "--output-dir", str(out), "--min-count", "1", "--quiet"]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        for split in ("train", "test"):
+            names = [ex.label.name for ex in load_encoded(out / f"{split}.tsv")[0]]
+            assert meta[f"{split}_class_counts"] == {
+                name: names.count(name) for name in ("negative", "neutral", "positive")}
+        assert meta["train_class_counts"]["negative"] < meta["train_class_counts"]["positive"]
 
     def test_stdout_summary(self, corpus_csv, tmp_path, capsys):
         out = str(tmp_path / "prep")
@@ -411,18 +427,20 @@ class TestTrain:
     @pytest.mark.parametrize("bad", ["label", "index"])
     def test_bad_encoded_split_is_one_error_line(self, command, bad, tmp_path, preprocessed,
                                                  trained_checkpoint, capsys):
+        # a well-formed container bound to the right vocabulary, with one bad value
         prep = tmp_path / "prep"
         shutil.copytree(preprocessed, prep)
         split = prep / "train.tsv"
-        lines = split.read_text().splitlines()
-        label, length, indices = lines[1].split("\t")
+        vocab = load_vocabulary(prep / "vocab.tsv")
+        examples, maxlen = load_encoded(split, vocab)
+        indices = np.array([ex.indices for ex in examples])
+        labels = np.array([ex.label for ex in examples])
         if bad == "label":
-            label = "7"
+            labels[0] = 7
         else:  # one past the last vocabulary row
-            n_rows = len(load_vocabulary(prep / "vocab.tsv"))
-            indices = " ".join([str(n_rows)] + indices.split()[1:])
-        lines[1] = "\t".join([label, length, indices])
-        split.write_text("\n".join(lines) + "\n")
+            indices[0, 0] = len(vocab)
+        binio.save(split, "encoded", vocab.fingerprint(),
+                   {"indices": indices, "labels": labels}, "i32", {"maxlen": maxlen})
         argv = {"train-embeddings": ["--input-dir", str(prep), "--dim", "4"],
                 "train": ["--input-dir", str(prep), "--random-init", "--dim", "4"],
                 "evaluate": ["--checkpoint", trained_checkpoint, "--data", str(split)]}[command]
@@ -430,6 +448,35 @@ class TestTrain:
         assert main([command] + argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("command", ["train-embeddings", "train", "evaluate"])
+    @pytest.mark.parametrize("case", ["other-vocabulary", "text-split"])
+    def test_foreign_split_is_one_error_line(self, command, case, tmp_path, corpus_csv,
+                                             preprocessed, trained_checkpoint, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(preprocessed, prep)
+        split = prep / "train.tsv"
+        if case == "other-vocabulary":
+            # another run keeps fewer tokens, so every index it wrote is a
+            # row of this run's vocabulary too; only the binding tells them apart
+            other = tmp_path / "other"
+            assert main(["preprocess", "--data", corpus_csv, "--output-dir", str(other),
+                         "--min-count", "4", "--maxlen", "8", "--quiet"]) == 0
+            n_rows = len(load_vocabulary(prep / "vocab.tsv"))
+            assert len(load_vocabulary(other / "vocab.tsv")) < n_rows
+            shutil.copy(other / "train.tsv", split)
+            expected = "different vocabulary"
+        else:
+            split.write_text("#senti-encoded v1 maxlen=8\n0\t1\t2 0 0 0 0 0 0 0\n")
+            expected = "re-run preprocess"
+        argv = {"train-embeddings": ["--input-dir", str(prep), "--dim", "4"],
+                "train": ["--input-dir", str(prep), "--random-init", "--dim", "4"],
+                "evaluate": ["--checkpoint", trained_checkpoint, "--data", str(split)]}[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {split}: "), err
+        assert expected in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +934,7 @@ class TestMain:
             text = "\n".join(vocab_lines) + "\n"
             bad.write_bytes(text.encode() + (b"\xff\n" if case == "vocab-not-utf8" else b""))
             argv = ["train-embeddings", "--input-dir", str(prep), "--dim", "4"]
-        else:  # an encoded split that is not UTF-8
+        else:  # an encoded split with a non-UTF-8 line appended
             bad = prep / "train.tsv"
             bad.write_bytes(bad.read_bytes() + b"\xff\n")
             argv = ["train", "--input-dir", str(prep), "--random-init", "--dim", "4"]

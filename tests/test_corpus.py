@@ -1,21 +1,19 @@
 import hashlib
 import os
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (clean_ref, detect_tokenizer_mode_ref, encode_ref, load_encoded_ref,
-                     load_vocabulary_ref, save_encoded_ref)
+from oracles import (build_vocabulary_ref, clean_ref, detect_tokenizer_mode_ref, encode_ref,
+                     load_vocabulary_ref)
 from sentilstm import binio
-from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, Vocabulary, build_vocabulary,
-                              clean_text, detect_tokenizer_mode, encode, encode_example,
-                              encode_split, load_dataset, load_encoded, load_vocabulary,
-                              parse_label, save_encoded, save_vocabulary,
-                              serialize_vocabulary, stratified_split, tokenize)
+from sentilstm.corpus import (RawRecord, Sentiment, Vocabulary, build_vocabulary, clean_text,
+                              detect_tokenizer_mode, encode, encode_example, encode_split,
+                              load_dataset, load_encoded, load_vocabulary, parse_label,
+                              save_encoded, save_vocabulary, serialize_vocabulary,
+                              stratified_split, tokenize)
 from sentilstm.errors import DatasetError, FormatError
 from synthetic import write_csv
 
@@ -166,6 +164,14 @@ class TestVocabulary:
     def test_min_count_validation(self):
         with pytest.raises(ValueError):
             build_vocabulary([], min_count=0)
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "B", "c", "zz", "é", "中", "a1"]),
+                             max_size=8), max_size=8), st.integers(1, 4))
+    @settings(max_examples=200)
+    def test_matches_reference_builder(self, corpus, min_count):
+        vocab = build_vocabulary(iter(corpus), min_count)
+        assert (vocab.index_to_token, vocab.frequencies) == build_vocabulary_ref(corpus, min_count)
+        assert list(vocab.frequencies) == vocab.index_to_token[2:]
 
     def test_roundtrip(self, tmp_path):
         vocab = build_vocabulary([["a", "a", "b", "b", "b"]], min_count=2)
@@ -355,10 +361,10 @@ class TestEncode:
 
     def test_encode_example_length(self):
         ex = encode_example(["a", "b"], Sentiment.positive, self.vocab, maxlen=4)
-        assert ex.original_length == 2
+        assert ex.indices.tolist() == [2, 3, 0, 0]
         assert ex.label == Sentiment.positive
         long = encode_example(["a"] * 9, Sentiment.neutral, self.vocab, maxlen=4)
-        assert long.original_length == 4
+        assert long.indices.tolist() == [2] * 4
 
     _TOKENS = st.lists(st.sampled_from(["a", "b", "c", "zz", "<pad>", "<unk>", "Ａ", "中"]),
                        max_size=9)
@@ -374,11 +380,9 @@ class TestEncode:
             assert ex.indices.dtype == np.int32
             assert ex.indices.tolist() == want.tolist()
             assert ex.label == label
-            assert ex.original_length == min(len(tokens), maxlen)
             assert encode(tokens, self.vocab, maxlen).tolist() == want.tolist()
             single = encode_example(tokens, label, self.vocab, maxlen)
-            assert (single.indices.tolist(), single.label, single.original_length) == \
-                (want.tolist(), label, ex.original_length)
+            assert (single.indices.tolist(), single.label) == (want.tolist(), label)
 
     def test_split_rows_share_one_block(self):
         examples = encode_split([(Sentiment.negative, ["a"]), (Sentiment.positive, ["b", "c"])],
@@ -390,14 +394,6 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode_split([(Sentiment.negative, ["a"])], self.vocab, 0)
         assert encode_split([], self.vocab, 4) == []
-
-    def test_original_length_derived(self):
-        ex = EncodedExample(indices=np.array([2, 0, 3, 0], dtype=np.int32),
-                            label=Sentiment.negative)
-        assert ex.original_length == 3
-        empty = EncodedExample(indices=np.zeros(4, dtype=np.int32),
-                               label=Sentiment.negative)
-        assert empty.original_length == 0
 
 
 class TestLabels:
@@ -513,19 +509,35 @@ class TestStratifiedSplit:
 
 
 class TestEncodedIO:
+    VOCAB = build_vocabulary([["a", "b"]], min_count=1)
+
+    def _save(self, path, indices, labels, maxlen=3, dtype="i32", fields=None):
+        """A split container written field by field, so that a test can
+        make any one of them wrong."""
+        binio.save(path, "encoded", self.VOCAB.fingerprint(),
+                   {"indices": np.array(indices), "labels": np.array(labels)}, dtype,
+                   {"maxlen": maxlen} if fields is None else fields)
+
     def test_roundtrip(self, tmp_path):
-        vocab = build_vocabulary([["a", "b"]], min_count=1)
-        examples = [encode_example(["a"], Sentiment.negative, vocab, 3),
-                    encode_example(["b", "a", "b"], Sentiment.positive, vocab, 3)]
+        examples = [encode_example(["a"], Sentiment.negative, self.VOCAB, 3),
+                    encode_example(["b", "a", "b"], Sentiment.positive, self.VOCAB, 3),
+                    encode_example(["x", "b"], Sentiment.neutral, self.VOCAB, 3)]
         path = tmp_path / "enc.tsv"
-        save_encoded(examples, 3, path)
-        loaded, maxlen = load_encoded(path)
+        digest = save_encoded(examples, 3, path, self.VOCAB.fingerprint())
+        assert digest == binio.sha256_file(path)
+        loaded, maxlen = load_encoded(path, self.VOCAB)
         assert maxlen == 3
-        assert len(loaded) == 2
-        for got, want in zip(loaded, examples):
-            assert got.indices.tolist() == want.indices.tolist()
-            assert got.label == want.label
-            assert got.original_length == want.original_length
+        assert [(ex.indices.tolist(), ex.label) for ex in loaded] == \
+            [(ex.indices.tolist(), ex.label) for ex in examples]
+        assert all(type(ex.label) is Sentiment for ex in loaded)
+        block = loaded[0].indices.base
+        assert block.dtype == np.int32 and block.shape == (3, 3)
+        assert all(ex.indices.base is block for ex in loaded)
+
+    def test_empty_split_roundtrip(self, tmp_path):
+        path = tmp_path / "enc.tsv"
+        save_encoded([], 5, path, self.VOCAB.fingerprint())
+        assert load_encoded(path, self.VOCAB) == ([], 5)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "enc.tsv"
@@ -535,133 +547,45 @@ class TestEncodedIO:
 
     def test_rejects_wrong_width(self, tmp_path):
         path = tmp_path / "enc.tsv"
-        path.write_text("#senti-encoded v1 maxlen=3\n0\t1\t2 0\n")
-        with pytest.raises(FormatError):
+        self._save(path, [[2, 0]], [0])
+        with pytest.raises(FormatError, match="maxlen"):
             load_encoded(path)
 
-    @pytest.mark.parametrize("line, message", [
-        ("7\t1\t2 0 0", "label '7'"),
-        ("x\t1\t2 0 0", "label 'x'"),
-        ("-1\t1\t2 0 0", "label '-1'"),
-        ("0\tx\t2 0 0", "integers"),
-        ("0\t1\t2 a 0", "integers"),
-        ("0\t1\t2 0 4294967296", "integers"),
-        ("0\t1\t2 -1 0", "negative token index"),
-    ])
-    def test_bad_field_is_format_error_with_line(self, tmp_path, line, message):
+    def test_text_split_names_preprocess(self, tmp_path):
         path = tmp_path / "enc.tsv"
-        path.write_text(f"#senti-encoded v1 maxlen=3\n0\t1\t2 0 0\n{line}\n")
-        with pytest.raises(FormatError, match=f"line 3: .*{message}"):
+        path.write_text("#senti-encoded v1 maxlen=3\n0\t1\t2 0 0\n")
+        with pytest.raises(FormatError, match="re-run preprocess"):
             load_encoded(path)
 
-    @staticmethod
-    def _valid_lines(n, maxlen=3):
-        return [f"{i % 3}\t2\t{i % 7 + 2} 5{' 0' * (maxlen - 2)}" for i in range(n)]
-
-    @pytest.mark.parametrize("width", [2, 4])
-    def test_last_line_off_by_one_width(self, tmp_path, width):
+    @pytest.mark.parametrize("indices, labels, kwargs, message", [
+        ([[2, 0, 0]], [3], {}, "label"),
+        ([[2, 0, 0]], [-1], {}, "label"),
+        ([[2, -1, 0]], [0], {}, "negative token index"),
+        ([[2, 0, 0]], [0, 1], {}, "labels"),
+        ([2, 0, 0], [0], {}, "indices"),
+        ([[2, 0, 0]], 0, {}, "labels"),
+        ([[2, 0, 0]], [0], {"fields": {}}, "maxlen"),
+        ([[2, 0, 0]], [0], {"fields": {"maxlen": 3, "n": 1}}, "maxlen"),
+        ([[2, 0, 0]], [0], {"dtype": "f32"}, "int32"),
+    ], ids=["label-3", "label-negative", "negative-index", "labels-count", "indices-1d",
+            "labels-0d", "no-maxlen", "extra-field", "float-tensors"])
+    def test_bad_container_is_format_error(self, tmp_path, indices, labels, kwargs, message):
         path = tmp_path / "enc.tsv"
-        lines = self._valid_lines(50) + ["1\t2\t" + " ".join(["3"] * width)]
-        path.write_text("#senti-encoded v1 maxlen=3\n" + "\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"line 52: expected 3 indices, got {width}"):
+        self._save(path, indices, labels, **kwargs)
+        with pytest.raises(FormatError, match=message):
             load_encoded(path)
 
-    def test_fifty_good_lines_load_as_one_block(self, tmp_path):
+    def test_binding_and_range_checked_against_the_vocabulary(self, tmp_path):
         path = tmp_path / "enc.tsv"
-        lines = self._valid_lines(50)
-        path.write_text("#senti-encoded v1 maxlen=3\n" + "\n".join(lines) + "\n")
-        examples, maxlen = load_encoded(path)
-        assert maxlen == 3
-        assert [ex.indices.tolist() for ex in examples] == \
-            [[i % 7 + 2, 5, 0] for i in range(50)]
-        assert all(ex.indices.dtype == np.int32 for ex in examples)
-        assert examples[0].indices.base is examples[-1].indices.base
-
-    @pytest.mark.parametrize("line, message", [
-        ("7\t1\t2 0 0", "label '7'"),
-        ("0\tx\t2 0 0", "integers"),
-        ("0\t1\t2 a 0", "integers"),
-        ("0\t1\t2 0 4294967296", "integers"),
-        ("0\t1\t2 -1 0", "negative token index"),
-        ("0\t1\t2 -1", "negative token index"),
-        ("0\t1\t2 0", "expected 3 indices, got 2"),
-        ("0\t1", "expected 3 tab-separated fields"),
-        ("", "expected 3 tab-separated fields"),
-    ])
-    def test_bad_middle_line_of_fifty_is_named(self, tmp_path, line, message):
-        # the bad line is line 27; a later line is bad too, and is not the one named
-        lines = self._valid_lines(50)
-        lines[25] = line
-        lines[40] = "9\t1\t2 0 0"
-        path = tmp_path / "enc.tsv"
-        path.write_text("#senti-encoded v1 maxlen=3\n" + "\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"line 27: .*{message}"):
-            load_encoded(path)
-
-    _ODD_FIELD = st.one_of(
-        st.sampled_from(["3", "", " 1", "01", "x", "-1", "+2", "1_0", "٣", "00", "2147483647",
-                         "2147483648", "-2147483648", "-2147483649", "1.0", "4294967296"]),
-        st.integers(0, 40).map(str))
-
-    @staticmethod
-    @st.composite
-    def _encoded_text(draw, odd_field=_ODD_FIELD):
-        """A split of mostly valid lines; about one line in five has one
-        odd field, a missing or extra index, or an unusual separator."""
-        maxlen = draw(st.integers(0, 4))
-        lines = []
-        for _ in range(draw(st.integers(0, 6))):
-            label, length = draw(st.sampled_from("012")), str(draw(st.integers(-2, 5)))
-            indices = [str(draw(st.integers(0, 40))) for _ in range(maxlen)]
-            sep = " "
-            if draw(st.integers(0, 4)) == 0:
-                kind = draw(st.sampled_from(["label", "length", "index", "width", "sep"]))
-                if kind == "label":
-                    label = draw(odd_field)
-                elif kind == "length":
-                    length = draw(odd_field)
-                elif kind == "index" and indices:
-                    indices[draw(st.integers(0, maxlen - 1))] = draw(odd_field)
-                elif kind == "width":
-                    indices = indices[:-1] if indices and draw(st.booleans()) else indices + ["1"]
-                else:
-                    sep = draw(st.sampled_from(["  ", "\u3000", "\t", " \x0b ", " \x1c "]))
-            lines.append(f"{label}\t{length}\t{sep.join(indices)}\n")
-        return f"#senti-encoded v1 maxlen={maxlen}\n" + "".join(lines)
-
-    @given(_encoded_text())
-    @settings(max_examples=400)
-    def test_accepts_and_refuses_what_the_reference_does(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "enc.tsv"
-            path.write_text(text, encoding="utf-8")
-            try:
-                want = load_encoded_ref(text)
-            except ValueError as exc:
-                with pytest.raises(FormatError) as caught:
-                    load_encoded(path)
-                assert str(caught.value) == f"{path}: {exc}"
-                return
-            examples, maxlen = load_encoded(path)
-        assert (maxlen, [(int(ex.label), ex.original_length, ex.indices.tolist())
-                         for ex in examples]) == want
-
-    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 9),
-                              st.lists(st.integers(0, 2 ** 31 - 1), min_size=3, max_size=3)),
-                    max_size=6))
-    @settings(max_examples=200)
-    def test_writes_the_bytes_of_the_reference_writer(self, rows):
-        examples = [EncodedExample(np.array(indices, dtype=np.int32), Sentiment(label), length)
-                    for label, length, indices in rows]
-        vocab = build_vocabulary([["a", "b"]], min_count=1)
-        examples += encode_split([(Sentiment.neutral, ["b", "x", "a", "a"]),
-                                  (Sentiment.positive, ["a"])], vocab, 3)
-        with tempfile.TemporaryDirectory() as tmp:
-            got, want = Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
-            digest = save_encoded(examples, 3, got)
-            save_encoded_ref(examples, 3, want)
-            assert got.read_bytes() == want.read_bytes()
-            assert digest == hashlib.sha256(want.read_bytes()).hexdigest()
+        other = build_vocabulary([["a", "c"]], min_count=1)
+        self._save(path, [[2, 3, 0]], [1])
+        assert load_encoded(path, self.VOCAB)[0][0].indices.tolist() == [2, 3, 0]
+        with pytest.raises(FormatError, match="different vocabulary"):
+            load_encoded(path, other)
+        self._save(path, [[2, 4, 0]], [1])  # one past the last row
+        with pytest.raises(DatasetError, match="token index 4 is outside"):
+            load_encoded(path, self.VOCAB)
+        assert load_encoded(path)[1] == 3  # no vocabulary: no range to check
 
 
 class TestAtomicWrites:
@@ -677,7 +601,8 @@ class TestAtomicWrites:
         vocab = build_vocabulary([["a", "a", "b"]], min_count=1)
         vocab_path, split_path = tmp_path / "vocab.tsv", tmp_path / "train.tsv"
         save_vocabulary(vocab, vocab_path)
-        save_encoded(encode_split([(Sentiment.negative, ["a", "b"])], vocab, 3), 3, split_path)
+        save_encoded(encode_split([(Sentiment.negative, ["a", "b"])], vocab, 3), 3, split_path,
+                     vocab.fingerprint())
         before = {path: path.read_bytes() for path in (vocab_path, split_path)}
 
         def fail(src, dst):
@@ -688,7 +613,8 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="rename failed"):
             save_vocabulary(other, vocab_path)
         with pytest.raises(OSError, match="rename failed"):
-            save_encoded(encode_split([(Sentiment.positive, ["e"])] * 4, other, 5), 5, split_path)
+            save_encoded(encode_split([(Sentiment.positive, ["e"])] * 4, other, 5), 5, split_path,
+                         other.fingerprint())
         monkeypatch.undo()
         assert {path: path.read_bytes() for path in before} == before
         assert sorted(os.listdir(tmp_path)) == ["train.tsv", "vocab.tsv"]
