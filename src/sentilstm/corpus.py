@@ -396,13 +396,19 @@ def load_encoded(path, vocab: Vocabulary = None):
     indices, labels = artifact.tensors.get("indices"), artifact.tensors.get("labels")
     if (list(artifact.fields) != ["maxlen"] or list(artifact.tensors) != ["indices", "labels"]
             or indices.dtype != np.int32 or labels.dtype != np.int32
-            or labels.ndim != 1 or indices.shape != (len(labels), maxlen)):
+            or labels.ndim != 1 or indices.ndim != 2 or len(indices) != len(labels)):
         raise FormatError(f"{path}: expected field maxlen and int32 tensors indices "
                           f"(N, maxlen) and labels (N,)")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) > 2:
-        raise FormatError(f"{path}: a label is not 0, 1 or 2")
-    if indices.min(initial=0) < 0:
-        raise FormatError(f"{path}: negative token index")
+    if indices.shape[1] != maxlen:
+        raise FormatError(f"{path}: expected {maxlen} indices per row (maxlen), "
+                          f"got {indices.shape[1]}")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) > 2 or indices.min(initial=0) < 0:
+        # the first bad row, its label checked before its indices, names what is wrong
+        bad_label = (labels < 0) | (labels > 2)
+        row = int(np.argmax(bad_label | (indices < 0).any(axis=1)))
+        if bad_label[row]:
+            raise FormatError(f"{path}: row {row + 1}: label '{labels[row]}' is not 0, 1 or 2")
+        raise FormatError(f"{path}: row {row + 1}: negative token index {indices[row].min()}")
     if vocab is not None:
         if vocab.fingerprint() != artifact.binding:
             raise FormatError(f"{path}: split was encoded with a different vocabulary")

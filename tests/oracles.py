@@ -8,7 +8,9 @@ from sentilstm.
 
 import math
 import string
+import struct
 import unicodedata
+import zlib
 
 import numpy as np
 
@@ -419,6 +421,105 @@ def encode_ref(tokens, vocab, maxlen: int) -> np.ndarray:
     for pos, token in enumerate(tokens[:maxlen]):
         out[pos] = vocab.token_to_index.get(token, vocab.unk_index)
     return out
+
+
+_ELEMENT = {"i32": "<i", "f32": "<f", "f64": "<d"}
+
+
+def encoded_container_ref(binding: bytes, fields: dict, tensors: dict, dtype: str = "i32") -> bytes:
+    """Per-element writer of a container of kind "encoded": magic, version
+    2, kind, binding, then the u32 fields and the tensors, each value packed
+    on its own, then the CRC32 of all of it."""
+    def u32(value):
+        return struct.pack("<I", value)
+
+    def text(value):
+        return u32(len(value)) + value.encode("ascii")
+
+    out = b"SENTI-BIN\x00" + u32(2) + text("encoded") + binding + u32(len(fields))
+    for name, value in fields.items():
+        out += text(name) + u32(value)
+    out += u32(len(tensors))
+    for name, values in tensors.items():
+        shape = np.shape(values)
+        out += text(name) + text(dtype) + u32(len(shape)) + b"".join(map(u32, shape))
+        out += b"".join(struct.pack(_ELEMENT[dtype], v) for v in np.ravel(values).tolist())
+    return out + u32(zlib.crc32(out))
+
+
+def save_encoded_ref(examples, maxlen: int, path, binding: bytes):
+    """Writes a split as the container the package writes: field maxlen,
+    int32 tensors indices (N, maxlen) and labels (N,)."""
+    indices = [[int(i) for i in ex.indices] for ex in examples]
+    labels = [int(ex.label) for ex in examples]
+    tensors = {"indices": np.array(indices, dtype=np.int64).reshape(len(examples), maxlen),
+               "labels": np.array(labels, dtype=np.int64)}
+    with open(path, "wb") as f:
+        f.write(encoded_container_ref(binding, {"maxlen": maxlen}, tensors))
+
+
+def load_encoded_ref(data: bytes):
+    """Field-by-field reader of a split container. Returns (binding,
+    maxlen, [(label, indices)]); a bad container raises ValueError, whose
+    message, for a well-formed container that is not a valid split, is what
+    the package's error says after the path."""
+    body = data[:-4]
+    if len(data) < 4 or struct.unpack("<I", data[-4:])[0] != zlib.crc32(body):
+        raise ValueError("corrupt container")
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(body):
+            raise ValueError("truncated container")
+        pos += n
+        return body[pos - n:pos]
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    def text():
+        return take(u32()).decode("ascii")
+
+    if take(10) != b"SENTI-BIN\x00" or u32() != 2 or text() != "encoded":
+        raise ValueError("not a split container")
+    binding = take(32)
+    fields, tensors = {}, {}
+    for _ in range(u32()):
+        name = text()
+        if name in fields:
+            raise ValueError(f"{name} appears twice")
+        fields[name] = u32()
+    for _ in range(u32()):
+        name, dtype = text(), text()
+        if name in tensors:
+            raise ValueError(f"{name} appears twice")
+        shape = [u32() for _ in range(u32())]
+        size = struct.calcsize(_ELEMENT[dtype])
+        raw = take(size * math.prod(shape))
+        values = [struct.unpack_from(_ELEMENT[dtype], raw, k * size)[0]
+                  for k in range(math.prod(shape))]
+        tensors[name] = (dtype, shape, values)
+    if pos != len(body):
+        raise ValueError("trailing bytes")
+    layout = "expected field maxlen and int32 tensors indices (N, maxlen) and labels (N,)"
+    if list(fields) != ["maxlen"] or list(tensors) != ["indices", "labels"]:
+        raise ValueError(layout)
+    (index_dtype, shape, flat), (label_dtype, label_shape, labels) = \
+        tensors["indices"], tensors["labels"]
+    if (index_dtype != "i32" or label_dtype != "i32" or len(label_shape) != 1
+            or len(shape) != 2 or shape[0] != label_shape[0]):
+        raise ValueError(layout)
+    maxlen = fields["maxlen"]
+    if shape[1] != maxlen:
+        raise ValueError(f"expected {maxlen} indices per row (maxlen), got {shape[1]}")
+    rows = [flat[r * maxlen:(r + 1) * maxlen] for r in range(len(labels))]
+    for row_num, (label, row) in enumerate(zip(labels, rows), start=1):
+        if label not in (0, 1, 2):
+            raise ValueError(f"row {row_num}: label '{label}' is not 0, 1 or 2")
+        if any(i < 0 for i in row):
+            raise ValueError(f"row {row_num}: negative token index {min(row)}")
+    return binding, maxlen, list(zip(labels, rows))
 
 
 def build_vocabulary_ref(corpus, min_count: int):

@@ -1,18 +1,21 @@
 import hashlib
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (build_vocabulary_ref, clean_ref, detect_tokenizer_mode_ref, encode_ref,
-                     load_vocabulary_ref)
+from oracles import (build_vocabulary_ref, clean_ref, detect_tokenizer_mode_ref,
+                     encoded_container_ref, encode_ref, load_encoded_ref, load_vocabulary_ref,
+                     save_encoded_ref)
 from sentilstm import binio
-from sentilstm.corpus import (RawRecord, Sentiment, Vocabulary, build_vocabulary, clean_text,
-                              detect_tokenizer_mode, encode, encode_example, encode_split,
-                              load_dataset, load_encoded, load_vocabulary, parse_label,
-                              save_encoded, save_vocabulary, serialize_vocabulary,
+from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, Vocabulary, build_vocabulary,
+                              clean_text, detect_tokenizer_mode, encode, encode_example,
+                              encode_split, load_dataset, load_encoded, load_vocabulary,
+                              parse_label, save_encoded, save_vocabulary, serialize_vocabulary,
                               stratified_split, tokenize)
 from sentilstm.errors import DatasetError, FormatError
 from synthetic import write_csv
@@ -558,22 +561,151 @@ class TestEncodedIO:
             load_encoded(path)
 
     @pytest.mark.parametrize("indices, labels, kwargs, message", [
-        ([[2, 0, 0]], [3], {}, "label"),
-        ([[2, 0, 0]], [-1], {}, "label"),
-        ([[2, -1, 0]], [0], {}, "negative token index"),
         ([[2, 0, 0]], [0, 1], {}, "labels"),
         ([2, 0, 0], [0], {}, "indices"),
         ([[2, 0, 0]], 0, {}, "labels"),
         ([[2, 0, 0]], [0], {"fields": {}}, "maxlen"),
         ([[2, 0, 0]], [0], {"fields": {"maxlen": 3, "n": 1}}, "maxlen"),
         ([[2, 0, 0]], [0], {"dtype": "f32"}, "int32"),
-    ], ids=["label-3", "label-negative", "negative-index", "labels-count", "indices-1d",
-            "labels-0d", "no-maxlen", "extra-field", "float-tensors"])
+    ], ids=["labels-count", "indices-1d", "labels-0d", "no-maxlen", "extra-field",
+            "float-tensors"])
     def test_bad_container_is_format_error(self, tmp_path, indices, labels, kwargs, message):
         path = tmp_path / "enc.tsv"
         self._save(path, indices, labels, **kwargs)
         with pytest.raises(FormatError, match=message):
             load_encoded(path)
+
+    @staticmethod
+    def _valid_lines(n, maxlen=3):
+        return [f"{i % 3}\t2\t{i % 7 + 2} 5{' 0' * (maxlen - 2)}" for i in range(n)]
+
+    def _save_lines(self, path, lines, maxlen=3):
+        """A split whose rows are given as lines of the text format that
+        preceded the container, label<TAB>length<TAB>indices; the length
+        is not stored."""
+        rows = [line.split("\t") for line in lines]
+        self._save(path, [list(map(int, row[2].split())) for row in rows],
+                   [int(row[0]) for row in rows], maxlen)
+
+    @pytest.mark.parametrize("line, message", [
+        ("7\t1\t2 0 0", "label '7'"),
+        ("-1\t1\t2 0 0", "label '-1'"),
+        ("0\t1\t2 -1 0", "negative token index"),
+    ])
+    def test_bad_field_is_format_error_with_line(self, tmp_path, line, message):
+        path = tmp_path / "enc.tsv"
+        self._save_lines(path, ["0\t1\t2 0 0", line])
+        with pytest.raises(FormatError, match=f"row 2: .*{message}"):
+            load_encoded(path)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_last_line_off_by_one_width(self, tmp_path, width):
+        # every row of a container has the block's width, so rows one index
+        # short or long are refused as a whole
+        path = tmp_path / "enc.tsv"
+        self._save_lines(path, self._valid_lines(51, maxlen=width), maxlen=3)
+        with pytest.raises(FormatError,
+                           match=rf"expected 3 indices per row \(maxlen\), got {width}$"):
+            load_encoded(path)
+
+    def test_fifty_good_lines_load_as_one_block(self, tmp_path):
+        path = tmp_path / "enc.tsv"
+        self._save_lines(path, self._valid_lines(50))
+        examples, maxlen = load_encoded(path)
+        assert maxlen == 3
+        assert [ex.indices.tolist() for ex in examples] == \
+            [[i % 7 + 2, 5, 0] for i in range(50)]
+        assert [int(ex.label) for ex in examples] == [i % 3 for i in range(50)]
+        assert all(ex.indices.dtype == np.int32 for ex in examples)
+        assert examples[0].indices.base is examples[-1].indices.base
+
+    @pytest.mark.parametrize("line, message", [
+        ("7\t1\t2 0 0", "label '7'"),
+        ("0\t1\t2 -1 0", "negative token index"),
+    ])
+    def test_bad_middle_line_of_fifty_is_named(self, tmp_path, line, message):
+        # the bad row is row 26; a later row is bad too, and is not the one named
+        lines = self._valid_lines(50)
+        lines[25] = line
+        lines[40] = "9\t1\t2 0 0"
+        path = tmp_path / "enc.tsv"
+        self._save_lines(path, lines)
+        with pytest.raises(FormatError, match=f"row 26: .*{message}"):
+            load_encoded(path)
+
+    @staticmethod
+    @st.composite
+    def _container(draw):
+        """The fields and tensors of a split container, mostly valid; about
+        one row in five has an odd label or index, and about one container
+        in three has a wrong layout."""
+        maxlen, n = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+        labels = [draw(st.integers(0, 2)) for _ in range(n)]
+        indices = [[draw(st.integers(0, 40)) for _ in range(maxlen)] for _ in range(n)]
+        for row in range(n):
+            if draw(st.integers(0, 4)) == 0:
+                if draw(st.booleans()) or not maxlen:
+                    labels[row] = draw(st.sampled_from([-2 ** 31, -1, 3, 7, 2 ** 31 - 1]))
+                else:
+                    indices[row][draw(st.integers(0, maxlen - 1))] = \
+                        draw(st.sampled_from([-2 ** 31, -40, -1]))
+        fields = {"maxlen": maxlen}
+        tensors = {"indices": np.array(indices, dtype=np.int64).reshape(n, maxlen),
+                   "labels": np.array(labels, dtype=np.int64)}
+        dtype = "i32"
+        layout = draw(st.sampled_from(["valid"] * 12 + ["short", "long", "no-maxlen",
+                                                        "extra-field", "labels-count",
+                                                        "f32", "swapped"]))
+        if layout == "short":
+            fields["maxlen"] = maxlen + 1
+        elif layout == "long" and maxlen:
+            fields["maxlen"] = maxlen - 1
+        elif layout == "no-maxlen":
+            fields = {}
+        elif layout == "extra-field":
+            fields["n"] = n
+        elif layout == "labels-count":
+            tensors["labels"] = tensors["labels"][:-1] if n else np.array([0])
+        elif layout == "f32":
+            dtype = "f32"
+        elif layout == "swapped":
+            tensors = {"labels": tensors["labels"], "indices": tensors["indices"]}
+        return fields, tensors, dtype
+
+    @given(_container())
+    @settings(max_examples=400)
+    def test_accepts_and_refuses_what_the_reference_does(self, container):
+        data = encoded_container_ref(self.VOCAB.fingerprint(), *container)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "enc.tsv"
+            path.write_bytes(data)
+            try:
+                binding, want_maxlen, want = load_encoded_ref(data)
+            except ValueError as exc:
+                with pytest.raises(FormatError) as caught:
+                    load_encoded(path)
+                assert str(caught.value) == f"{path}: {exc}"
+                return
+            examples, maxlen = load_encoded(path)
+        assert binding == self.VOCAB.fingerprint()
+        assert (maxlen, [(int(ex.label), ex.indices.tolist()) for ex in examples]) == \
+            (want_maxlen, want)
+
+    @given(st.lists(st.tuples(st.integers(0, 2),
+                              st.lists(st.integers(0, 2 ** 31 - 1), min_size=3, max_size=3)),
+                    max_size=6))
+    @settings(max_examples=200)
+    def test_writes_the_bytes_of_the_reference_writer(self, rows):
+        examples = [EncodedExample(np.array(indices, dtype=np.int32), Sentiment(label))
+                    for label, indices in rows]
+        examples += encode_split([(Sentiment.neutral, ["b", "x", "a", "a"]),
+                                  (Sentiment.positive, ["a"])], self.VOCAB, 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
+            digest = save_encoded(examples, 3, got, self.VOCAB.fingerprint())
+            save_encoded_ref(examples, 3, want, self.VOCAB.fingerprint())
+            assert got.read_bytes() == want.read_bytes()
+            assert digest == hashlib.sha256(want.read_bytes()).hexdigest()
 
     def test_binding_and_range_checked_against_the_vocabulary(self, tmp_path):
         path = tmp_path / "enc.tsv"
