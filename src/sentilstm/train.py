@@ -279,12 +279,35 @@ def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
     binio.write_json(os.path.join(directory, MANIFEST_NAME), manifest)
 
 
+# The parse of the last checkpoint this process loaded, keyed by the SHA-256
+# digests of its model, embedding and vocabulary files. One entry; a parse
+# that raised is not kept.
+_parsed = {}
+
+
+def _parse_checkpoint(directory, paths, blobs):
+    """Parse the verified bytes of a checkpoint's three files and check the
+    model's embedding binding. Returns (params, maxlen, embedding, vocab)."""
+    vocab = load_vocabulary(paths[VOCAB_FILE], blobs[VOCAB_FILE])
+    embedding = load_embeddings(paths[EMBEDDINGS_FILE], vocab, blobs[EMBEDDINGS_FILE])
+    params, maxlen, emb_fp = load_model(paths[MODEL_FILE], blobs[MODEL_FILE])
+    if emb_fp != embedding.fingerprint():
+        raise FormatError(f"{directory}: model was trained against a different embedding matrix")
+    return params, maxlen, embedding, vocab
+
+
 def load_checkpoint(directory):
     """Load and cross-validate a checkpoint directory.
 
     Returns (params, embedding, vocab, manifest). Any broken link in the
-    integrity chain (manifest digests, embedding->vocab binding, or the
-    model's recorded embedding checksum) raises FormatError.
+    integrity chain (manifest digests, embedding->vocab binding, the model's
+    recorded embedding checksum, or a manifest model field that disagrees
+    with the model file) raises FormatError.
+
+    Every call reads the manifest and each file once and checks each file's
+    SHA-256 against the manifest. The parse of those bytes is reused when the
+    three digests equal those of the last checkpoint parsed in this process;
+    params and embedding rows are returned as copies of it.
     """
     try:
         manifest = binio.read_json(os.path.join(directory, MANIFEST_NAME), "senti-checkpoint", 1,
@@ -305,13 +328,18 @@ def load_checkpoint(directory):
         if checksums.get(name) != binio.sha256(blobs[name]).hex():
             raise FormatError(f"{directory}: {name} does not match its manifest checksum")
 
-    vocab = load_vocabulary(paths[VOCAB_FILE], blobs[VOCAB_FILE])
-    embedding = load_embeddings(paths[EMBEDDINGS_FILE], vocab, blobs[EMBEDDINGS_FILE])
-    params, maxlen, emb_fp = load_model(paths[MODEL_FILE], blobs[MODEL_FILE])
-    if emb_fp != embedding.fingerprint():
-        raise FormatError(
-            f"{directory}: model was trained against a different embedding matrix"
-        )
-    if maxlen != manifest.get("maxlen"):
-        raise FormatError(f"{directory}: manifest maxlen disagrees with model file")
-    return params, embedding, vocab, manifest
+    digests = tuple(checksums[name] for name in (MODEL_FILE, EMBEDDINGS_FILE, VOCAB_FILE))
+    parsed = _parsed.get(digests)
+    if parsed is None:
+        parsed = _parse_checkpoint(directory, paths, blobs)
+        _parsed.clear()
+        _parsed[digests] = parsed
+    params, maxlen, embedding, vocab = parsed
+
+    # on every call, hit or miss; 8.0 or true for an int is refused too
+    for key, value in (("kind", params.KIND), ("hidden", params.hidden),
+                       ("input_dim", params.input_dim), ("classes", params.classes),
+                       ("maxlen", maxlen)):
+        if manifest.get(key) != value or type(manifest[key]) is not type(value):
+            raise FormatError(f"{directory}: manifest {key} disagrees with model file")
+    return params.copy(), embedding.copy(), vocab, manifest

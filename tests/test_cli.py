@@ -581,6 +581,52 @@ class TestPredict:
         assert rc == 1
         assert "empty after cleaning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["model.bin", "embeddings.bin", "vocab.tsv"])
+    def test_repeated_calls_print_the_same_until_a_file_is_tampered(self, name,
+                                                                   trained_checkpoint,
+                                                                   tmp_path, capsys):
+        # the second call reuses the first one's parse; a changed file is
+        # still caught by its manifest digest
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_checkpoint, ckpt)
+        argv = ["predict", "--checkpoint", str(ckpt), "great wonderful day", "--quiet"]
+        capsys.readouterr()
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out.startswith("prediction:")
+        data = bytearray((ckpt / name).read_bytes())
+        data[len(data) // 2] ^= 0x01
+        (ckpt / name).write_bytes(bytes(data))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {ckpt}: {name} does not match its manifest checksum"]
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "rnn"), ("hidden", 7), ("input_dim", 3), ("classes", 9), ("maxlen", 8.0),
+    ])
+    def test_manifest_model_field_is_one_error_line(self, command, key, value,
+                                                    trained_checkpoint, corpus_csv,
+                                                    tmp_path, capsys):
+        # checked on every call, also after a call that parsed the checkpoint
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_checkpoint, ckpt)
+        argv = {"predict": ["predict", "--checkpoint", str(ckpt), "good day", "--quiet"],
+                "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", corpus_csv,
+                             "--quiet"]}[command]
+        assert main(argv) == 0
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest[key] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {ckpt}: manifest {key} disagrees with model file"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--config", "{tmp}/none.json"], "config file not found: {tmp}/none.json"),
         (["--seed", "-5"], "seed must be >= 0, got -5"),

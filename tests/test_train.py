@@ -550,14 +550,48 @@ class TestModelIO:
 # checkpoints
 
 
-def keyword_checkpoint_pieces(maxlen=8):
+def keyword_checkpoint_pieces(maxlen=8, seed=4):
     examples, vocab = encoded_keyword_dataset(maxlen)
-    embedding = random_embedding(vocab, dim=5, seed=4)
+    embedding = random_embedding(vocab, dim=5, seed=seed)
     embedding.rows[...] = f32_exact(embedding.rows)
-    params = init_lstm_params(6, 5, seed=4)
+    params = init_lstm_params(6, 5, seed=seed)
     for tensor in params.tensors().values():
         tensor[...] = f32_exact(tensor)
     return examples, vocab, embedding, params
+
+
+def count_parses(monkeypatch):
+    """Record each parse `load_checkpoint` makes rather than reuses; returns
+    the list the directories are appended to."""
+    parses = []
+    real_parse = train_mod._parse_checkpoint
+
+    def recording_parse(directory, paths, blobs):
+        parses.append(directory)
+        return real_parse(directory, paths, blobs)
+
+    monkeypatch.setattr(train_mod, "_parse_checkpoint", recording_parse)
+    return parses
+
+
+def save_keyword_checkpoint(directory, seed=4):
+    _, vocab, embedding, params = keyword_checkpoint_pieces(seed=seed)
+    save_checkpoint(directory, params, embedding, vocab, maxlen=8,
+                    tokenizer_mode="whitespace")
+    return params, embedding
+
+
+def repair_digest(directory, name):
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"][name] = sha256_file(directory / name)
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
+def assert_same_params(left, right):
+    assert type(left) is type(right)
+    for name in left.TENSOR_NAMES:
+        np.testing.assert_array_equal(left.tensors()[name], right.tensors()[name])
 
 
 class TestCheckpoint:
@@ -642,22 +676,35 @@ class TestCheckpoint:
             load_checkpoint(directory)
 
     def test_each_file_read_once(self, tmp_path, monkeypatch):
-        # the bytes checked against the manifest are the bytes parsed
+        # the bytes checked against the manifest are the bytes parsed; a call
+        # that reuses the last parse still reads all four files and hashes the
+        # three that the manifest lists
         _, vocab, embedding, params = keyword_checkpoint_pieces()
         directory = tmp_path / "ckpt"
         save_checkpoint(directory, params, embedding, vocab, maxlen=8,
                         tokenizer_mode="whitespace")
-        opened = []
-        real_open = open
+        files = sorted((directory / name).read_bytes()
+                       for name in ("model.bin", "embeddings.bin", "vocab.tsv"))
+        real_open, real_sha256 = open, binio.sha256
+        for call in ("first", "memo hit"):
+            opened, hashed, parses = [], [], count_parses(monkeypatch)
 
-        def recording_open(file, *args, **kwargs):
-            opened.append(os.path.basename(file))
-            return real_open(file, *args, **kwargs)
+            def recording_open(file, *args, **kwargs):
+                opened.append(os.path.basename(file))
+                return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr("builtins.open", recording_open)
-        load_checkpoint(directory)
-        monkeypatch.undo()
-        assert sorted(opened) == ["embeddings.bin", "manifest.json", "model.bin", "vocab.tsv"]
+            def recording_sha256(*chunks):
+                hashed.append(b"".join(bytes(chunk) for chunk in chunks))
+                return real_sha256(*chunks)
+
+            monkeypatch.setattr("builtins.open", recording_open)
+            monkeypatch.setattr(binio, "sha256", recording_sha256)
+            load_checkpoint(directory)
+            monkeypatch.undo()
+            assert sorted(opened) == ["embeddings.bin", "manifest.json", "model.bin",
+                                      "vocab.tsv"], call
+            assert all(blob in hashed for blob in files), call
+        assert parses == [] and sorted(hashed) == files
 
     def test_save_reads_nothing_back(self, tmp_path, monkeypatch):
         # the manifest digests are of the bytes written, not of a re-read
@@ -718,10 +765,7 @@ class TestCheckpoint:
         other = random_embedding(vocab, dim=5, seed=99)
         from sentilstm.embedding import save_embeddings
         save_embeddings(other, directory / "embeddings.bin")
-        manifest_path = directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["checksums"]["embeddings.bin"] = sha256_file(directory / "embeddings.bin")
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        repair_digest(directory, "embeddings.bin")
         with pytest.raises(FormatError, match="different embedding"):
             load_checkpoint(directory)
 
@@ -732,3 +776,96 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="does not match"):
             save_checkpoint(tmp_path / "ckpt", params, bad, vocab, maxlen=8,
                             tokenizer_mode="whitespace")
+
+
+class TestCheckpointMemo:
+    """`load_checkpoint` parses a checkpoint once per process: a call whose
+    three file digests equal those of the last parse reuses it, and still
+    reads, hashes and cross-checks everything else."""
+
+    def test_second_load_is_a_hit_with_equal_results(self, tmp_path, monkeypatch):
+        directory = tmp_path / "ckpt"
+        save_keyword_checkpoint(directory)
+        first = load_checkpoint(directory)
+        parses = count_parses(monkeypatch)
+        second = load_checkpoint(directory)
+        assert parses == []
+        assert_same_params(first[0], second[0])
+        np.testing.assert_array_equal(first[1].rows, second[1].rows)
+        assert first[1].vocab_fingerprint == second[1].vocab_fingerprint
+        assert first[2] == second[2] and first[2].fingerprint() == second[2].fingerprint()
+        assert first[3] == second[3]
+
+    def test_returned_arrays_do_not_reach_the_memo(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        params, embedding = save_keyword_checkpoint(directory)
+        loaded_params, loaded_emb, _, _ = load_checkpoint(directory)
+        for tensor in loaded_params.tensors().values():
+            tensor += 1.0
+        loaded_emb.rows[...] = 7.0
+        again_params, again_emb, _, _ = load_checkpoint(directory)
+        assert_same_params(again_params, params)
+        np.testing.assert_array_equal(again_emb.rows, embedding.rows)
+        assert again_emb.fingerprint() == embedding.fingerprint()
+
+    def test_checkpoint_replaced_in_place_is_picked_up(self, tmp_path, monkeypatch):
+        directory = tmp_path / "ckpt"
+        save_keyword_checkpoint(directory, seed=4)
+        load_checkpoint(directory)
+        params, embedding = save_keyword_checkpoint(directory, seed=5)
+        parses = count_parses(monkeypatch)
+        loaded_params, loaded_emb, _, _ = load_checkpoint(directory)
+        assert parses == [directory]
+        assert_same_params(loaded_params, params)
+        np.testing.assert_array_equal(loaded_emb.rows, embedding.rows)
+
+    def test_failed_parse_is_retried(self, tmp_path, monkeypatch):
+        # files that match their digests but do not parse together: another
+        # valid embedding file, the digest repaired
+        directory = tmp_path / "ckpt"
+        _, vocab, _, _ = keyword_checkpoint_pieces()
+        save_keyword_checkpoint(directory)
+        save_embeddings(random_embedding(vocab, dim=5, seed=99), directory / "embeddings.bin")
+        repair_digest(directory, "embeddings.bin")
+        parses = count_parses(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(FormatError, match="different embedding"):
+                load_checkpoint(directory)
+        assert parses == [directory, directory]
+
+    @pytest.mark.parametrize("repair", [False, True], ids=["stale-digest", "repaired-digest"])
+    @pytest.mark.parametrize("name", ["model.bin", "embeddings.bin", "vocab.tsv"])
+    def test_flipped_byte_after_a_hit_refused(self, name, repair, tmp_path):
+        directory = tmp_path / "ckpt"
+        save_keyword_checkpoint(directory)
+        load_checkpoint(directory)
+        load_checkpoint(directory)
+        data = bytearray((directory / name).read_bytes())
+        offset = len(data) // 2
+        if name == "vocab.tsv":
+            # a byte of a token or count: "\n" flipped to "\v" still splits the
+            # same lines, so it reads as the same vocabulary, hit or miss
+            offset = data.index(b"\t", offset) + 1
+        data[offset] ^= 0x01
+        (directory / name).write_bytes(bytes(data))
+        if repair:
+            repair_digest(directory, name)
+        with pytest.raises(FormatError, match=None if repair else "manifest checksum"):
+            load_checkpoint(directory)
+
+    @pytest.mark.parametrize("key, value", [
+        ("kind", "rnn"), ("hidden", 7), ("input_dim", 3), ("classes", 9), ("maxlen", 9),
+        ("hidden", 6.0), ("maxlen", 8.0), ("classes", None),
+    ])
+    def test_manifest_model_field_checked_on_a_hit(self, key, value, tmp_path, monkeypatch):
+        directory = tmp_path / "ckpt"
+        save_keyword_checkpoint(directory)  # an LSTM with hidden 6, input_dim 5, maxlen 8
+        load_checkpoint(directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        parses = count_parses(monkeypatch)
+        with pytest.raises(FormatError, match=f"manifest {key} disagrees with model file"):
+            load_checkpoint(directory)
+        assert parses == []
