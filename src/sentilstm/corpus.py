@@ -328,7 +328,10 @@ def load_vocabulary(path, data: bytes = None) -> Vocabulary:
     the bytes read; any other file the reader accepts, by that of its
     re-serialization."""
     data, text = _read_text(path, data)
-    lines = text.splitlines()
+    # "\n" or "\r\n" ends a line, never the other breaks str.splitlines knows
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":  # the last line's end, or an empty file
+        lines.pop()
     if not lines:
         raise FormatError(f"{path}: empty vocabulary file")
     m = _VOCAB_HEADER_RE.match(lines[0])

@@ -1,4 +1,4 @@
-"""Batched, masked LSTM and vanilla-RNN recurrences with hand-derived
+"""Batched, packed LSTM and vanilla-RNN recurrences with hand-derived
 backpropagation through time.
 
 One step of the LSTM cell, with [h, x] the concatenation of the previous
@@ -17,17 +17,22 @@ state after the last non-pad token through a dense head and a softmax.
 
 `forward` takes one (T,) example or a (B, T) batch of token indices. Each
 row's non-pad tokens move to the row's front in their order (left-
-compaction) and the batch is cut to its longest real length, so pads never
-reach the cell. The gates are one fused (G*H, H+D) matrix (LSTM: G = 4, in
-f, i, o, c order). Its input half maps all B*T tokens in one matrix product
-before the time loop; each step adds h @ W_h^T, and a row out of tokens
-keeps its state (np.where on the step's mask). `backward` returns the
-gradient of the batch's mean loss, one summed entry per embedding row read.
+compaction), and the rows are packed: stably sorted longest first, so the
+rows with a token at step t are a prefix of n_t rows, and the N real tokens
+gathered time-major. The gates are one fused (G*H, H+D) matrix (LSTM: G = 4,
+in f, i, o, c order). Its input half maps the N tokens in one product before
+the time loop; step t adds h[:n_t] @ W_h^T and runs the cell on those rows
+only, so no pad is ever a cell row. Where n_t drops (a finish step) the rows
+that ran out keep their final h. `backward` walks the steps in reverse: a
+row joins at its last step with dh from the head and dc = 0, the gate
+gradients stay packed as (N, G), and it returns the gradient of the batch's
+mean loss, one summed entry per embedding row read. Both return their
+results in input row order.
 
 Padding invariance is exact: an example with pads appended compacts to the
-same (1, L) array as without them, so both run the same floating-point
-operations in the same order. Inside a larger batch a row agrees with its
-lone run to rounding only.
+same (1, L) array as without them, so both pack the same way and run the
+same floating-point operations in the same order. Inside a larger batch a
+row agrees with its lone run to rounding only.
 """
 
 from dataclasses import dataclass
@@ -214,7 +219,7 @@ class ForwardTrace:
 
 def _compact(indices):
     """Each row's non-pad tokens moved to its front in order, cut to the
-    longest row."""
+    longest row; returns those (B, T) tokens and each row's length."""
     idx = np.atleast_2d(np.asarray(indices))
     real = idx != PAD_INDEX
     lengths = real.sum(axis=1)
@@ -222,7 +227,7 @@ def _compact(indices):
         raise TrainingError("empty sequence after masking")
     # a stable sort on "is pad" keeps the real tokens' order
     order = np.argsort(~real, axis=1, kind="stable")[:, :lengths.max()]
-    return np.take_along_axis(idx, order, axis=1)
+    return np.take_along_axis(idx, order, axis=1), lengths
 
 
 def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
@@ -231,37 +236,43 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     if not isinstance(params, (LstmParams, RnnParams)):
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
     lstm = isinstance(params, LstmParams)
-    tokens = _compact(indices)
-    mask = tokens != PAD_INDEX
-    B, T = tokens.shape
+    tokens, lengths = _compact(indices)
+    order = np.argsort(-lengths, kind="stable")            # longest row first
+    real = (tokens[order] != PAD_INDEX).T                   # (T, B), each column a prefix
+    packed = tokens[order].T[real]                          # (N,) real tokens, time-major
     H = params.hidden
     W, b = params.gate_weights()
-    x = embedding.rows[tokens.T]                           # (T, B, D)
-    xw = (x.reshape(T * B, -1) @ W[:, H:].T).reshape(T, B, -1)
-    xw += b  # in place: a second (T, B, G) array would double the peak memory
+    x = embedding.rows[packed]                              # (N, D)
+    xw = x @ W[:, H:].T
+    xw += b  # in place: a second (N, G) array would double the peak memory
     w_h = W[:, :H].T
-    h = c = np.zeros((B, H))
-    steps = []  # per step: (h, c) before it, the cell's activations, the mask column
-    for t, full in enumerate(mask.all(axis=0)):
-        m = None if full else mask[:, t, None]
+    h = c = np.zeros((len(order), H))
+    last = np.empty_like(h)  # each row's final hidden state, in input order
+    steps, start = [], 0  # per step: (h, c) before it and the cell's activations
+    for n in real.sum(axis=1).tolist():
+        if n < len(h):  # rows n.. had their last token at the step before
+            last[order[n:len(h)]] = h[n:]
+            h, c = h[:n], c[:n]
+        pre = xw[start:start + n] + h @ w_h
+        start += n
         if lstm:
-            h_new, c_new, *act = _lstm_cell(xw[t] + h @ w_h, c)
+            h_new, c_new, *act = _lstm_cell(pre, c)
         else:
-            h_new, c_new = np.tanh(xw[t] + h @ w_h), c
-            act = h_new
+            h_new = act = np.tanh(pre)
+            c_new = c
         if cache:
-            steps.append((h, c, act, m))
-        if m is not None:  # rows without a token here keep their state
-            h_new, c_new = np.where(m, h_new, h), np.where(m, c_new, c)
+            steps.append((h, c, act))
         h, c = h_new, c_new
-    logits = h @ params.head_W.T + params.head_b
+    last[order[:len(h)]] = h
+    logits = last @ params.head_W.T + params.head_b
     if not np.isfinite(logits).all():
         raise TrainingError("non-finite logits (a non-finite parameter or embedding row)")
     probs = softmax(logits)
     if np.ndim(indices) == 1:
         logits, probs = logits[0], probs[0]
     return ForwardTrace(indices=tokens, logits=logits, probs=probs,
-                        cache={"W": W, "x": x, "h": h, "steps": steps} if cache else None)
+                        cache={"W": W, "x": x, "h": last, "steps": steps, "order": order,
+                               "packed": packed} if cache else None)
 
 
 @dataclass
@@ -299,15 +310,20 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     steps, W = saved["steps"], saved["W"]
     tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
-    # BPTT: dpre[t] is the loss gradient of step t's gate pre-activations,
-    # zero in the rows that had no token at t
-    T = len(steps)
-    dpre = np.empty((T, B, W.shape[0]))
-    dh = dlogits @ params.head_W
-    dc = np.zeros((B, H))
-    for t in reversed(range(T)):
-        _, c_prev, act, m = steps[t]
-        d = dpre[t]
+    # BPTT over the packed steps, last first: dpre holds the loss gradient of
+    # every real token's gate pre-activations, in the forward's packed order.
+    # A row joins at its last step, with dh from the head and dc = 0.
+    dpre = np.empty((len(saved["packed"]), W.shape[0]))
+    dh_head = (dlogits @ params.head_W)[saved["order"]]
+    dh = dc = np.zeros((0, H))
+    end = len(dpre)
+    for h_prev, c_prev, act in reversed(steps):
+        n = len(h_prev)
+        if n > len(dh):
+            dh = np.concatenate([dh, dh_head[len(dh):n]])
+            dc = np.concatenate([dc, np.zeros((n - len(dc), H))])
+        d = dpre[end - n:end]
+        end -= n
         if isinstance(params, LstmParams):
             s, cbar, tanh_c = act
             dc_t = dc + dh * s[:, 2 * H:] * (1.0 - tanh_c * tanh_c)
@@ -320,22 +336,16 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
         else:
             np.multiply(dh, 1.0 - act * act, out=d)
             dc_t = dc
-        if m is None:
-            dh, dc = d @ W[:, :H], dc_t
-        else:
-            d[~m[:, 0]] = 0.0
-            dh, dc = np.where(m, d @ W[:, :H], dh), np.where(m, dc_t, dc)
+        dh, dc = d @ W[:, :H], dc_t
 
-    dpre = dpre.reshape(T * B, -1)
-    z = np.concatenate([np.stack([st[0] for st in steps]), saved["x"]], axis=2).reshape(T * B, -1)
+    z = np.concatenate([np.concatenate([st[0] for st in steps]), saved["x"]], axis=1)
     dW, db = dpre.T @ z, dpre.sum(axis=0)
     for k, g in enumerate(params.GATES):  # per-gate views of the fused gradient
         tensors["W" + g], tensors["b" + g] = dW[k * H:(k + 1) * H], db[k * H:(k + 1) * H]
-    # one input gradient per (step, row), summed into one row per distinct token
+    # one input gradient per real token, summed into one row per distinct token
     dx = dpre @ W[:, H:]
-    real = (trace.indices != PAD_INDEX).T.reshape(-1)
-    rows, where = np.unique(trace.indices.T.reshape(-1)[real], return_inverse=True)
+    rows, where = np.unique(saved["packed"], return_inverse=True)
     block = np.zeros((rows.size, dx.shape[1]))
-    np.add.at(block, where, dx[real])
+    np.add.at(block, where, dx)
     return Grads(tensors={name: tensors[name] for name in params.TENSOR_NAMES},
                  embedding_index=rows, embedding_grad=block)

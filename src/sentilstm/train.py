@@ -148,11 +148,10 @@ def _stack(examples):
     return out
 
 
-def _batch_grads(params, embedding, batch):
+def _batch_grads(params, embedding, indices, labels):
     """Mean loss, mean grads and correct-prediction count of one batch, in one engine pass."""
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
-    trace = forward(params, embedding, _stack(batch))
-    loss = float(np.sum(cross_entropy(trace.logits, labels))) / len(batch)
+    trace = forward(params, embedding, indices)
+    loss = float(np.sum(cross_entropy(trace.logits, labels))) / len(labels)
     n_correct = int(np.count_nonzero(trace.predicted == labels))
     return loss, backward(trace, params, labels), n_correct
 
@@ -163,9 +162,11 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
     examples = list(examples)
     if not examples:
         raise TrainingError("no training examples")
-    for i, ex in enumerate(examples):
-        if not np.any(np.asarray(ex.indices) != PAD_INDEX):
-            raise TrainingError(f"training example {i} is empty after masking")
+    block = _stack(examples)
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    empty = ~(block != PAD_INDEX).any(axis=1)
+    if empty.any():
+        raise TrainingError(f"training example {int(np.argmax(empty))} is empty after masking")
     if embedding.dim != params.input_dim:
         raise TrainingError(
             f"embedding dim {embedding.dim} does not match model input dim {params.input_dim}"
@@ -182,15 +183,15 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
         loss_weighted = 0.0
         n_correct = 0
         for start in range(0, n, config.batch_size):
-            batch = [examples[i] for i in order[start:start + config.batch_size]]
-            batch_loss, grads, correct = _batch_grads(params, embedding, batch)
+            rows = order[start:start + config.batch_size]
+            batch_loss, grads, correct = _batch_grads(params, embedding, block[rows], labels[rows])
             if not np.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {report.total_steps}"
                 )
             clip_grads(grads, config.clip_norm)
             optimizer.step(params, embedding, grads)
-            loss_weighted += batch_loss * len(batch)
+            loss_weighted += batch_loss * len(rows)
             n_correct += correct
             report.total_steps += 1
         report.epoch_losses.append(loss_weighted / n)

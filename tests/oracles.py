@@ -541,9 +541,12 @@ def load_vocabulary_ref(data: bytes):
     raises ValueError whose message is what the package's error says after
     the path."""
     try:
-        lines = data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(str(exc)) from None
+    if lines[-1] == "":
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     if not lines:
         raise ValueError("empty vocabulary file")
     header = "#senti-vocab v1 min_count="

@@ -604,6 +604,27 @@ class TestPredict:
         assert out == "" and err.splitlines() == [
             f"error: {ckpt}: {name} does not match its manifest checksum"]
 
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_vocabulary_line_end_other_than_newline_is_one_error_line(self, char,
+                                                                      trained_checkpoint,
+                                                                      tmp_path, capsys):
+        # with its manifest digest repaired, only the vocabulary reader sees the change
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_checkpoint, ckpt)
+        lines = (ckpt / "vocab.tsv").read_text(encoding="utf-8").split("\n")
+        lines[3] += char + lines.pop(4)  # line 4 runs into line 5
+        (ckpt / "vocab.tsv").write_bytes("\n".join(lines).encode("utf-8"))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["checksums"]["vocab.tsv"] = hashlib.sha256(
+            (ckpt / "vocab.tsv").read_bytes()).hexdigest()
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", str(ckpt), "good day", "--quiet"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {ckpt / 'vocab.tsv'}: line 4: expected index<TAB>token<TAB>frequency"]
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("key, value", [
         ("kind", "rnn"), ("hidden", 7), ("input_dim", 3), ("classes", 9), ("maxlen", 8.0),

@@ -21,6 +21,10 @@ from sentilstm.errors import DatasetError, FormatError
 from synthetic import write_csv
 
 
+# every character besides "\n" and "\r" that str.splitlines ends a line on
+OTHER_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 class TestCleanText:
     def test_topic_mention_punct(self):
         assert clean_text("#WorldCup# @alice nice!") == "nice"
@@ -276,6 +280,18 @@ class TestVocabulary:
         assert loaded == vocab and loaded.digest is None
         assert loaded.fingerprint() == vocab.fingerprint()
 
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+    def test_only_newline_and_crlf_end_a_line(self, char):
+        lines = serialize_vocabulary(build_vocabulary([["b", "a", "a"]], min_count=1)).split("\n")
+        lines[1] += char + lines.pop(2)  # line 2 runs into line 3
+        data = "\n".join(lines).encode("utf-8")
+        message = "line 2: expected index<TAB>token<TAB>frequency"
+        with pytest.raises(FormatError) as caught:
+            load_vocabulary("vocab.tsv", data)
+        assert str(caught.value) == f"vocab.tsv: {message}"
+        with pytest.raises(ValueError, match=message):
+            load_vocabulary_ref(data)
+
     _TOKENS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
                                max_size=4).filter(lambda t: t == "".join(t.split())),
                        min_size=0, max_size=6, unique=True)
@@ -286,7 +302,8 @@ class TestVocabulary:
         """A valid vocab.tsv, then up to three edits: a flipped byte, CRLF
         endings, a non-canonical index, no final newline, a repeated token,
         swapped reserved rows, a frequency below min_count or a frequency
-        that str() would not write."""
+        that str() would not write, or a line end that is neither "\\n" nor
+        "\\r\\n"."""
         min_count = draw(st.integers(1, 3))
         lines = [f"#senti-vocab v1 min_count={min_count}", "0\t<pad>\t0", "1\t<unk>\t0"]
         for i, token in enumerate(draw(tokens), start=2):
@@ -294,7 +311,7 @@ class TestVocabulary:
         text = "\n".join(lines) + "\n"
         for _ in range(draw(st.integers(0, 3))):
             kind = draw(st.sampled_from(["flip", "crlf", "index", "no-newline", "repeat",
-                                         "reserved", "low", "count"]))
+                                         "reserved", "low", "count", "break"]))
             lines = text.split("\n")
             row = draw(st.integers(1, max(1, len(lines) - 2)))
             parts = lines[row].split("\t")
@@ -304,6 +321,9 @@ class TestVocabulary:
                 return bytes(data)
             if kind == "crlf":
                 text = text.replace("\n", "\r\n")
+            elif kind == "break":
+                at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+                text = text[:at] + draw(st.sampled_from(OTHER_LINE_BREAKS)) + text[at + 1:]
             elif kind == "no-newline":
                 text = text.rstrip("\n")
             elif kind == "reserved":

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (batch_grads_ref, cross_entropy_ref, example_grads_ref,
                      finite_difference, lstm_forward_ref, lstm_step_ref,
@@ -380,48 +382,85 @@ class TestGrads:
         assert np.all(a.embedding_grad[0] == 0.5)
 
 
+@st.composite
+def batches(draw):
+    """A batch of token rows over a 10-row vocabulary (token 0 the pad) and
+    its labels: 1 to 12 rows whose real lengths are all equal, only 1 or the
+    full length, or mixed with ties; the real tokens sit anywhere in a row,
+    so pads come mid-row and at the end."""
+    B, T = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["equal", "ones-and-full", "mixed"]))
+    lengths = {"equal": st.just(T), "ones-and-full": st.sampled_from([1, T]),
+               "mixed": st.integers(1, T)}[shape]
+    width = T + draw(st.integers(0, 3))
+    indices = np.zeros((B, width), dtype=np.int64)
+    for row in indices:
+        where = sorted(draw(st.permutations(range(width)))[:draw(lengths)])
+        row[where] = draw(st.lists(st.integers(1, 9), min_size=len(where), max_size=len(where)))
+    return indices, np.array(draw(st.lists(st.integers(0, 2), min_size=B, max_size=B)))
+
+
+def random_model(kind, seed):
+    rng = np.random.default_rng(seed)
+    params = random_lstm(4, 3, rng) if kind == "lstm" else random_rnn(4, 3, rng)
+    rows = rng.normal(size=(10, 3))
+    rows[0] = 0.0
+    return params, rows
+
+
 class TestEngineOracle:
-    """The batched engine against the per-example reference: loss, probs,
+    """The packed engine against the per-example reference: loss, probs,
     every tensor gradient and every embedding row within 1e-12."""
 
-    @staticmethod
-    def cases(rng):
-        random = rng.integers(1, 10, size=(8, 9))
-        random[rng.random(size=random.shape) < 0.3] = 0
-        random[:, 4] = rng.integers(1, 10, size=8)  # no row is all pads
-        return [
-            # mixed lengths, pads mid-row and at the end, token 3 repeated
-            # within a row and token 2 across rows
-            (np.array([[2, 3, 4, 5, 6], [7, 0, 2, 0, 0], [3, 3, 0, 3, 2]]), [0, 2, 1]),
-            (np.array([[5, 0, 5, 0, 5, 0]]), [1]),
-            (np.array([[2, 4, 6, 8]]), [2]),
-            (random, rng.integers(0, 3, size=8)),
-        ]
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    @given(batch=batches(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_per_example_reference(self, kind, batch, seed):
+        indices, labels = batch
+        params, rows = random_model(kind, seed)
+        trace = forward(params, embedding_for(rows), indices)
+        grads = backward(trace, params, labels)
+        loss, ref_tensors, ref_rows = batch_grads_ref(params.tensors(), rows, indices, labels)
+
+        assert abs(float(np.mean(cross_entropy(trace.logits, labels))) - loss) <= 1e-12
+        for b, row in enumerate(indices):
+            real = row[row != PAD_INDEX]
+            assert trace.indices[b].tolist() == real.tolist() + [PAD_INDEX] * (
+                trace.indices.shape[1] - real.size)
+            _, probs, _, _ = example_grads_ref(params.tensors(), rows, row, 0)
+            assert np.max(np.abs(trace.probs[b] - probs)) <= 1e-12
+        for name in params.TENSOR_NAMES:
+            assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
+        got = row_grads(grads)
+        assert grads.embedding_index.tolist() == sorted(ref_rows)
+        assert PAD_INDEX not in got
+        for idx, ref in ref_rows.items():
+            assert np.max(np.abs(got[idx] - ref)) <= 1e-12, idx
 
     @pytest.mark.parametrize("kind", ["lstm", "rnn"])
-    def test_batch_matches_per_example_reference(self, kind):
-        rng = np.random.default_rng((13, kind == "lstm"))
-        for indices, labels in self.cases(rng):
-            params = random_lstm(4, 3, rng) if kind == "lstm" else random_rnn(4, 3, rng)
-            rows = rng.normal(size=(10, 3))
-            rows[0] = 0.0
-            emb = embedding_for(rows)
-            labels = np.asarray(labels)
-            trace = forward(params, emb, indices)
-            grads = backward(trace, params, labels)
-            loss, ref_tensors, ref_rows = batch_grads_ref(params.tensors(), rows, indices, labels)
+    @given(batch=batches(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_permuting_rows_permutes_probs_and_keeps_gradients(self, kind, batch, seed, data):
+        indices, labels = batch
+        perm = np.array(data.draw(st.permutations(range(len(labels)))))
+        params, rows = random_model(kind, seed)
+        emb = embedding_for(rows)
+        trace, moved = forward(params, emb, indices), forward(params, emb, indices[perm])
+        assert np.max(np.abs(moved.probs - trace.probs[perm])) <= 1e-12
+        grads, grads_moved = backward(trace, params, labels), backward(moved, params, labels[perm])
+        for name in params.TENSOR_NAMES:
+            assert np.max(np.abs(grads.tensors[name] - grads_moved.tensors[name])) <= 1e-12, name
+        assert np.array_equal(grads.embedding_index, grads_moved.embedding_index)
+        assert np.max(np.abs(grads.embedding_grad - grads_moved.embedding_grad)) <= 1e-12
 
-            assert abs(float(np.mean(cross_entropy(trace.logits, labels))) - loss) <= 1e-12
-            for b, row in enumerate(indices):
-                _, probs, _, _ = example_grads_ref(params.tensors(), rows, row, 0)
-                assert np.max(np.abs(trace.probs[b] - probs)) <= 1e-12
-            for name in params.TENSOR_NAMES:
-                assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
-            rows = row_grads(grads)
-            assert grads.embedding_index.tolist() == sorted(ref_rows)
-            assert PAD_INDEX not in rows
-            for idx, ref in ref_rows.items():
-                assert np.max(np.abs(rows[idx] - ref)) <= 1e-12, idx
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    def test_cell_runs_once_per_real_token(self, kind):
+        # 6 real tokens in a (3, 5) batch: 9 pads are never a cell row
+        indices = np.array([[2, 0, 3, 0, 0], [0, 0, 0, 0, 4], [5, 6, 0, 7, 0]])
+        params, rows = random_model(kind, 17)
+        cache = forward(params, embedding_for(rows), indices).cache
+        assert [len(h_prev) for h_prev, _, _ in cache["steps"]] == [3, 2, 1]
+        assert len(cache["x"]) == sum(len(h_prev) for h_prev, _, _ in cache["steps"]) == 6
 
     @pytest.mark.parametrize("kind", ["lstm", "rnn"])
     def test_single_example_matches_reference(self, kind):

@@ -288,14 +288,14 @@ class TestTrain:
         seen = []
         original = train_mod._batch_grads
 
-        def recording(params, embedding, batch):
-            seen.extend(ex.indices.tobytes() for ex in batch)
-            return original(params, embedding, batch)
+        def recording(params, embedding, indices, labels):
+            seen.extend(row.tobytes() for row in indices)
+            return original(params, embedding, indices, labels)
 
         monkeypatch.setattr(train_mod, "_batch_grads", recording)
         config = TrainConfig(epochs=2, batch_size=3, seed=1)
         train(examples, make_lstm(), make_embedding(), config)
-        full = sorted(ex.indices.tobytes() for ex in examples)
+        full = sorted(row.tobytes() for row in train_mod._stack(examples))
         assert sorted(seen[:10]) == full
         assert sorted(seen[10:]) == full
         # shuffling actually permutes across epochs for this seed
@@ -355,6 +355,11 @@ class TestTrain:
     def test_all_pad_example_rejected(self):
         examples = [EncodedExample(indices=np.zeros(4, dtype=np.int32), label=0)]
         with pytest.raises(TrainingError, match="empty after masking"):
+            train(examples, make_lstm(), make_embedding(), TrainConfig(seed=1))
+        # the first empty example is named, whatever the lengths around it
+        examples = toy_examples(n=2) + examples * 2 + [EncodedExample(
+            indices=np.array([0, 0, 0, 5, 0, 0, 0], dtype=np.int32), label=1)]
+        with pytest.raises(TrainingError, match="training example 2 is empty after masking"):
             train(examples, make_lstm(), make_embedding(), TrainConfig(seed=1))
 
     def test_dim_mismatch_rejected(self):
