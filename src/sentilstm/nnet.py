@@ -238,7 +238,7 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     lstm = isinstance(params, LstmParams)
     tokens, lengths = _compact(indices)
     order = np.argsort(-lengths, kind="stable")            # longest row first
-    real = (tokens[order] != PAD_INDEX).T                   # (T, B), each column a prefix
+    real = (tokens[order] != PAD_INDEX).T                   # (T, B), each row a prefix
     packed = tokens[order].T[real]                          # (N,) real tokens, time-major
     H = params.hidden
     W, b = params.gate_weights()
