@@ -220,10 +220,10 @@ _KINDS = {cls.KIND: cls for cls in (NaiveBayesModel, LogRegModel)}
 
 def save_baseline(model, path, vocab_fingerprint: bytes):
     """A container of the model's kind bound to the vocabulary checksum,
-    holding each field as an f64 tensor."""
+    holding each field as an f64 tensor. Returns the file's SHA-256 hex."""
     if type(model) not in _KINDS.values():
         raise TypeError(f"unsupported baseline model {type(model).__name__}")
-    binio.save(path, model.KIND, vocab_fingerprint, vars(model), "f64")
+    return binio.save(path, model.KIND, vocab_fingerprint, vars(model), "f64")
 
 
 def load_baseline(path, vocab=None):

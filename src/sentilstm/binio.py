@@ -127,6 +127,7 @@ def read_bytes(path) -> bytes:
         return f.read()
 
 
+# sha256_file has no caller in the package; perfbench/tracing.py wraps binio.sha256_file
 def sha256_file(path) -> str:
     return hashlib.sha256(read_bytes(path)).hexdigest()
 

@@ -434,9 +434,8 @@ def cmd_compare(args) -> int:
         model = fit(train_counts, train_labels)
         reports[name] = metrics(confusion(test_labels, predict(model, test_counts)),
                                 averaging=cfg.averaging)
-        path = os.path.join(baseline_dir, file)
-        bl.save_baseline(model, path, vocab.fingerprint())
-        files[name] = {"file": file, "checksum": binio.sha256_file(path)}
+        checksum = bl.save_baseline(model, os.path.join(baseline_dir, file), vocab.fingerprint())
+        files[name] = {"file": file, "checksum": checksum}
     binio.write_json(os.path.join(baseline_dir, "manifest.json"),
                      {"format": "senti-baselines", "version": 1, "models": files})
 

@@ -11,7 +11,7 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, repeat
 
@@ -133,12 +133,6 @@ class Vocabulary:
     frequencies: dict
     min_count: int
 
-    pad_index: int = PAD_INDEX
-    unk_index: int = UNK_INDEX
-    # SHA-256 of the canonical bytes `load_vocabulary` read this vocabulary
-    # from, if it did; a vocabulary is not changed once built or loaded
-    digest: bytes = field(default=None, repr=False, compare=False)
-
     def __len__(self):
         return len(self.index_to_token)
 
@@ -148,11 +142,11 @@ class Vocabulary:
         return len(self.index_to_token) - 2
 
     def index(self, token: str) -> int:
-        return self.token_to_index.get(token, self.unk_index)
+        return self.token_to_index.get(token, UNK_INDEX)
 
     def fingerprint(self) -> bytes:
         """SHA-256 over the canonical serialized form, binding downstream artifacts."""
-        return self.digest or sha256(serialize_vocabulary(self).encode("utf-8"))
+        return sha256(serialize_vocabulary(self).encode("utf-8"))
 
 
 def build_vocabulary(corpus, min_count: int) -> Vocabulary:
@@ -186,8 +180,8 @@ def encode_split(pairs, vocab: Vocabulary, maxlen: int) -> list:
         raise ValueError("maxlen must be >= 1")
     kept = [tokens[:maxlen] for _, tokens in pairs]
     lengths = np.array(list(map(len, kept)), dtype=np.intp)
-    block = np.full((len(kept), maxlen), vocab.pad_index, dtype=np.int32)
-    indices = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(vocab.unk_index))
+    block = np.full((len(kept), maxlen), PAD_INDEX, dtype=np.int32)
+    indices = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(UNK_INDEX))
     block[np.arange(maxlen) < lengths[:, None]] = list(indices)
     return [EncodedExample(row, label) for row, (label, _) in zip(block, pairs)]
 
@@ -276,58 +270,19 @@ def save_vocabulary(vocab: Vocabulary, path) -> str:
 
 
 _VOCAB_HEADER_RE = re.compile(r"#senti-vocab v1 min_count=(\d+)$")
-_LEADING_ZERO_RE = re.compile(r"\t0[0-9]")
 
 
-def _read_text(path, data: bytes = None):
-    """(bytes, text) of a UTF-8 file, its bytes taken from `data` when the
-    caller has already read them; a missing file or bad UTF-8 raises FormatError."""
+def load_vocabulary(path, data: bytes = None) -> Vocabulary:
+    """Read a vocabulary file line by line, its bytes taken from `data` when
+    given. The first bad line raises a FormatError naming it, as do a
+    missing file and bad UTF-8. The file may be in any form the reader
+    accepts; the vocabulary's fingerprint is that of its canonical form."""
     try:
-        data = read_bytes(path) if data is None else data
-        return data, data.decode("utf-8")
+        text = (read_bytes(path) if data is None else data).decode("utf-8")
     except FileNotFoundError:
         raise FormatError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
-
-
-def _plain_decimals(column) -> bool:
-    """Whether every string is written as str() writes a non-negative int:
-    ASCII digits only, with no sign, space, underscore or leading zero."""
-    joined = "\t".join(column)
-    return (joined.isascii() and joined.replace("\t", "").isdigit()
-            and not _LEADING_ZERO_RE.search("\t" + joined))
-
-
-def _check_vocabulary_line(path, line_num: int, line: str, min_count: int, line_of: dict):
-    """Raise a FormatError naming what is wrong with one line of a vocabulary
-    file, if anything; `line_of` maps each token of the lines before to its line."""
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise FormatError(f"{path}: line {line_num}: expected index<TAB>token<TAB>frequency")
-    try:
-        idx, token, freq = int(parts[0]), parts[1], int(parts[2])
-    except ValueError:
-        raise FormatError(f"{path}: line {line_num}: index and frequency must be integers") from None
-    if idx != line_num - 2:
-        raise FormatError(f"{path}: line {line_num}: indices out of order (got {idx})")
-    if token in line_of:
-        raise FormatError(f"{path}: lines {line_of[token]} and {line_num} both list token {token!r}")
-    line_of[token] = line_num
-    if idx == PAD_INDEX or idx == UNK_INDEX:
-        expected = PAD_TOKEN if idx == PAD_INDEX else UNK_TOKEN
-        if token != expected:
-            raise FormatError(f"{path}: line {line_num}: reserved index {idx} must be {expected}")
-    elif freq < min_count:
-        raise FormatError(f"{path}: line {line_num}: frequency {freq} below min_count {min_count}")
-
-
-def load_vocabulary(path, data: bytes = None) -> Vocabulary:
-    """Read a vocabulary file, its bytes taken from `data` when given. A file
-    that is the canonical serialization is fingerprinted by the SHA-256 of
-    the bytes read; any other file the reader accepts, by that of its
-    re-serialization."""
-    data, text = _read_text(path, data)
     # "\n" or "\r\n" ends a line, never the other breaks str.splitlines knows
     lines = text.replace("\r\n", "\n").split("\n")
     if lines[-1] == "":  # the last line's end, or an empty file
@@ -338,35 +293,36 @@ def load_vocabulary(path, data: bytes = None) -> Vocabulary:
     if not m:
         raise FormatError(f"{path}: bad vocabulary header {lines[0]!r}")
     min_count = int(m.group(1))
-    n = len(lines) - 1
-    # the header, then per line a "\n" (which no field can hold) and the
-    # line's index, token and frequency
-    fields = "\t\n\t".join(lines).split("\t")
-    index, tokens, counts = fields[2::4], fields[3::4], fields[4::4]
-    token_to_index = dict(zip(tokens[2:], range(2, n)))
-    canonical_index = index == list(map(str, range(n)))
-    try:
-        freqs = list(map(int, counts))
-        if (len(fields) != 4 * n + 1 or fields[1::4].count("\n") != n
-                or not canonical_index and list(map(int, index)) != list(range(n))
-                or tokens[:2] != [PAD_TOKEN, UNK_TOKEN][:n]
-                or len(token_to_index) != len(tokens[2:])
-                or PAD_TOKEN in token_to_index or UNK_TOKEN in token_to_index
-                or min(freqs[2:], default=min_count) < min_count):
-            raise ValueError
-    except ValueError:
-        # the first bad line, checked on its own, names what is wrong
-        line_of = {}
-        for line_num, line in enumerate(lines[1:], start=2):
-            _check_vocabulary_line(path, line_num, line, min_count, line_of)
-        raise
-    vocab = Vocabulary(token_to_index, [PAD_TOKEN, UNK_TOKEN] + tokens[2:],
-                       dict(zip(tokens[2:], freqs[2:])), min_count)
-    if (canonical_index and counts[:2] == ["0", "0"] and _plain_decimals(counts)
-            and lines[0] == f"#senti-vocab v1 min_count={min_count}"
-            and text == "\n".join(lines) + "\n"):
-        vocab.digest = sha256(data)
-    return vocab
+    line_of = {}  # each token read so far, to the line that lists it
+    frequencies = {}
+    for line_num, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(f"{path}: line {line_num}: expected index<TAB>token<TAB>frequency")
+        try:
+            idx, token, freq = int(parts[0]), parts[1], int(parts[2])
+        except ValueError:
+            raise FormatError(
+                f"{path}: line {line_num}: index and frequency must be integers") from None
+        if idx != line_num - 2:
+            raise FormatError(f"{path}: line {line_num}: indices out of order (got {idx})")
+        if token in line_of:
+            raise FormatError(
+                f"{path}: lines {line_of[token]} and {line_num} both list token {token!r}")
+        line_of[token] = line_num
+        if idx == PAD_INDEX or idx == UNK_INDEX:
+            expected = PAD_TOKEN if idx == PAD_INDEX else UNK_TOKEN
+            if token != expected:
+                raise FormatError(
+                    f"{path}: line {line_num}: reserved index {idx} must be {expected}")
+        elif freq < min_count:
+            raise FormatError(
+                f"{path}: line {line_num}: frequency {freq} below min_count {min_count}")
+        else:
+            frequencies[token] = freq
+    tokens = list(frequencies)
+    return Vocabulary(dict(zip(tokens, range(2, len(tokens) + 2))),
+                      [PAD_TOKEN, UNK_TOKEN] + tokens, frequencies, min_count)
 
 
 # --- encoded split: one binio container of kind "encoded", bound to the

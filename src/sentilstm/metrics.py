@@ -45,10 +45,8 @@ def confusion(actual, predicted) -> ConfusionMatrix3:
     for name, arr in (("actual", actual), ("predicted", predicted)):
         if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
             raise ValueError(f"{name} labels must be in [0, {N_CLASSES})")
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for a, p in zip(actual, predicted):
-        counts[a, p] += 1
-    return ConfusionMatrix3(counts)
+    counts = np.bincount(N_CLASSES * actual + predicted, minlength=N_CLASSES ** 2)
+    return ConfusionMatrix3(counts.reshape(N_CLASSES, N_CLASSES))
 
 
 def per_class_binary(cm: ConfusionMatrix3, k: int):

@@ -416,10 +416,10 @@ def detect_tokenizer_mode_ref(texts) -> str:
 
 def encode_ref(tokens, vocab, maxlen: int) -> np.ndarray:
     """Per-token encoder: the first maxlen tokens' indices (unknown tokens
-    map to vocab.unk_index), right-padded with vocab.pad_index."""
-    out = np.full(maxlen, vocab.pad_index, dtype=np.int32)
+    map to the unknown index 1), right-padded with the pad index 0."""
+    out = np.zeros(maxlen, dtype=np.int32)
     for pos, token in enumerate(tokens[:maxlen]):
-        out[pos] = vocab.token_to_index.get(token, vocab.unk_index)
+        out[pos] = vocab.token_to_index.get(token, 1)
     return out
 
 

@@ -1,9 +1,12 @@
 """Every binary artifact, the encoded splits included, is tamper-evident:
 one flipped byte or one cut anywhere in the file, or a valid file of
 another kind, is refused with FormatError by its loader and with one
-`error:` line by the CLI."""
+`error:` line by the CLI. A checkpoint's `vocab.tsv` with a flipped byte,
+a cut, two digits swapped or another line break, its manifest digest
+repaired, gives the untampered answer or one `error:` line."""
 
 import contextlib
+import importlib
 import io
 import json
 import shutil
@@ -26,6 +29,8 @@ from sentilstm.nnet import init_lstm_params, init_rnn_params
 from sentilstm.train import load_model, save_checkpoint
 
 from synthetic import keyword_corpus, write_csv
+
+train_mod = importlib.import_module("sentilstm.train")
 
 # artifact path (relative to the fixture root) -> the loader that reads it
 LOADERS = {
@@ -62,11 +67,17 @@ def artifacts(tmp_path_factory):
     return root
 
 
-def _evaluate_stderr(checkpoint, data):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+def _evaluate(checkpoint, data):
+    """(exit code, stdout, stderr lines) of an in-process `evaluate`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data), "--quiet"])
-    return rc, err.getvalue().splitlines()
+    return rc, out.getvalue(), err.getvalue().splitlines()
+
+
+def _evaluate_stderr(checkpoint, data):
+    rc, _, err = _evaluate(checkpoint, data)
+    return rc, err
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,6 +118,55 @@ def test_tampered_or_foreign_artifact_refused(artifacts, name, data):
             rc, err = _evaluate_stderr(checkpoint, artifacts / "data.csv")
             assert rc == 1
             assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@st.composite
+def _tampered_vocabulary(draw, text):
+    r"""`text` with a flipped byte, a cut, two digits swapped, or a "\r\n",
+    "\v", "\x85" or "\u2028" put in at a position or in place of a "\n"."""
+    kind = draw(st.sampled_from(["flip", "truncate", "digits", "break"]), label="kind")
+    data = text.encode("utf-8")
+    if kind == "flip":
+        flipped = bytearray(data)
+        flipped[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(flipped)
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "digits":
+        at = [i for i, ch in enumerate(text) if ch.isdigit()]
+        i, j = sorted(draw(st.lists(st.sampled_from(at), min_size=2, max_size=2, unique=True)))
+        return (text[:i] + text[j] + text[i + 1:j] + text[i] + text[j + 1:]).encode("utf-8")
+    at = draw(st.integers(0, len(text)), label="at")
+    end = at + 1 if at < len(text) and text[at] == "\n" and draw(st.booleans()) else at
+    return (text[:at] + draw(st.sampled_from(["\r\n", "\v", "\x85", "\u2028"]))
+            + text[end:]).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tampered_vocabulary_is_the_same_answer_or_one_error_line(artifacts, data):
+    """A checkpoint's vocab.tsv edited, its manifest digest repaired: each of
+    two evaluates in one process (a parse, then its reuse) prints what the
+    untampered checkpoint prints, or exits 1 with one `error:` line."""
+    original = (artifacts / "lstm" / "vocab.tsv").read_text(encoding="utf-8")
+    untampered = _evaluate(artifacts / "lstm", artifacts / "data.csv")
+    tampered = data.draw(_tampered_vocabulary(original), label="vocab.tsv")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "ckpt"
+        shutil.copytree(artifacts / "lstm", checkpoint)
+        (checkpoint / "vocab.tsv").write_bytes(tampered)
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        manifest["checksums"]["vocab.tsv"] = sha256_file(checkpoint / "vocab.tsv")
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        train_mod._parsed.clear()  # the first evaluate parses this checkpoint
+        for _ in range(2):
+            rc, out, err = _evaluate(checkpoint, artifacts / "data.csv")
+            if rc == 0:
+                assert (rc, out, err) == untampered
+            else:
+                assert rc == 1 and out == ""
+                assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_untampered_artifacts_load(artifacts):
