@@ -8,6 +8,7 @@ RNG is involved anywhere (zero-initialized weights, full-batch descent).
 """
 
 import dataclasses
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -15,8 +16,8 @@ import numpy as np
 from scipy import sparse
 
 from . import binio
+from .corpus import CLASS_INDEX_LIST, N_CLASSES
 from .errors import FormatError, TrainingError
-from .metrics import N_CLASSES
 
 log = logging.getLogger(__name__)
 
@@ -85,28 +86,39 @@ def tfidf_transform(model: TfidfModel, counts: sparse.csr_matrix) -> sparse.csr_
     return sparse.diags(scale).dot(weighted).tocsr()
 
 
+def _check_shapes(model, shapes: dict):
+    """Make each named field of `model` a float64 array; ValueError unless
+    it has the shape given."""
+    for name, expected in shapes.items():
+        tensor = np.asarray(getattr(model, name), dtype=np.float64)
+        if tensor.shape != expected:
+            raise ValueError(f"{model.KIND} {name} shape {tensor.shape} != {expected}")
+        setattr(model, name, tensor)
+
+
 @dataclass
 class NaiveBayesModel:
     KIND = "naive-bayes"
 
-    log_prior: np.ndarray       # (3,)
-    log_likelihood: np.ndarray  # (3, n_tokens)
+    log_prior: np.ndarray       # (N_CLASSES,)
+    log_likelihood: np.ndarray  # (N_CLASSES, n_tokens)
 
     def __post_init__(self):
-        self.log_prior = np.asarray(self.log_prior, dtype=np.float64).ravel()
-        self.log_likelihood = np.asarray(self.log_likelihood, dtype=np.float64)
+        n_tokens = np.shape(self.log_likelihood)[-1:]
+        _check_shapes(self, {"log_prior": (N_CLASSES,), "log_likelihood": (N_CLASSES, *n_tokens)})
 
 
 def _class_labels(counts, labels) -> np.ndarray:
     """`labels` as int64 class indices, one per row of `counts`; a value
-    other than 0, 1 or 2 is refused."""
+    that is not a class index is refused."""
     given = np.asarray(labels)
     if given.shape != counts.shape[:1]:
         raise TrainingError("feature matrix and labels disagree on the number of rows")
-    valid = (given == 0) | (given == 1) | (given == 2)
+    valid = (given[:, None] == np.arange(N_CLASSES)).any(axis=1)
     if not valid.all():
         row = int(np.argmin(valid))
-        raise TrainingError(f"label {given[row].item()!r} in row {row} is not a class (0, 1 or 2)")
+        raise TrainingError(
+            f"label {given[row].item()!r} in row {row} is not a class ({CLASS_INDEX_LIST})")
     return given.astype(np.int64)
 
 
@@ -118,7 +130,7 @@ def naive_bayes_fit(counts: sparse.csr_matrix, labels, alpha: float = NB_ALPHA) 
     if not per_class.all():
         missing = np.flatnonzero(per_class == 0).tolist()
         raise TrainingError(f"no training examples for class(es) {missing}")
-    # the (3, n_docs) one-hot label matrix times the counts: exact, as the
+    # the (N_CLASSES, n_docs) one-hot label matrix times the counts: exact, as the
     # counts are integers
     one_hot = sparse.csr_matrix(
         (np.ones(n_docs), np.argsort(labels, kind="stable"), np.r_[0, np.cumsum(per_class)]),
@@ -154,28 +166,25 @@ class LogRegConfig:
 class LogRegModel:
     KIND = "logreg"
 
-    W: np.ndarray  # (3, n_tokens)
-    b: np.ndarray  # (3,)
+    W: np.ndarray  # (N_CLASSES, n_tokens)
+    b: np.ndarray  # (N_CLASSES,)
     idf: np.ndarray  # (n_tokens,) so raw counts can be transformed at predict time
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64).ravel()
-        self.idf = np.asarray(self.idf, dtype=np.float64).ravel()
+        n_tokens = np.shape(self.W)[-1:]
+        _check_shapes(self, {"W": (N_CLASSES, *n_tokens), "b": (N_CLASSES,), "idf": n_tokens})
 
 
 def _loss_and_grad(Wt, b, X, XT, one_hot, l2):
     """Mean softmax cross-entropy with an L2 penalty on W (not b), and its
-    gradient, for the weights kept as `Wt` = W.T of shape (n_tokens, 3).
-    `XT` is `X.T` as CSR and `one_hot` the (n, 3) label indicator. The row
-    max and row sum over the three classes go column by column. Returns
-    (loss, grad of Wt, grad of b)."""
+    gradient, for the weights kept as `Wt` = W.T of shape (n_tokens, K).
+    `XT` is `X.T` as CSR and `one_hot` the (n, K) label indicator. The row
+    max and row sum over the K classes go column by column, left to right.
+    Returns (loss, grad of Wt, grad of b)."""
     n = X.shape[0]
     scores = X @ Wt + b
-    s0, s1, s2 = scores.T
-    scores -= np.maximum(np.maximum(s0, s1), s2)[:, None]
-    p0, p1, p2 = np.exp(scores).T
-    scores -= np.log((p0 + p1) + p2)[:, None]  # log-probabilities
+    scores -= functools.reduce(np.maximum, scores.T)[:, None]
+    scores -= np.log(functools.reduce(np.add, np.exp(scores).T))[:, None]  # log-probabilities
     loss = -np.vdot(scores, one_hot) / n + 0.5 * l2 * np.vdot(Wt, Wt)
     delta = np.exp(scores)
     delta -= one_hot
@@ -227,8 +236,9 @@ def save_baseline(model, path, vocab_fingerprint: bytes):
 
 
 def load_baseline(path, vocab=None):
-    """Returns the reconstructed model; validates the container and (when a
-    vocabulary is supplied) the recorded vocabulary checksum."""
+    """Returns the reconstructed model; validates the container, the tensor
+    shapes and (when a vocabulary is supplied) the recorded vocabulary
+    checksum."""
     artifact = binio.load(path, _KINDS)
     if vocab is not None and vocab.fingerprint() != artifact.binding:
         raise FormatError(f"{path}: baseline was built for a different vocabulary")
@@ -238,4 +248,7 @@ def load_baseline(path, vocab=None):
         raise FormatError(
             f"{path}: baseline tensors {sorted(artifact.tensors)} do not match kind {artifact.kind!r}"
         )
-    return cls(**artifact.tensors)
+    try:
+        return cls(**artifact.tensors)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -11,7 +11,7 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain, repeat
 
@@ -34,22 +34,29 @@ _MENTION_RE = re.compile(r"@\w*")
 
 
 class Sentiment(IntEnum):
+    """The label set: the one definition of the classes, their names and
+    their order. Every other count, name list and range check derives from it."""
+
     negative = 0
     neutral = 1
     positive = 2
 
 
-_LABEL_NAMES = {s.name: s for s in Sentiment}
-_LABEL_DIGITS = {str(int(s)): s for s in Sentiment}
+CLASS_NAMES = tuple(s.name for s in Sentiment)
+N_CLASSES = len(Sentiment)
+# the class indices as messages list them: "0, 1 or 2"
+CLASS_INDEX_LIST = ", ".join(map(str, range(N_CLASSES - 1))) + f" or {N_CLASSES - 1}"
+
+# a label is written as its index or its name
+_LABELS = {key: s for s in Sentiment for key in (str(int(s)), s.name)}
 
 
 def parse_label(raw: str) -> Sentiment:
-    key = raw.strip().lower()
-    if key in _LABEL_DIGITS:
-        return _LABEL_DIGITS[key]
-    if key in _LABEL_NAMES:
-        return _LABEL_NAMES[key]
-    raise DatasetError(f"unknown label {raw!r} (expected 0/1/2 or negative/neutral/positive)")
+    label = _LABELS.get(raw.strip().lower())
+    if label is None:
+        raise DatasetError(f"unknown label {raw!r} (expected "
+                           f"{'/'.join(map(str, range(N_CLASSES)))} or {'/'.join(CLASS_NAMES)})")
+    return label
 
 
 @dataclass
@@ -132,6 +139,7 @@ class Vocabulary:
     index_to_token: list
     frequencies: dict
     min_count: int
+    _fingerprint: bytes = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.index_to_token)
@@ -145,8 +153,12 @@ class Vocabulary:
         return self.token_to_index.get(token, UNK_INDEX)
 
     def fingerprint(self) -> bytes:
-        """SHA-256 over the canonical serialized form, binding downstream artifacts."""
-        return sha256(serialize_vocabulary(self).encode("utf-8"))
+        """SHA-256 over the canonical serialized form, binding downstream
+        artifacts. Computed on the first call and kept: a vocabulary is never
+        changed once built or loaded."""
+        if self._fingerprint is None:
+            self._fingerprint = sha256(serialize_vocabulary(self).encode("utf-8"))
+        return self._fingerprint
 
 
 def build_vocabulary(corpus, min_count: int) -> Vocabulary:
@@ -361,12 +373,14 @@ def load_encoded(path, vocab: Vocabulary = None):
     if indices.shape[1] != maxlen:
         raise FormatError(f"{path}: expected {maxlen} indices per row (maxlen), "
                           f"got {indices.shape[1]}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) > 2 or indices.min(initial=0) < 0:
+    if (labels.min(initial=0) < 0 or labels.max(initial=0) >= N_CLASSES
+            or indices.min(initial=0) < 0):
         # the first bad row, its label checked before its indices, names what is wrong
-        bad_label = (labels < 0) | (labels > 2)
+        bad_label = (labels < 0) | (labels >= N_CLASSES)
         row = int(np.argmax(bad_label | (indices < 0).any(axis=1)))
         if bad_label[row]:
-            raise FormatError(f"{path}: row {row + 1}: label '{labels[row]}' is not 0, 1 or 2")
+            raise FormatError(
+                f"{path}: row {row + 1}: label '{labels[row]}' is not {CLASS_INDEX_LIST}")
         raise FormatError(f"{path}: row {row + 1}: negative token index {indices[row].min()}")
     if vocab is not None:
         if vocab.fingerprint() != artifact.binding:

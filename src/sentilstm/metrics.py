@@ -1,10 +1,12 @@
 """Confusion-matrix construction and three-class accuracy/precision/recall/F1.
 
-Per-class scores come from the one-vs-rest reduction of the binary
-definitions; macro, micro, and weighted aggregates are all computed, and a
-report always carries which scheme is its headline and the confusion matrix
-it was computed from. Zero denominators yield 0.0 and are flagged rather
-than producing NaN.
+Per-class scores are the one-vs-rest binary definitions, read off the
+confusion matrix's diagonal, row sums and column sums; macro, micro, and
+weighted aggregates are all computed, and a report always carries which
+scheme is its headline and the confusion matrix it was computed from. Zero
+denominators yield 0.0 and are flagged rather than producing NaN. The
+classes are `corpus.Sentiment`'s, re-exported here as CLASS_NAMES and
+N_CLASSES.
 """
 
 import json
@@ -12,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import CLASS_NAMES, N_CLASSES
 from .errors import SentiError
 
-N_CLASSES = 3
-CLASS_NAMES = ("negative", "neutral", "positive")
 AVERAGING_SCHEMES = ("macro", "micro", "weighted")
+_METRIC_NAMES = ("precision", "recall", "f1")
 
 
 @dataclass
@@ -28,7 +30,8 @@ class ConfusionMatrix3:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (N_CLASSES, N_CLASSES):
-            raise ValueError(f"confusion matrix must be 3x3, got {self.counts.shape}")
+            raise ValueError(
+                f"confusion matrix must be {N_CLASSES}x{N_CLASSES}, got {self.counts.shape}")
         if (self.counts < 0).any():
             raise ValueError("confusion matrix entries must be nonnegative")
 
@@ -47,16 +50,6 @@ def confusion(actual, predicted) -> ConfusionMatrix3:
             raise ValueError(f"{name} labels must be in [0, {N_CLASSES})")
     counts = np.bincount(N_CLASSES * actual + predicted, minlength=N_CLASSES ** 2)
     return ConfusionMatrix3(counts.reshape(N_CLASSES, N_CLASSES))
-
-
-def per_class_binary(cm: ConfusionMatrix3, k: int):
-    """One-vs-rest (TP, FP, FN, TN) for class k."""
-    counts = cm.counts
-    tp = int(counts[k, k])
-    fp = int(counts[:, k].sum() - counts[k, k])
-    fn = int(counts[k, :].sum() - counts[k, k])
-    tn = cm.total - tp - fp - fn
-    return tp, fp, fn, tn
 
 
 @dataclass
@@ -92,20 +85,15 @@ class MetricsReport:
         return getattr(self, f"{self.averaging}_f1")
 
 
-def _ratio(numerator, denominator, flags, name):
-    if denominator == 0:
-        flags.append(name)
-        return 0.0
-    return numerator / denominator
-
-
 def metrics(cm: ConfusionMatrix3, averaging: str = "macro") -> MetricsReport:
-    """Full metric report for one confusion matrix.
+    """Full metric report for one confusion matrix, in one pass over its
+    diagonal (true positives), row sums (support) and column sums
+    (predicted counts).
 
-    accuracy = trace/total; per-class precision/recall/F1 from the
-    one-vs-rest tuples; macro = unweighted mean, weighted = support-weighted
-    mean, micro = pooled counts (identical to accuracy for single-label
-    classification).
+    accuracy = trace/total, which is also micro precision and recall (pooled
+    false positives and false negatives both count total - trace); per-class
+    precision = tp/predicted, recall = tp/support, F1 = 2pr/(p+r); macro =
+    unweighted mean, weighted = support-weighted mean.
     """
     if averaging not in AVERAGING_SCHEMES:
         raise ValueError(f"unknown averaging scheme {averaging!r}")
@@ -113,49 +101,51 @@ def metrics(cm: ConfusionMatrix3, averaging: str = "macro") -> MetricsReport:
     if total == 0:
         raise SentiError("cannot compute metrics for an empty confusion matrix")
 
-    flags = []
-    precisions, recalls, f1s, support = [], [], [], []
-    pooled_tp = pooled_fp = pooled_fn = 0
-    for k in range(N_CLASSES):
-        tp, fp, fn, _ = per_class_binary(cm, k)
-        p = _ratio(tp, tp + fp, flags, f"precision[{CLASS_NAMES[k]}]")
-        r = _ratio(tp, tp + fn, flags, f"recall[{CLASS_NAMES[k]}]")
-        f1 = _ratio(2.0 * p * r, p + r, flags, f"f1[{CLASS_NAMES[k]}]")
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f1)
-        support.append(tp + fn)
-        pooled_tp += tp
-        pooled_fp += fp
-        pooled_fn += fn
+    tp = np.diag(cm.counts)
+    support = cm.counts.sum(axis=1)
+    predicted = cm.counts.sum(axis=0)
+    precision = np.divide(tp, predicted, out=np.zeros(N_CLASSES), where=predicted > 0)
+    recall = np.divide(tp, support, out=np.zeros(N_CLASSES), where=support > 0)
+    p_plus_r = precision + recall
+    f1 = np.divide(2.0 * precision * recall, p_plus_r, out=np.zeros(N_CLASSES), where=p_plus_r > 0)
+    # class by class, each class's precision, recall and f1 in that order
+    denominators = zip(predicted.tolist(), support.tolist(), p_plus_r.tolist())
+    flags = [f"{m}[{name}]" for name, dens in zip(CLASS_NAMES, denominators)
+             for m, d in zip(_METRIC_NAMES, dens) if d == 0]
 
-    accuracy = float(np.trace(cm.counts)) / total
-    weights = [s / total for s in support]
-    micro_p = pooled_tp / (pooled_tp + pooled_fp)
-    micro_r = pooled_tp / (pooled_tp + pooled_fn)
-    micro_f1 = 2.0 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r > 0 else 0.0
-    if averaging == "micro":
-        # single-label identity: pooled FP and FN both equal total - trace
-        assert abs(micro_p - accuracy) < 1e-12 and abs(micro_r - accuracy) < 1e-12
+    accuracy = int(tp.sum()) / total
+    p, r, f = precision.tolist(), recall.tolist(), f1.tolist()
+    weights = support / total
     return MetricsReport(
         accuracy=accuracy,
-        per_class_precision=precisions,
-        per_class_recall=recalls,
-        per_class_f1=f1s,
-        support=support,
-        macro_precision=sum(precisions) / N_CLASSES,
-        macro_recall=sum(recalls) / N_CLASSES,
-        macro_f1=sum(f1s) / N_CLASSES,
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=micro_f1,
-        weighted_precision=sum(w * p for w, p in zip(weights, precisions)),
-        weighted_recall=sum(w * r for w, r in zip(weights, recalls)),
-        weighted_f1=sum(w * f for w, f in zip(weights, f1s)),
+        per_class_precision=p,
+        per_class_recall=r,
+        per_class_f1=f,
+        support=support.tolist(),
+        macro_precision=sum(p) / N_CLASSES,
+        macro_recall=sum(r) / N_CLASSES,
+        macro_f1=sum(f) / N_CLASSES,
+        micro_precision=accuracy,
+        micro_recall=accuracy,
+        micro_f1=2.0 * accuracy * accuracy / (accuracy + accuracy) if accuracy > 0 else 0.0,
+        weighted_precision=sum((weights * precision).tolist()),
+        weighted_recall=sum((weights * recall).tolist()),
+        weighted_f1=sum((weights * f1).tolist()),
         averaging=averaging,
         zero_division_flags=flags,
         confusion=cm,
     )
+
+
+def _scheme(report: MetricsReport, scheme: str) -> tuple:
+    """The report's (precision, recall, f1) under one averaging scheme."""
+    return tuple(getattr(report, f"{scheme}_{m}") for m in _METRIC_NAMES)
+
+
+def _per_class(report: MetricsReport):
+    """(name, precision, recall, f1, support) for each class, in label order."""
+    return zip(CLASS_NAMES, report.per_class_precision, report.per_class_recall,
+               report.per_class_f1, report.support)
 
 
 def report_to_dict(report: MetricsReport, cm: ConfusionMatrix3 = None) -> dict:
@@ -166,20 +156,11 @@ def report_to_dict(report: MetricsReport, cm: ConfusionMatrix3 = None) -> dict:
         "recall": report.recall,
         "f1": report.f1,
         "per_class": {
-            CLASS_NAMES[k]: {
-                "precision": report.per_class_precision[k],
-                "recall": report.per_class_recall[k],
-                "f1": report.per_class_f1[k],
-                "support": report.support[k],
-            }
-            for k in range(N_CLASSES)
+            name: {"precision": p, "recall": r, "f1": f, "support": s}
+            for name, p, r, f, s in _per_class(report)
         },
         "aggregates": {
-            scheme: {
-                "precision": getattr(report, f"{scheme}_precision"),
-                "recall": getattr(report, f"{scheme}_recall"),
-                "f1": getattr(report, f"{scheme}_f1"),
-            }
+            scheme: dict(zip(_METRIC_NAMES, _scheme(report, scheme)))
             for scheme in AVERAGING_SCHEMES
         },
         "zero_division_flags": list(report.zero_division_flags),
@@ -193,42 +174,33 @@ def report_to_json(report: MetricsReport, cm: ConfusionMatrix3 = None) -> str:
     return json.dumps(report_to_dict(report, cm), indent=2, sort_keys=True) + "\n"
 
 
+def _percent_row(name: str, values, last: str) -> list:
+    return [name, *(f"{100.0 * v:.2f}" for v in values), last]
+
+
+def _table(header: list, body: list) -> list:
+    """Lines of an aligned text table: cells left-aligned in columns two
+    spaces apart, trailing blanks cut, a rule of dashes under the header."""
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in (header, *body)]
+    return [lines[0], "  ".join("-" * w for w in widths), *lines[1:]]
+
+
 def format_report(report: MetricsReport, cm: ConfusionMatrix3 = None) -> str:
     """Readable single-model breakdown: per-class rows, the three aggregate
     schemes, and (optionally) the confusion matrix."""
-    header = ["class", "precision (%)", "recall (%)", "f1 (%)", "support"]
-    body = [
-        [
-            CLASS_NAMES[k],
-            f"{100.0 * report.per_class_precision[k]:.2f}",
-            f"{100.0 * report.per_class_recall[k]:.2f}",
-            f"{100.0 * report.per_class_f1[k]:.2f}",
-            str(report.support[k]),
-        ]
-        for k in range(N_CLASSES)
-    ]
-    for scheme in AVERAGING_SCHEMES:
-        body.append([
-            scheme,
-            f"{100.0 * getattr(report, f'{scheme}_precision'):.2f}",
-            f"{100.0 * getattr(report, f'{scheme}_recall'):.2f}",
-            f"{100.0 * getattr(report, f'{scheme}_f1'):.2f}",
-            "",
-        ])
-    widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
-    lines = [f"accuracy: {100.0 * report.accuracy:.2f}%  (headline averaging: {report.averaging})"]
-    lines += ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-              for line in [header] + body]
-    lines.insert(2, "  ".join("-" * w for w in widths))
+    body = [_percent_row(name, (p, r, f), str(s)) for name, p, r, f, s in _per_class(report)]
+    body += [_percent_row(scheme, _scheme(report, scheme), "") for scheme in AVERAGING_SCHEMES]
+    lines = [f"accuracy: {100.0 * report.accuracy:.2f}%  (headline averaging: {report.averaging})",
+             *_table(["class", "precision (%)", "recall (%)", "f1 (%)", "support"], body)]
     if cm is not None:
         lines.append("confusion matrix (rows actual, columns predicted):")
-        name_w = max(len(n) for n in CLASS_NAMES)
-        cell_w = max(len(str(int(v))) for v in cm.counts.ravel())
-        cell_w = max(cell_w, max(len(n) for n in CLASS_NAMES))
+        name_w = max(map(len, CLASS_NAMES))
+        cell_w = max(name_w, *(len(str(v)) for v in cm.counts.ravel().tolist()))
         lines.append(" " * name_w + "  " + "  ".join(n.rjust(cell_w) for n in CLASS_NAMES))
-        for k in range(N_CLASSES):
-            row = "  ".join(str(int(v)).rjust(cell_w) for v in cm.counts[k])
-            lines.append(CLASS_NAMES[k].ljust(name_w) + "  " + row)
+        for name, row in zip(CLASS_NAMES, cm.counts.tolist()):
+            lines.append(name.ljust(name_w) + "  " + "  ".join(str(v).rjust(cell_w) for v in row))
     if report.zero_division_flags:
         lines.append("zero divisions reported as 0.0: " + ", ".join(report.zero_division_flags))
     return "\n".join(lines) + "\n"
@@ -240,20 +212,7 @@ def format_table(rows: dict) -> str:
     `rows` maps a model name to its MetricsReport; each P/R/F1 triple is
     labeled with the report's averaging scheme.
     """
+    body = [_percent_row(name, (rep.accuracy, rep.precision, rep.recall, rep.f1), rep.averaging)
+            for name, rep in rows.items()]
     header = ["Model", "Accuracy (%)", "Precision (%)", "Recall (%)", "F1 Score (%)", "Averaging"]
-    body = [
-        [
-            name,
-            f"{100.0 * rep.accuracy:.2f}",
-            f"{100.0 * rep.precision:.2f}",
-            f"{100.0 * rep.recall:.2f}",
-            f"{100.0 * rep.f1:.2f}",
-            rep.averaging,
-        ]
-        for name, rep in rows.items()
-    ]
-    widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-             for line in [header] + body]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_table(header, body)) + "\n"

@@ -39,10 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_INDEX
+from .corpus import N_CLASSES, PAD_INDEX
 from .errors import TrainingError
-
-N_CLASSES = 3
 
 
 def sigmoid(x):
@@ -73,16 +71,16 @@ def cross_entropy(logits, label):
 class _CellParams:
     """What the LSTM and RNN parameter sets share. Each subclass declares
     its shape table SHAPES, one entry per tensor in file order, over the
-    dimensions H (hidden), C (hidden + input) and K (classes); TENSOR_NAMES
-    follows from it. The first entry is a recurrent weight of shape (H, C).
-    GATES lists the gate tensors W<g>, b<g> in fused-matrix order."""
+    dimensions H (hidden), C (hidden + input) and K (classes, always
+    N_CLASSES); TENSOR_NAMES follows from it. The first entry is a recurrent
+    weight of shape (H, C). GATES lists the gate tensors W<g>, b<g> in
+    fused-matrix order."""
 
     def __post_init__(self):
         W = getattr(self, self.TENSOR_NAMES[0])
         if W.ndim != 2 or W.shape[1] <= W.shape[0]:
             raise ValueError(f"{self.TENSOR_NAMES[0]} shape {W.shape} is not (hidden, hidden+input)")
-        dims = {"H": W.shape[0], "C": W.shape[1],
-                "K": self.head_W.shape[0] if self.head_W.ndim == 2 else -1}
+        dims = {"H": W.shape[0], "C": W.shape[1], "K": N_CLASSES}
         for name, symbols in self.SHAPES.items():
             expected = tuple(dims[s] for s in symbols)
             if getattr(self, name).shape != expected:
@@ -158,7 +156,7 @@ class RnnParams(_CellParams):
     GATES = ("",)
 
 
-def init_lstm_params(hidden: int, input_dim: int, classes: int = N_CLASSES, seed: int = 0) -> LstmParams:
+def init_lstm_params(hidden: int, input_dim: int, seed: int = 0) -> LstmParams:
     """Uniform +-1/sqrt(hidden+input) gate weights, forget bias 1.0, zero head.
 
     The forget-gate bias starts at 1 so early training does not forget
@@ -173,19 +171,19 @@ def init_lstm_params(hidden: int, input_dim: int, classes: int = N_CLASSES, seed
         W_i=w(), b_i=np.zeros(hidden),
         W_c=w(), b_c=np.zeros(hidden),
         W_o=w(), b_o=np.zeros(hidden),
-        head_W=np.zeros((classes, hidden)),
-        head_b=np.zeros(classes),
+        head_W=np.zeros((N_CLASSES, hidden)),
+        head_b=np.zeros(N_CLASSES),
     )
 
 
-def init_rnn_params(hidden: int, input_dim: int, classes: int = N_CLASSES, seed: int = 0) -> RnnParams:
+def init_rnn_params(hidden: int, input_dim: int, seed: int = 0) -> RnnParams:
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(hidden + input_dim)
     return RnnParams(
         W=rng.uniform(-bound, bound, size=(hidden, hidden + input_dim)),
         b=np.zeros(hidden),
-        head_W=np.zeros((classes, hidden)),
-        head_b=np.zeros(classes),
+        head_W=np.zeros((N_CLASSES, hidden)),
+        head_b=np.zeros(N_CLASSES),
     )
 
 

@@ -322,6 +322,65 @@ def metrics_ref(counts) -> dict:
     }
 
 
+def metrics_loop_ref(counts, averaging: str = "macro") -> dict:
+    """Every MetricsReport field but `confusion`, class by class from the
+    one-vs-rest counts. It runs the floating-point operations of
+    `sentilstm.metrics.metrics` in the same order, so each field must be
+    equal, not close; the zero-division flags come class by class, each
+    class's precision, recall and f1 in that order."""
+    names = ("negative", "neutral", "positive")
+    counts = [[int(v) for v in row] for row in counts]
+    total = sum(sum(row) for row in counts)
+    flags = []
+
+    def ratio(numerator, denominator, name):
+        if denominator == 0:
+            flags.append(name)
+            return 0.0
+        return numerator / denominator
+
+    precisions, recalls, f1s, support = [], [], [], []
+    pooled_tp = pooled_fp = pooled_fn = 0
+    for k in range(3):
+        tp = counts[k][k]
+        fp = sum(counts[a][k] for a in range(3)) - tp
+        fn = sum(counts[k]) - tp
+        p = ratio(tp, tp + fp, f"precision[{names[k]}]")
+        r = ratio(tp, tp + fn, f"recall[{names[k]}]")
+        f1 = ratio(2.0 * p * r, p + r, f"f1[{names[k]}]")
+        precisions.append(p)
+        recalls.append(r)
+        f1s.append(f1)
+        support.append(tp + fn)
+        pooled_tp += tp
+        pooled_fp += fp
+        pooled_fn += fn
+
+    accuracy = float(sum(counts[k][k] for k in range(3))) / total
+    weights = [s / total for s in support]
+    micro_p = pooled_tp / (pooled_tp + pooled_fp)
+    micro_r = pooled_tp / (pooled_tp + pooled_fn)
+    micro_f1 = 2.0 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r > 0 else 0.0
+    return {
+        "accuracy": accuracy,
+        "per_class_precision": precisions,
+        "per_class_recall": recalls,
+        "per_class_f1": f1s,
+        "support": support,
+        "macro_precision": sum(precisions) / 3,
+        "macro_recall": sum(recalls) / 3,
+        "macro_f1": sum(f1s) / 3,
+        "micro_precision": micro_p,
+        "micro_recall": micro_r,
+        "micro_f1": micro_f1,
+        "weighted_precision": sum(w * p for w, p in zip(weights, precisions)),
+        "weighted_recall": sum(w * r for w, r in zip(weights, recalls)),
+        "weighted_f1": sum(w * f for w, f in zip(weights, f1s)),
+        "averaging": averaging,
+        "zero_division_flags": flags,
+    }
+
+
 def adam_ref(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Straight-line evaluation of the bias-corrected update formulas.
     Returns fresh (param, m, v) arrays."""

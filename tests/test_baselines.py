@@ -4,6 +4,7 @@ and the kind-tagged baseline file format."""
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -552,6 +553,30 @@ class TestBaselineIO:
         save_baseline(model, path, self.fingerprint())
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(FormatError):
+            load_baseline(path)
+
+    @pytest.mark.parametrize("kind, tensors, message", [
+        # a 2-class Naive Bayes and a 5-class logreg: both loaded, and logreg
+        # predicted label 4, before the class axis was checked
+        ("naive-bayes", {"log_prior": np.zeros(2), "log_likelihood": np.zeros((2, 4))},
+         r"naive-bayes log_prior shape \(2,\) != \(3,\)"),
+        ("logreg", {"W": np.zeros((5, 4)), "b": np.zeros(5), "idf": np.ones(4)},
+         r"logreg W shape \(5, 4\) != \(3, 4\)"),
+        ("naive-bayes", {"log_prior": np.zeros(3), "log_likelihood": np.zeros((2, 4))},
+         r"naive-bayes log_likelihood shape \(2, 4\) != \(3, 4\)"),
+        ("naive-bayes", {"log_prior": np.zeros((3, 1)), "log_likelihood": np.zeros((3, 4))},
+         r"naive-bayes log_prior shape \(3, 1\) != \(3,\)"),
+        ("logreg", {"W": np.zeros((3, 4)), "b": np.zeros(2), "idf": np.ones(4)},
+         r"logreg b shape \(2,\) != \(3,\)"),
+        ("logreg", {"W": np.zeros((3, 4)), "b": np.zeros(3), "idf": np.ones(5)},
+         r"logreg idf shape \(5,\) != \(4,\)"),
+        ("logreg", {"W": np.zeros(3), "b": np.zeros(3), "idf": np.ones(3)},
+         r"logreg W shape \(3,\) != \(3, 3\)"),
+    ])
+    def test_class_axis_and_shapes_checked(self, tmp_path, kind, tensors, message):
+        path = tmp_path / "model.bin"
+        binio.save(path, kind, self.fingerprint(), tensors, "f64")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_baseline(path)
 
     def test_unknown_kind_rejected(self, tmp_path):

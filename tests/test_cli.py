@@ -21,7 +21,7 @@ from sentilstm.cli import (OUTPUT_DIR_ENV, RunConfig, build_parser, main,
 from sentilstm.corpus import load_encoded, load_vocabulary
 from sentilstm.embedding import load_embeddings, random_embedding
 from sentilstm.nnet import init_lstm_params
-from sentilstm.train import load_checkpoint, save_checkpoint
+from sentilstm.train import load_checkpoint, load_model, save_checkpoint, save_model
 
 from synthetic import keyword_corpus, write_csv
 
@@ -647,6 +647,32 @@ class TestPredict:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
             f"error: {ckpt}: manifest {key} disagrees with model file"]
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_head_of_another_class_count_is_one_error_line(self, classes, trained_checkpoint,
+                                                           corpus_csv, tmp_path, capsys):
+        # with the manifest's classes and digest repaired, a 2-class head used
+        # to print two probabilities and exit 0, and a 5-class head to end in
+        # a traceback
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_checkpoint, ckpt)
+        model = ckpt / "model.bin"
+        params, maxlen, binding = load_model(model)
+        params.head_W = np.zeros((classes, params.hidden))
+        params.head_b = np.zeros(classes)
+        save_model(params, model, binding, maxlen)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["classes"] = classes
+        manifest["checksums"]["model.bin"] = hashlib.sha256(model.read_bytes()).hexdigest()
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for argv in (["predict", "--checkpoint", str(ckpt), "good day", "--quiet"],
+                     ["evaluate", "--checkpoint", str(ckpt), "--data", corpus_csv, "--quiet"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [
+                f"error: {model}: head_W shape ({classes}, {params.hidden}) "
+                f"!= (3, {params.hidden})"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--config", "{tmp}/none.json"], "config file not found: {tmp}/none.json"),

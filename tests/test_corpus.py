@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import tempfile
 from pathlib import Path
@@ -12,7 +13,8 @@ from oracles import (build_vocabulary_ref, clean_ref, detect_tokenizer_mode_ref,
                      encoded_container_ref, encode_ref, load_encoded_ref, load_vocabulary_ref,
                      save_encoded_ref)
 from sentilstm import binio
-from sentilstm.corpus import (EncodedExample, RawRecord, Sentiment, Vocabulary, build_vocabulary,
+from sentilstm.corpus import (CLASS_NAMES, N_CLASSES, EncodedExample, RawRecord, Sentiment,
+                              Vocabulary, build_vocabulary,
                               clean_text, detect_tokenizer_mode, encode, encode_example,
                               encode_split, load_dataset, load_encoded, load_vocabulary,
                               parse_label, save_encoded, save_vocabulary, serialize_vocabulary,
@@ -189,6 +191,19 @@ class TestVocabulary:
         assert loaded.frequencies == vocab.frequencies
         assert loaded.min_count == vocab.min_count
         assert loaded.fingerprint() == vocab.fingerprint()
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_fingerprint_is_computed_once(self, source, tmp_path, monkeypatch):
+        vocab = build_vocabulary([["a", "b", "a"]], min_count=1)
+        if source == "loaded":
+            save_vocabulary(vocab, tmp_path / "vocab.tsv")
+            vocab = load_vocabulary(tmp_path / "vocab.tsv")
+        calls = []
+        monkeypatch.setattr("sentilstm.corpus.serialize_vocabulary",
+                            lambda v: calls.append(v) or serialize_vocabulary(v))
+        first, second = vocab.fingerprint(), vocab.fingerprint()
+        assert calls == [vocab]
+        assert first == second == hashlib.sha256(serialize_vocabulary(vocab).encode()).digest()
 
     def test_fingerprint_changes_with_content(self):
         v1 = build_vocabulary([["a", "b"]], min_count=1)
@@ -429,6 +444,16 @@ class TestLabels:
     def test_parse_rejects_unknown(self):
         with pytest.raises(DatasetError):
             parse_label("meh")
+        with pytest.raises(DatasetError, match=r"^unknown label '3' "
+                           r"\(expected 0/1/2 or negative/neutral/positive\)$"):
+            parse_label("3")
+
+    def test_one_label_set(self):
+        # named once, by Sentiment; metrics and nnet reuse the same objects
+        metrics, nnet = map(importlib.import_module, ("sentilstm.metrics", "sentilstm.nnet"))
+        assert CLASS_NAMES == ("negative", "neutral", "positive") and N_CLASSES == 3
+        assert metrics.CLASS_NAMES is CLASS_NAMES and metrics.N_CLASSES is N_CLASSES
+        assert nnet.N_CLASSES is N_CLASSES
 
 
 class TestDatasetIO:

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import metrics_ref
+from oracles import metrics_loop_ref, metrics_ref
 from sentilstm.errors import SentiError
 from sentilstm.metrics import (AVERAGING_SCHEMES, CLASS_NAMES, ConfusionMatrix3,
-                               confusion, format_report, format_table, metrics,
-                               per_class_binary, report_to_dict, report_to_json)
+                               MetricsReport, confusion, format_report, format_table,
+                               metrics, report_to_dict, report_to_json)
 
 
 def cm_from(rows):
@@ -39,8 +42,6 @@ class TestPerClassBinary:
     def test_textbook_binary_example(self):
         # class 2 one-vs-rest: TP=50, FP=5, FN=5, TN=40
         cm = cm_from([[40, 0, 5], [0, 0, 0], [5, 0, 50]])
-        tp, fp, fn, tn = per_class_binary(cm, 2)
-        assert (tp, fp, fn, tn) == (50, 5, 5, 40)
         report = metrics(cm)
         assert abs(report.accuracy - 0.90) < 1e-12
         assert abs(report.per_class_precision[2] - 50 / 55) < 1e-12
@@ -48,11 +49,32 @@ class TestPerClassBinary:
         assert abs(report.per_class_f1[2] - 50 / 55) < 1e-12
         assert abs(report.per_class_precision[2] - 0.9091) < 5e-5
 
-    def test_tuples_sum_to_total(self):
-        rng = np.random.default_rng(0)
-        cm = cm_from(rng.integers(0, 30, size=(3, 3)))
-        for k in range(3):
-            assert sum(per_class_binary(cm, k)) == cm.total
+@st.composite
+def confusion_matrices(draw):
+    """3x3 counts, small or large, with whole rows and columns often zero."""
+    high = draw(st.sampled_from([1, 3, 50, 10 ** 6]))
+    counts = np.array(draw(st.lists(st.integers(0, high), min_size=9, max_size=9)),
+                      dtype=np.int64).reshape(3, 3)
+    counts[draw(st.lists(st.integers(0, 2), max_size=2)), :] = 0
+    counts[:, draw(st.lists(st.integers(0, 2), max_size=2))] = 0
+    if counts.sum() == 0:
+        counts[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = draw(st.integers(1, high))
+    return cm_from(counts)
+
+
+class TestExactOracle:
+    @given(confusion_matrices(), st.sampled_from(AVERAGING_SCHEMES))
+    @settings(max_examples=500, deadline=None)
+    def test_report_and_its_text_equal_the_per_class_loop(self, cm, averaging):
+        got = metrics(cm, averaging=averaging)
+        want = MetricsReport(**metrics_loop_ref(cm.counts, averaging), confusion=cm)
+        for f in dataclasses.fields(MetricsReport):
+            if f.name != "confusion":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert repr(got) == repr(want)
+        assert report_to_json(got, cm) == report_to_json(want, cm)
+        assert format_report(got, cm) == format_report(want, cm)
+        assert format_table({"model": got, "m": got}) == format_table({"model": want, "m": want})
 
 
 class TestMetrics:
