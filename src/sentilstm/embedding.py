@@ -15,8 +15,8 @@ The random streams are drawn as numpy arrays: an iteration's pairs as one
 (n, 2) array, and each chunk's negatives and learning rates at once. These
 are the same streams that one scalar draw per center and k draws per pair
 would give. The updates stay sequential, one pair at a time in stream order,
-each a gather of its context and negative rows, two matrix-vector products
-and a scatter back."""
+each one gather of the pair's distinct rows, three small products and a
+scatter back."""
 
 import logging
 from dataclasses import dataclass
@@ -203,48 +203,47 @@ def sgns_gradient(center, context, negatives):
 def _sgd_pairs(W, C, pairs, negatives, lrs) -> np.ndarray:
     """One SGD step per (center, context) row of `pairs`, in order, each
     against the context and that pair's row of `negatives` (a negative equal
-    to the context is dropped); returns each pair's loss.
+    to the context is dropped); returns each pair's loss. `C` holds the
+    context vectors negated, to spare a negation per step, and a last,
+    all-zero scratch row that dropped negatives and unused slots read.
 
-    A step gathers U = C[[context, *negatives]], computes the dots U @ v
-    with the center row v, and subtracts lr * outer(coef, v) from those C
-    rows and lr * coef @ U from v, where coef is sigma(dots) less 1 for the
-    context: the same arithmetic as `sgns_gradient`, vectorised per pair.
+    Every pair takes one path. Its rows are the context, then its sorted
+    distinct negatives, each with its count and `lr` folded into a scale. A
+    step gathers U = C[rows], takes the dots U @ v with the center row v and
+    coef = sigma(-dots) * scale, less `lr` for the context, then sets
+    C[rows] = U + outer(coef, v) and adds coef @ U to v: `sgns_gradient`
+    summed over repeats, each gradient taken at the rows before the step.
     """
-    rows = np.concatenate([pairs[:, 1:], negatives], axis=1)
-    keep = rows != pairs[:, 1:]
-    keep[:, 0] = True
-    # a pair whose kept rows repeat takes each repeat's update in turn
-    ranked = np.sort(np.where(keep, rows, -1 - np.arange(rows.shape[1])), axis=1)
-    plain = (keep.all(axis=1) & (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)).tolist()
-    dots = np.zeros(rows.shape)
-    # exp(-dot) overflows to inf for a very negative dot, and sigma is then 0;
+    scratch = len(C) - 1
+    context = pairs[:, 1]
+    drawn = np.where(negatives == context[:, None], scratch, negatives)
+    drawn.sort(axis=1)
+    # a run of equal draws keeps its first; repeats become the scratch row, which sorts last
+    distinct = np.where(np.diff(drawn, axis=1, prepend=-1) != 0, drawn, scratch)
+    distinct.sort(axis=1)
+    distinct = distinct[:, :(distinct != scratch).sum(axis=1).max(initial=0)]
+    counts = (drawn[:, None, :] == distinct[:, :, None]).sum(axis=2) * (distinct != scratch)
+    rows = np.concatenate([context[:, None], distinct], axis=1)
+    weights = np.concatenate([np.ones((len(rows), 1)), counts], axis=1)
+    scales = weights * lrs[:, None]
+    dots = np.empty(rows.shape)
+    # exp(-u . v) overflows to inf for a very negative u . v, and sigma is then 0;
     # a diverging run shows as a non-finite loss, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (r, center, lr) in enumerate(zip(rows, pairs[:, 0].tolist(), lrs.tolist())):
-            if not plain[j]:
-                r = r[keep[j]]
+        for d, r, center, scale, lr in zip(dots, rows, pairs[:, 0].tolist(), scales,
+                                          lrs.tolist()):
             v = W[center]
             U = C.take(r, axis=0)
-            d = U.dot(v)
-            coef = np.exp(-d)
+            np.dot(U, v, out=d)
+            coef = np.exp(d)
             coef += 1.0
-            np.reciprocal(coef, out=coef)
-            coef[0] -= 1.0
-            step = coef[:, None] * v
-            step *= lr
-            g_center = coef.dot(U)
-            if plain[j]:
-                dots[j] = d
-                C[r] = U - step
-            else:
-                dots[j, keep[j]] = d
-                np.subtract.at(C, r, step)
-            g_center *= lr
-            v -= g_center
-        # -log sigma(dot) for the context, -log sigma(-dot) for each negative
-        terms = np.logaddexp(0.0, dots)
-        terms[:, 0] = np.logaddexp(0.0, -dots[:, 0])
-        return np.where(keep, terms, 0.0).sum(axis=1)
+            np.divide(scale, coef, out=coef)
+            coef[0] -= lr
+            C[r] = U + coef[:, None].dot(v[None, :])
+            v += coef.dot(U)
+        # -log sigma(u . v) for the context, -log sigma(-u . v) for each negative
+        dots[:, 1:] *= -1.0
+        return (np.logaddexp(0.0, dots) * weights).sum(axis=1)
 
 
 def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> EmbeddingMatrix:
@@ -262,7 +261,7 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
     W = rng_init.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
     W[PAD_INDEX] = 0.0
     W[UNK_INDEX] = 0.0
-    C = np.zeros_like(W)
+    C = np.zeros((len(vocab) + 1, dim))  # negated context vectors and a scratch row
 
     sampler = NegativeSampler(vocab)
     rng_neg = np.random.default_rng((config.seed, 1))

@@ -4,6 +4,8 @@ gradients against finite differences, training behavior, and file IO."""
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sentilstm.embedding as embedding
 from sentilstm.corpus import PAD_INDEX, UNK_INDEX, build_vocabulary
@@ -388,6 +390,63 @@ class TestTrainSkipgramReference:
         with pytest.raises(TrainingError, match=r"non-finite loss at iteration 0, pair 5$"):
             train_skipgram(sequences, config, vocab)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    # 2-6 tokens, so most pairs repeat a negative or draw their context. Rates go
+    # up to zipf-build's 0.3; at 1.0 the run amplifies last-bit rounding past
+    # 1e-12 whatever the summation order
+    @settings(max_examples=60, deadline=None)
+    @given(n_tokens=st.integers(2, 6),
+           sentences=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=12),
+                              min_size=1, max_size=5),
+           negatives=st.integers(0, 6), dim=st.integers(1, 8), window=st.integers(1, 4),
+           iterations=st.integers(1, 2), learning_rate=st.sampled_from([0.025, 0.1, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_small_vocabularies_match_pairwise_reference(self, n_tokens, sentences, negatives,
+                                                         dim, window, iterations,
+                                                         learning_rate, seed):
+        # one sentence holding every token, so the vocabulary has n_tokens
+        corpus = [[f"t{i % n_tokens}" for i in s] for s in sentences]
+        corpus.append([f"t{i}" for i in range(n_tokens)])
+        vocab = build_vocabulary(corpus, min_count=1)
+        config = EmbeddingConfig(dim=dim, window=window, min_count=1, iterations=iterations,
+                                 negatives=negatives, learning_rate=learning_rate, seed=seed)
+        sequences = corpus_indices(corpus, vocab)
+        got = train_skipgram(sequences, config, vocab).rows
+        want = skipgram_ref(sequences, config, vocab, sgns_gradient)
+        assert got.shape == (len(vocab), dim)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestSgdPairs:
+    def test_losses_count_repeats_and_skip_dropped_negatives(self):
+        vocab = build_vocabulary([[f"t{i}" for i in range(10)]], min_count=1)
+        rng = np.random.default_rng(5)
+        dim = 4
+        W = rng.normal(size=(len(vocab), dim))
+        contexts = rng.normal(size=(len(vocab), dim))
+        C = np.vstack([-contexts, np.zeros((1, dim))])  # negated, and the scratch row
+        # no row is shared between pairs, so each loss is at the initial rows; the
+        # first pair draws negative 4 twice, the second its context once, the
+        # third only its context
+        pairs = np.array([[2, 3], [6, 7], [10, 11]])
+        negatives = np.array([[4, 5, 4], [7, 8, 9], [11, 11, 11]])
+        kept = [[4, 5, 4], [8, 9], []]
+        lrs = np.array([0.3, 0.2, 0.1])
+        want_W, want_contexts = W.copy(), contexts.copy()
+        want = []
+        for (center, context), negs, lr in zip(pairs, kept, lrs):
+            want.append(sgns_loss_ref(W[center], contexts[context], contexts[negs]))
+            _, g_center, g_context, g_negs = sgns_gradient(W[center], contexts[context],
+                                                           contexts[negs])
+            want_W[center] -= lr * g_center
+            want_contexts[context] -= lr * g_context
+            for neg, g in zip(negs, g_negs):
+                want_contexts[neg] -= lr * g
+        losses = embedding._sgd_pairs(W, C, pairs, negatives, lrs)
+        assert np.allclose(losses, want, rtol=0, atol=1e-12)
+        assert np.allclose(W, want_W, rtol=0, atol=1e-12)
+        assert np.allclose(-C[:-1], want_contexts, rtol=0, atol=1e-12)
+        assert not C[-1].any()
 
 
 def corpus_indices(corpus, vocab):
