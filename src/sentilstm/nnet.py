@@ -19,15 +19,18 @@ state after the last non-pad token through a dense head and a softmax.
 row's non-pad tokens move to the row's front in their order (left-
 compaction), and the rows are packed: stably sorted longest first, so the
 rows with a token at step t are a prefix of n_t rows, and the N real tokens
-gathered time-major. The gates are one fused (G*H, H+D) matrix (LSTM: G = 4,
-in f, i, o, c order). Its input half maps the N tokens in one product before
-the time loop; step t adds h[:n_t] @ W_h^T and runs the cell on those rows
-only, so no pad is ever a cell row. Where n_t drops (a finish step) the rows
-that ran out keep their final h. `backward` walks the steps in reverse: a
-row joins at its last step with dh from the head and dc = 0, the gate
-gradients stay packed as (N, G), and it returns the gradient of the batch's
-mean loss, one summed entry per embedding row read. Both return their
-results in input row order.
+gathered time-major. The recurrence runs feature-major, h and c as
+(H, n_t). The gates are one fused (G*H, H+D) matrix (LSTM: G = 4, in f, i,
+o, c order) with the sigmoid rows halved, exactly, so that one tanh covers
+every gate: sigma(v) = 0.5 * tanh(v / 2) + 0.5. Its input half maps the N
+tokens in one product, laid out as one contiguous (G*H, n_t) block per
+step; step t adds W_h @ h to its block and runs the cell on it in place, so
+gate g is the contiguous rows gH:(g+1)H and no pad is ever a cell column.
+Where n_t drops (a finish step) the rows that ran out keep their final h.
+`backward` walks the same blocks in reverse, a row joining at its last step
+with dh from the head and dc = 0, then forms dW, db and dx with one product
+each. It returns the gradient of the batch's mean loss, one summed entry
+per embedding row read. Both return their results in input row order.
 
 Padding invariance is exact: an example with pads appended compacts to the
 same (1, L) array as without them, so both pack the same way and run the
@@ -113,9 +116,17 @@ class _CellParams:
         return type(self)(**{name: t.copy() for name, t in self.tensors().items()})
 
     def gate_weights(self):
-        """The gates as one (G*H, H+D) matrix and one (G*H,) bias."""
-        return (np.concatenate([getattr(self, "W" + g) for g in self.GATES]),
-                np.concatenate([getattr(self, "b" + g) for g in self.GATES]))
+        """The gates as one (G*H, H+D) matrix and one (G*H,) bias, the
+        sigmoid gates' rows halved (see the module docstring)."""
+        W = np.concatenate([getattr(self, "W" + g) for g in self.GATES])
+        b = np.concatenate([getattr(self, "b" + g) for g in self.GATES])
+        W[:self.sigmoid_rows] *= 0.5
+        b[:self.sigmoid_rows] *= 0.5
+        return W, b
+
+    @property
+    def sigmoid_rows(self):  # every gate but the last is a sigmoid gate
+        return (len(self.GATES) - 1) * self.hidden
 
 
 @dataclass
@@ -187,16 +198,32 @@ def init_rnn_params(hidden: int, input_dim: int, seed: int = 0) -> RnnParams:
     )
 
 
-def _lstm_cell(pre, c_prev):
-    """The LSTM cell after its affine map: pre holds the fused
-    pre-activations (..., 4H) in f, i, o, c order. Returns (h, c, s, cbar,
-    tanh_c), s being the sigmoid gates f, i, o side by side."""
-    H = c_prev.shape[-1]
-    s = sigmoid(pre[..., :3 * H])
-    cbar = np.tanh(pre[..., 3 * H:])
-    c = s[..., :H] * c_prev + s[..., H:2 * H] * cbar
+def _lstm_cell(a, c_prev):
+    """The LSTM cell after its affine map, feature-major: a holds the fused
+    pre-activations (4H, ...) in f, i, o, c order with the sigmoid rows
+    halved, and is overwritten by the activations. Returns (h, c, s, cbar,
+    tanh_c), s being the sigmoid gates f, i, o stacked."""
+    H = c_prev.shape[0]
+    np.tanh(a, out=a)
+    s, cbar = a[:3 * H], a[3 * H:]
+    s *= 0.5
+    s += 0.5
+    c = s[:H] * c_prev
+    c += s[H:2 * H] * cbar
     tanh_c = np.tanh(c)
-    return s[..., 2 * H:] * tanh_c, c, s, cbar, tanh_c
+    return s[2 * H:] * tanh_c, c, s, cbar, tanh_c
+
+
+def _runs(lengths):
+    """The packed steps as runs of equal width, given each row's length:
+    (first token, past-last token, width n) of each run, widest first."""
+    runs, s, done = [], 0, 0
+    for i, length in enumerate(sorted(lengths.tolist())):
+        if length > done:  # steps done..length-1 run the rows that are this long or longer
+            n = len(lengths) - i
+            runs.append((s, s + n * (length - done), n))
+            s, done = runs[-1][1], length
+    return runs
 
 
 @dataclass
@@ -238,30 +265,32 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     order = np.argsort(-lengths, kind="stable")            # longest row first
     real = (tokens[order] != PAD_INDEX).T                   # (T, B), each row a prefix
     packed = tokens[order].T[real]                          # (N,) real tokens, time-major
-    H = params.hidden
+    H, runs = params.hidden, _runs(lengths)
     W, b = params.gate_weights()
     x = embedding.rows[packed]                              # (N, D)
     xw = x @ W[:, H:].T
-    xw += b  # in place: a second (N, G) array would double the peak memory
-    w_h = W[:, :H].T
-    h = c = np.zeros((len(order), H))
-    last = np.empty_like(h)  # each row's final hidden state, in input order
-    steps, start = [], 0  # per step: (h, c) before it and the cell's activations
-    for n in real.sum(axis=1).tolist():
-        if n < len(h):  # rows n.. had their last token at the step before
-            last[order[n:len(h)]] = h[n:]
-            h, c = h[:n], c[:n]
-        pre = xw[start:start + n] + h @ w_h
-        start += n
-        if lstm:
-            h_new, c_new, *act = _lstm_cell(pre, c)
-        else:
-            h_new = act = np.tanh(pre)
-            c_new = c
-        if cache:
-            steps.append((h, c, act))
-        h, c = h_new, c_new
-    last[order[:len(h)]] = h
+    xw += b
+    # per run, its steps' gate blocks (steps, G*H, n): pre-activations, then activations
+    acts = [xw[s:e].reshape(-1, n, len(W)).transpose(0, 2, 1).copy() for s, e, n in runs]
+    w_h = W[:, :H]
+    h = c = np.zeros((H, len(order)))
+    last = np.empty((len(order), H))  # each row's final hidden state, in input order
+    steps = []  # per run and step: (h, c) before it and the LSTM's tanh(c) after it
+    for A in acts:
+        n = A.shape[2]
+        if n < h.shape[1]:  # rows n.. had their last token at the step before
+            last[order[n:h.shape[1]]] = h[:, n:].T
+            h, c = h[:, :n], c[:, :n]
+        steps.append([])
+        for a in A:
+            a += w_h @ h
+            if lstm:
+                h_new, c_new, _, _, tanh_c = _lstm_cell(a, c)
+            else:
+                h_new, c_new, tanh_c = np.tanh(a, out=a), c, None
+            steps[-1].append((h, c, tanh_c))
+            h, c = h_new, c_new
+    last[order[:h.shape[1]]] = h.T
     logits = last @ params.head_W.T + params.head_b
     if not np.isfinite(logits).all():
         raise TrainingError("non-finite logits (a non-finite parameter or embedding row)")
@@ -269,8 +298,9 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     if np.ndim(indices) == 1:
         logits, probs = logits[0], probs[0]
     return ForwardTrace(indices=tokens, logits=logits, probs=probs,
-                        cache={"W": W, "x": x, "h": last, "steps": steps, "order": order,
-                               "packed": packed} if cache else None)
+                        cache={"W": W, "x": x, "h": last, "order": order, "packed": packed,
+                               "runs": runs, "acts": acts, "steps": steps}
+                        if cache else None)
 
 
 @dataclass
@@ -305,39 +335,41 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     B, H = dlogits.shape[0], params.hidden
     dlogits[np.arange(B), label] -= 1.0
     dlogits /= B
-    steps, W = saved["steps"], saved["W"]
+    lstm = isinstance(params, LstmParams)
+    W = saved["W"].copy()
+    W[:params.sigmoid_rows] *= 2.0  # undo gate_weights' exact halving
     tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
-    # BPTT over the packed steps, last first: dpre holds the loss gradient of
-    # every real token's gate pre-activations, in the forward's packed order.
-    # A row joins at its last step, with dh from the head and dc = 0.
-    dpre = np.empty((len(saved["packed"]), W.shape[0]))
-    dh_head = (dlogits @ params.head_W)[saved["order"]]
-    dh = dc = np.zeros((0, H))
-    end = len(dpre)
-    for h_prev, c_prev, act in reversed(steps):
-        n = len(h_prev)
-        if n > len(dh):
-            dh = np.concatenate([dh, dh_head[len(dh):n]])
-            dc = np.concatenate([dc, np.zeros((n - len(dc), H))])
-        d = dpre[end - n:end]
-        end -= n
-        if isinstance(params, LstmParams):
-            s, cbar, tanh_c = act
-            dc_t = dc + dh * s[:, 2 * H:] * (1.0 - tanh_c * tanh_c)
-            d[:, :H] = dc_t * c_prev
-            d[:, H:2 * H] = dc_t * cbar
-            d[:, 2 * H:3 * H] = dh * tanh_c
-            d[:, :3 * H] *= s * (1.0 - s)
-            d[:, 3 * H:] = dc_t * s[:, H:2 * H] * (1.0 - cbar * cbar)
-            dc_t *= s[:, :H]
-        else:
-            np.multiply(dh, 1.0 - act * act, out=d)
-            dc_t = dc
-        dh, dc = d @ W[:, :H], dc_t
+    # BPTT over the steps, last first: a step's gate gradients are one
+    # (G*H, n) block like its activations. A row joins at its last step,
+    # with dh from the head and dc = 0.
+    dh_head = (dlogits @ params.head_W)[saved["order"]].T
+    dh = dc = np.zeros((H, 0))
+    w_h = W[:, :H].T
+    dpre = np.empty((len(saved["packed"]), len(W)))  # per token, in the forward's packed order
+    hs = np.empty((len(dpre), H))                    # per token, the h it read
+    for (s, e, n), A, run in reversed(list(zip(saved["runs"], saved["acts"], saved["steps"]))):
+        if n > dh.shape[1]:
+            dh = np.concatenate([dh, dh_head[:, dh.shape[1]:n]], axis=1)
+            dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]))], axis=1)
+        D = np.empty_like(A) if lstm else 1.0 - A * A  # RNN: d = dh * (1 - h^2)
+        for (_, c_prev, tanh_c), a, d in zip(reversed(run), A[::-1], D[::-1]):
+            if lstm:
+                s3, cbar = a[:3 * H], a[3 * H:]
+                dc_t = dc + dh * s3[2 * H:] * (1.0 - tanh_c * tanh_c)
+                np.multiply(dc_t, c_prev, out=d[:H])
+                np.multiply(dc_t, cbar, out=d[H:2 * H])
+                np.multiply(dh, tanh_c, out=d[2 * H:3 * H])
+                d[:3 * H] *= s3 * (1.0 - s3)
+                np.multiply(dc_t * s3[H:2 * H], 1.0 - cbar * cbar, out=d[3 * H:])
+                dc = np.multiply(dc_t, s3[:H], out=dc_t)
+            else:
+                d *= dh
+            dh = w_h @ d
+        dpre[s:e].reshape(-1, n, len(W))[...] = D.transpose(0, 2, 1)
+        hs[s:e].reshape(-1, n, H)[...] = np.array([st[0] for st in run]).transpose(0, 2, 1)
 
-    z = np.concatenate([np.concatenate([st[0] for st in steps]), saved["x"]], axis=1)
-    dW, db = dpre.T @ z, dpre.sum(axis=0)
+    dW, db = dpre.T @ np.concatenate([hs, saved["x"]], axis=1), dpre.sum(axis=0)
     for k, g in enumerate(params.GATES):  # per-gate views of the fused gradient
         tensors["W" + g], tensors["b" + g] = dW[k * H:(k + 1) * H], db[k * H:(k + 1) * H]
     # one input gradient per real token, summed into one row per distinct token

@@ -74,6 +74,9 @@ class TrainReport:
     epoch_accuracies: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
     total_steps: int = 0
+    # per epoch: the median and max of the steps' pre-clip gradient norms and
+    # the fraction of steps clipped; logged, written to no artifact
+    epoch_grad_norms: list = field(default_factory=list)
 
     @property
     def final_loss(self):
@@ -182,6 +185,7 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
         order = shuffle_rng.permutation(n)
         loss_weighted = 0.0
         n_correct = 0
+        norms = []
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             batch_loss, grads, correct = _batch_grads(params, embedding, block[rows], labels[rows])
@@ -189,7 +193,7 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {report.total_steps}"
                 )
-            clip_grads(grads, config.clip_norm)
+            norms.append(clip_grads(grads, config.clip_norm))
             optimizer.step(params, embedding, grads)
             loss_weighted += batch_loss * len(rows)
             n_correct += correct
@@ -197,9 +201,12 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
         report.epoch_losses.append(loss_weighted / n)
         report.epoch_accuracies.append(n_correct / n)
         report.epoch_seconds.append(time.perf_counter() - started)
-        log.info("epoch %d/%d: loss %.4f, accuracy %.4f (%.1fs)",
-                 epoch + 1, config.epochs, report.epoch_losses[-1],
-                 report.epoch_accuracies[-1], report.epoch_seconds[-1])
+        clipped = 0.0 if config.clip_norm is None else np.mean(np.array(norms) > config.clip_norm)
+        report.epoch_grad_norms.append((float(np.median(norms)), max(norms), float(clipped)))
+        log.info("epoch %d/%d: loss %.4f, accuracy %.4f, gradient norm median %.4g max %.4g, "
+                 "%.0f%% of steps clipped (%.1fs)", epoch + 1, config.epochs,
+                 report.epoch_losses[-1], report.epoch_accuracies[-1],
+                 *report.epoch_grad_norms[-1][:2], 100 * clipped, report.epoch_seconds[-1])
     return params, report
 
 

@@ -342,8 +342,9 @@ class TestVocabulary:
             elif kind == "no-newline":
                 text = text.rstrip("\n")
             elif kind == "reserved":
-                lines[1], lines[2] = lines[2], lines[1]
-                text = "\n".join(lines)
+                if len(lines) >= 3:  # an earlier "break" edit may have joined the lines
+                    lines[1], lines[2] = lines[2], lines[1]
+                    text = "\n".join(lines)
             elif len(parts) == 3:
                 if kind == "index":  # forms int() reads, some of them another number
                     digits = parts[0]

@@ -458,8 +458,9 @@ class TestEngineOracle:
         indices = np.array([[2, 0, 3, 0, 0], [0, 0, 0, 0, 4], [5, 6, 0, 7, 0]])
         params, rows = random_model(kind, 17)
         cache = forward(params, embedding_for(rows), indices).cache
-        assert [len(h_prev) for h_prev, _, _ in cache["steps"]] == [3, 2, 1]
-        assert len(cache["x"]) == sum(len(h_prev) for h_prev, _, _ in cache["steps"]) == 6
+        widths = [a.shape[1] for blocks in cache["acts"] for a in blocks]  # cell rows per step
+        assert widths == [3, 2, 1]
+        assert len(cache["x"]) == sum(widths) == 6
 
     @pytest.mark.parametrize("kind", ["lstm", "rnn"])
     def test_single_example_matches_reference(self, kind):

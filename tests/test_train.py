@@ -3,6 +3,7 @@ and determinism on a toy task, model files, and checkpoint integrity."""
 
 import importlib
 import json
+import logging
 import os
 
 import numpy as np
@@ -270,6 +271,22 @@ class TestTrain:
         assert all(np.isfinite(l) and l >= 0 for l in report.epoch_losses)
         assert report.final_loss == report.epoch_losses[-1]
         assert report.final_accuracy == report.epoch_accuracies[-1]
+
+    def test_gradient_norms_kept_per_epoch(self, caplog):
+        config = TrainConfig(epochs=3, batch_size=4, seed=1)
+        with caplog.at_level(logging.INFO, logger="sentilstm.train"):
+            _, report = train(toy_examples(), make_lstm(), make_embedding(), config)
+        assert len(report.epoch_grad_norms) == 3
+        for median, top, clipped in report.epoch_grad_norms:
+            assert np.isfinite(median) and np.isfinite(top) and 0.0 < median <= top
+            assert 0.0 <= clipped <= 1.0
+        assert caplog.text.count("of steps clipped") == 3
+
+    @pytest.mark.parametrize("clip_norm, clipped", [(None, 0.0), (1e-9, 1.0)])
+    def test_clip_fraction(self, clip_norm, clipped):
+        config = TrainConfig(epochs=2, batch_size=4, clip_norm=clip_norm, seed=1)
+        _, report = train(toy_examples(), make_lstm(), make_embedding(), config)
+        assert [c for _, _, c in report.epoch_grad_norms] == [clipped, clipped]
 
     def test_step_count(self):
         examples = toy_examples(n=10)
