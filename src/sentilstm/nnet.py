@@ -268,10 +268,16 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     H, runs = params.hidden, _runs(lengths)
     W, b = params.gate_weights()
     x = embedding.rows[packed]                              # (N, D)
-    xw = x @ W[:, H:].T
+    N, G = len(packed), len(W)
+    # one allocation for the input half's product (N, G*H) and the steps' gate
+    # blocks: a second array that size made each call of a long batch page-fault
+    buf = np.empty(2 * N * G)
+    xw = np.matmul(x, W[:, H:].T, out=buf[:N * G].reshape(N, G))
     xw += b
     # per run, its steps' gate blocks (steps, G*H, n): pre-activations, then activations
-    acts = [xw[s:e].reshape(-1, n, len(W)).transpose(0, 2, 1).copy() for s, e, n in runs]
+    acts = [buf[N * G + G * s:N * G + G * e].reshape(-1, G, n) for s, e, n in runs]
+    for (s, e, n), A in zip(runs, acts):
+        A[...] = xw[s:e].reshape(-1, n, G).transpose(0, 2, 1)
     w_h = W[:, :H]
     h = c = np.zeros((H, len(order)))
     last = np.empty((len(order), H))  # each row's final hidden state, in input order
@@ -288,7 +294,8 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
                 h_new, c_new, _, _, tanh_c = _lstm_cell(a, c)
             else:
                 h_new, c_new, tanh_c = np.tanh(a, out=a), c, None
-            steps[-1].append((h, c, tanh_c))
+            if cache:
+                steps[-1].append((h, c, tanh_c))
             h, c = h_new, c_new
     last[order[:h.shape[1]]] = h.T
     logits = last @ params.head_W.T + params.head_b
