@@ -159,45 +159,24 @@ class NegativeSampler:
         return 2 + np.searchsorted(self._cumulative, u, side="right")
 
 
-def _log_sigmoid(x: float) -> float:
-    if x >= 0:
-        return -np.log1p(np.exp(-x))
-    return x - np.log1p(np.exp(x))
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    ex = np.exp(x)
-    return ex / (1.0 + ex)
-
-
 def sgns_gradient(center, context, negatives):
     """Loss and analytic gradients for one (center, context, negatives) sample.
 
     Returns (loss, g_center, g_context, g_negatives) where g_negatives has one
-    row per negative vector. The positive pair contributes coefficient
-    (sigma(u.v) - 1) and each negative contributes sigma(u_n.v) on its dot
-    product.
+    row per negative vector. With U the rows [context; negatives] and v the
+    center, each row's coefficient on its dot product is sigma(U v), less 1
+    for the context; g_center is coef @ U and each row's gradient coef * v.
     """
-    center = np.asarray(center, dtype=np.float64)
-    context = np.asarray(context, dtype=np.float64)
-    negatives = np.asarray(negatives, dtype=np.float64).reshape(-1, center.shape[0])
-
-    s_pos = _sigmoid(float(context @ center))
-    loss = -_log_sigmoid(float(context @ center))
-    coef_pos = s_pos - 1.0
-    g_center = coef_pos * context
-    g_context = coef_pos * center
-
-    g_negatives = np.zeros_like(negatives)
-    for n in range(negatives.shape[0]):
-        dot = float(negatives[n] @ center)
-        s_neg = _sigmoid(dot)
-        loss -= _log_sigmoid(-dot)
-        g_center = g_center + s_neg * negatives[n]
-        g_negatives[n] = s_neg * center
-    return float(loss), g_center, g_context, g_negatives
+    v = np.asarray(center, dtype=np.float64)
+    U = np.vstack([np.asarray(context, dtype=np.float64),
+                   np.asarray(negatives, dtype=np.float64).reshape(-1, v.shape[0])])
+    dots = U @ v
+    coef = 0.5 * np.tanh(0.5 * dots) + 0.5
+    coef[0] -= 1.0
+    # -log sigma(u . v) for the context, -log sigma(-u_n . v) for each negative
+    dots[0] *= -1.0
+    g_rows = coef[:, None] * v
+    return float(np.logaddexp(0.0, dots).sum()), coef @ U, g_rows[0], g_rows[1:]
 
 
 def _sgd_pairs(W, C, pairs, negatives, lrs) -> np.ndarray:
@@ -249,19 +228,16 @@ def _sgd_pairs(W, C, pairs, negatives, lrs) -> np.ndarray:
 def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> EmbeddingMatrix:
     """Train the embedding matrix on encoded token sequences.
 
-    Center vectors start uniform in [-0.5/dim, 0.5/dim], context vectors at
-    zero. The pad row is never touched; the unk row (excluded from pairs) is
-    set to the mean of all trained token rows at the end. Deterministic for a
-    fixed seed.
+    Center vectors start as `random_embedding`'s rows, context vectors at
+    zero. The pad row is never touched; the unk row (excluded from pairs)
+    starts at zero and is set to the mean of all trained token rows at the
+    end. Deterministic for a fixed seed.
     """
     if vocab.n_tokens < 2:
         raise TrainingError(f"vocabulary too small to train embeddings ({vocab.n_tokens} tokens)")
-    dim = config.dim
-    rng_init = np.random.default_rng((config.seed, 0))
-    W = rng_init.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
-    W[PAD_INDEX] = 0.0
+    W = random_embedding(vocab, config.dim, seed=(config.seed, 0)).rows
     W[UNK_INDEX] = 0.0
-    C = np.zeros((len(vocab) + 1, dim))  # negated context vectors and a scratch row
+    C = np.zeros((len(vocab) + 1, config.dim))  # negated context vectors and a scratch row
 
     sampler = NegativeSampler(vocab)
     rng_neg = np.random.default_rng((config.seed, 1))

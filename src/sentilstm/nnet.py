@@ -46,13 +46,6 @@ from .corpus import N_CLASSES, PAD_INDEX
 from .errors import TrainingError
 
 
-def sigmoid(x):
-    """Logistic function as 0.5 * tanh(x / 2) + 0.5: stable for any input,
-    with no branch on the sign."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
 def softmax(logits):
     """Stable softmax over the last axis: shift by the max logit first."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -83,11 +76,27 @@ class _CellParams:
         W = getattr(self, self.TENSOR_NAMES[0])
         if W.ndim != 2 or W.shape[1] <= W.shape[0]:
             raise ValueError(f"{self.TENSOR_NAMES[0]} shape {W.shape} is not (hidden, hidden+input)")
-        dims = {"H": W.shape[0], "C": W.shape[1], "K": N_CLASSES}
-        for name, symbols in self.SHAPES.items():
-            expected = tuple(dims[s] for s in symbols)
+        for name, expected in self.shapes(*W.shape).items():
             if getattr(self, name).shape != expected:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {expected}")
+
+    @classmethod
+    def shapes(cls, hidden, width):
+        """Each tensor's shape at hidden size H = hidden and C = width."""
+        dims = {"H": hidden, "C": width, "K": N_CLASSES}
+        return {name: tuple(dims[s] for s in symbols) for name, symbols in cls.SHAPES.items()}
+
+    @classmethod
+    def init(cls, hidden: int, input_dim: int, seed=0):
+        """Every (H, C) weight uniform in +-1/sqrt(C), drawn in field order
+        from one stream; the forget bias b_f 1.0, so early training does not
+        forget everything before the gates have learned anything; every other
+        bias and the head zero."""
+        rng = np.random.default_rng(seed)
+        bound = 1.0 / np.sqrt(hidden + input_dim)
+        return cls(**{name: (rng.uniform(-bound, bound, size=shape) if cls.SHAPES[name] == "HC"
+                             else np.full(shape, 1.0 if name == "b_f" else 0.0))
+                      for name, shape in cls.shapes(hidden, hidden + input_dim).items()})
 
     @classmethod
     def from_tensors(cls, tensors: dict):
@@ -167,35 +176,8 @@ class RnnParams(_CellParams):
     GATES = ("",)
 
 
-def init_lstm_params(hidden: int, input_dim: int, seed: int = 0) -> LstmParams:
-    """Uniform +-1/sqrt(hidden+input) gate weights, forget bias 1.0, zero head.
-
-    The forget-gate bias starts at 1 so early training does not forget
-    everything before the gates have learned anything.
-    """
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(hidden + input_dim)
-    def w():
-        return rng.uniform(-bound, bound, size=(hidden, hidden + input_dim))
-    return LstmParams(
-        W_f=w(), b_f=np.ones(hidden),
-        W_i=w(), b_i=np.zeros(hidden),
-        W_c=w(), b_c=np.zeros(hidden),
-        W_o=w(), b_o=np.zeros(hidden),
-        head_W=np.zeros((N_CLASSES, hidden)),
-        head_b=np.zeros(N_CLASSES),
-    )
-
-
-def init_rnn_params(hidden: int, input_dim: int, seed: int = 0) -> RnnParams:
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(hidden + input_dim)
-    return RnnParams(
-        W=rng.uniform(-bound, bound, size=(hidden, hidden + input_dim)),
-        b=np.zeros(hidden),
-        head_W=np.zeros((N_CLASSES, hidden)),
-        head_b=np.zeros(N_CLASSES),
-    )
+init_lstm_params = LstmParams.init
+init_rnn_params = RnnParams.init
 
 
 def _lstm_cell(a, c_prev):

@@ -257,6 +257,8 @@ def save_checkpoint(directory, params, embedding: EmbeddingMatrix,
                     extra: dict = None):
     """Write model.bin / embeddings.bin / vocab.tsv / manifest.json into
     `directory`. Deterministic: no timestamps, sorted manifest keys."""
+    if tokenizer_mode not in TOKENIZER_MODES:  # load_checkpoint would refuse the manifest
+        raise ValueError(f"tokenizer mode {tokenizer_mode!r} is not one of {TOKENIZER_MODES}")
     os.makedirs(directory, exist_ok=True)
     vocab_path = os.path.join(directory, VOCAB_FILE)
     emb_path = os.path.join(directory, EMBEDDINGS_FILE)

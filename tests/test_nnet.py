@@ -13,7 +13,7 @@ from sentilstm.embedding import EmbeddingMatrix
 from sentilstm.errors import TrainingError
 from sentilstm.nnet import (Grads, LstmParams, RnnParams, _lstm_cell, backward,
                             cross_entropy, forward, init_lstm_params, init_rnn_params,
-                            sigmoid, softmax)
+                            softmax)
 
 
 def zero_lstm(hidden=1, input_dim=1, classes=3):
@@ -55,6 +55,15 @@ def lstm_cell(params, h, c, x):
     return h_new, c_new, {"f": f, "i": i, "o": o, "cbar": cbar, "tanh_c": tanh_c}
 
 
+def cell_sigmoid(x):
+    """The cell's sigma at x, as (3, n) rows f, i, o: `_lstm_cell` on a gate
+    block whose sigmoid rows hold x / 2, as `gate_weights` halves them."""
+    x = np.asarray(x, dtype=np.float64)
+    block = np.concatenate([x / 2, x / 2, x / 2, np.zeros_like(x)])
+    _, _, s, _, _ = _lstm_cell(block, np.zeros_like(x))
+    return s.reshape(3, -1)
+
+
 def row_grads(grads):
     """The embedding gradient as {row index: gradient row}."""
     return dict(zip(grads.embedding_index.tolist(), grads.embedding_grad))
@@ -63,14 +72,14 @@ def row_grads(grads):
 class TestActivations:
     def test_sigmoid_against_reference(self):
         xs = np.linspace(-30, 30, 101)
-        got = sigmoid(xs)
         want = [1.0 / (1.0 + math.exp(-x)) for x in xs]
-        assert np.allclose(got, want, rtol=0, atol=1e-15)
+        for got in cell_sigmoid(xs):
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
 
     def test_sigmoid_extremes_stable(self):
-        assert sigmoid(np.array([-1000.0]))[0] == 0.0
-        assert sigmoid(np.array([1000.0]))[0] == 1.0
-        assert np.all(np.isfinite(sigmoid(np.array([-1e308, 1e308]))))
+        assert np.all(cell_sigmoid([-1000.0]) == 0.0)
+        assert np.all(cell_sigmoid([1000.0]) == 1.0)
+        assert np.all(np.isfinite(cell_sigmoid([-1e308, 1e308])))
 
     def test_softmax_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -189,6 +198,31 @@ class TestInit:
         assert params.W.shape == (4, 7)
         assert np.all(params.b == 0.0)
         assert params.hidden == 4 and params.input_dim == 3
+
+    def test_lstm_draw_order(self):
+        # checkpoints depend on it: W_f, W_i, W_c, W_o from one stream, in that order
+        rng = np.random.default_rng(9)
+        bound = 1.0 / math.sqrt(9)
+        want = {name: rng.uniform(-bound, bound, size=(5, 9))
+                for name in ("W_f", "W_i", "W_c", "W_o")}
+        want.update(b_f=np.ones(5), b_i=np.zeros(5), b_c=np.zeros(5), b_o=np.zeros(5),
+                    head_W=np.zeros((3, 5)), head_b=np.zeros(3))
+        got = init_lstm_params(5, 4, seed=9).tensors()
+        assert list(got) == list(LstmParams.TENSOR_NAMES)
+        for name, tensor in got.items():
+            assert tensor.dtype == np.float64
+            np.testing.assert_array_equal(tensor, want[name])
+
+    def test_rnn_draw_order(self):
+        rng = np.random.default_rng(9)
+        bound = 1.0 / math.sqrt(9)
+        want = {"W": rng.uniform(-bound, bound, size=(5, 9)), "b": np.zeros(5),
+                "head_W": np.zeros((3, 5)), "head_b": np.zeros(3)}
+        got = init_rnn_params(5, 4, seed=9).tensors()
+        assert list(got) == list(RnnParams.TENSOR_NAMES)
+        for name, tensor in got.items():
+            assert tensor.dtype == np.float64
+            np.testing.assert_array_equal(tensor, want[name])
 
     def test_deterministic(self):
         a = init_lstm_params(4, 3, seed=5)

@@ -654,6 +654,15 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded_params.tensors()[name],
                                           params.tensors()[name])
 
+    def test_unknown_tokenizer_mode_writes_nothing(self, tmp_path):
+        # a manifest naming a mode outside TOKENIZER_MODES would fail to load
+        _, vocab, embedding, params = keyword_checkpoint_pieces()
+        directory = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match="'char'"):
+            save_checkpoint(directory, params, embedding, vocab, maxlen=8,
+                            tokenizer_mode="char")
+        assert list(tmp_path.iterdir()) == []  # not even the directory
+
     def test_round_trip_identical_predictions(self, tmp_path):
         examples, vocab, embedding, params = keyword_checkpoint_pieces()
         directory = tmp_path / "ckpt"
