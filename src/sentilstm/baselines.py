@@ -17,7 +17,7 @@ from scipy import sparse
 
 from . import binio
 from .corpus import CLASS_INDEX_LIST, N_CLASSES
-from .errors import FormatError, TrainingError
+from .errors import FormatError, TrainingError, check_options, option
 
 log = logging.getLogger(__name__)
 
@@ -149,17 +149,12 @@ def naive_bayes_predict(model: NaiveBayesModel, counts: sparse.csr_matrix) -> np
 
 @dataclass
 class LogRegConfig:
-    iterations: int = 300
-    learning_rate: float = 0.5
-    l2: float = 1e-4
+    iterations: int = option(300, "full-batch gradient-descent steps", at_least=1)
+    learning_rate: float = option(0.5, "gradient-descent step size", above=0.0)
+    l2: float = option(1e-4, "L2 penalty on W (not b)", at_least=0.0)
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        check_options(self)
 
 
 @dataclass

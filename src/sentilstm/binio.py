@@ -150,15 +150,17 @@ def write_json(path, payload):
     write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
-def read_json(path, fmt: str, version: int, required: dict = None) -> dict:
-    """A JSON manifest: an object whose "format" is `fmt`, whose "version"
-    is `version`, and whose value under each key of `required` is one of
-    that key's allowed values, else FormatError. A missing file raises
-    FileNotFoundError, which each caller words for its own directory."""
+def read_json(path, fmt: str = None, version: int = None, required: dict = None):
+    """The JSON value in `path`, else FormatError; with `fmt`, a manifest: an
+    object whose "format" is `fmt`, "version" is `version`, and value under
+    each key of `required` is one of that key's allowed values. A missing
+    file raises FileNotFoundError, which each caller words for itself."""
     try:
         payload = json.loads(read_bytes(path))
-    except ValueError as exc:  # bad JSON, bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    if fmt is None:
+        return payload
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: a {fmt} manifest must be a JSON object, "
                           f"got {type(payload).__name__}")

@@ -17,8 +17,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -31,102 +29,72 @@ from .metrics import (AVERAGING_SCHEMES, CLASS_NAMES, confusion, format_report,
                       format_table, metrics, report_to_dict, report_to_json)
 from .embedding import (EmbeddingConfig, load_embeddings, random_embedding,
                         save_embeddings, train_skipgram)
-from .errors import DatasetError, SentiError
+from .errors import DatasetError, SentiError, check_options, option
 from .nnet import forward, init_lstm_params, init_rnn_params
 # predict_dataset has no caller here; perfbench/tracing.py wraps cli.predict_dataset
-from .train import (OPTIMIZERS, TrainConfig, evaluate_model, load_checkpoint,
-                    predict_dataset, save_checkpoint, train)
+from .train import (EMBEDDINGS_FILE, VOCAB_FILE, TrainConfig, evaluate_model,
+                    load_checkpoint, predict_dataset, save_checkpoint, train)
 
 log = logging.getLogger(__name__)
 
 META_NAME = "meta.json"
 TRAIN_SPLIT = "train.tsv"
 TEST_SPLIT = "test.tsv"
-EMBEDDINGS_NAME = "embeddings.bin"
 REPORT_NAME = "train_report.json"
 
 OUTPUT_DIR_ENV = "SENTI_OUTPUT_DIR"
 
 
-def _option(default, help, *, choices=None, at_least=None, above=None, below=None,
-            non_empty=False):
-    """A RunConfig field with the help text, choices and bounds that both its
-    flag and its config-file value are held to."""
-    return dataclasses.field(default=default, metadata={
-        "help": help, "choices": choices, "non_empty": non_empty,
-        "at_least": at_least, "above": above, "below": below,
-    })
+def _like(config, name):
+    """A RunConfig field declared as the stage config's field `name`."""
+    f = config.__dataclass_fields__[name]
+    return dataclasses.field(default=f.default, metadata=f.metadata)
 
 
 @dataclass
 class RunConfig:
-    """Every tunable the CLI understands: default, help and valid range,
-    declared once. Field `foo_bar` is both the `--foo-bar` flag and the
-    `foo_bar` key of a --config file."""
+    """Every tunable the CLI understands, with its default, help and valid
+    range; a stage's option is its stage config's field. Field `foo_bar` is
+    both the `--foo-bar` flag and the `foo_bar` key of a --config file."""
 
-    maxlen: int = _option(100, "tokens kept per text (truncate, then pad)", at_least=1)
-    min_count: int = _option(10, "train-split frequency a token needs to enter the vocabulary",
-                             at_least=1)
-    tokenizer: str = _option("auto", "how cleaned text splits into tokens; auto picks "
-                             "character mode when CJK scalars are over half of the letters",
-                             choices=("auto",) + corpus.TOKENIZER_MODES)
-    test_fraction: float = _option(0.2, "share of each class held out for testing",
-                                   above=0.0, below=1.0)
+    maxlen: int = option(100, "tokens kept per text (truncate, then pad)", at_least=1)
+    min_count: int = option(10, "train-split frequency a token needs to enter the vocabulary",
+                            at_least=1)
+    tokenizer: str = option("auto", "how cleaned text splits into tokens; auto picks "
+                            "character mode when CJK scalars are over half of the letters",
+                            choices=("auto",) + corpus.TOKENIZER_MODES)
+    test_fraction: float = option(0.2, "share of each class held out for testing",
+                                  above=0.0, below=1.0)
 
-    dim: int = _option(100, "embedding dimension for skip-gram or --random-init", at_least=1)
-    window: int = _option(7, "skip-gram context window", at_least=1)
-    iterations: int = _option(10, "skip-gram passes over the train split", at_least=1)
-    negatives: int = _option(5, "negative samples per skip-gram pair", at_least=0)
-    embedding_lr: float = _option(0.025, "initial skip-gram learning rate", above=0.0)
+    dim: int = _like(EmbeddingConfig, "dim")
+    window: int = _like(EmbeddingConfig, "window")
+    iterations: int = _like(EmbeddingConfig, "iterations")
+    negatives: int = _like(EmbeddingConfig, "negatives")
+    embedding_lr: float = _like(EmbeddingConfig, "learning_rate")
 
-    hidden: int = _option(50, "recurrent hidden units", at_least=1)
-    model: str = _option("lstm", "recurrent cell", choices=("lstm", "rnn"))
-    epochs: int = _option(4, "classifier training epochs", at_least=1)
-    batch_size: int = _option(32, "examples per gradient step", at_least=1)
-    optimizer: str = _option("adam", "classifier optimizer", choices=OPTIMIZERS)
-    learning_rate: float = _option(None, "classifier learning rate "
-                                   "(default 0.001 for adam, 0.1 for sgd)", above=0.0)
-    clip_norm: float = _option(5.0, "global gradient-norm clip; 0 disables clipping",
-                               at_least=0.0)
+    hidden: int = option(50, "recurrent hidden units", at_least=1)
+    model: str = option("lstm", "recurrent cell", choices=("lstm", "rnn"))
+    epochs: int = _like(TrainConfig, "epochs")
+    batch_size: int = _like(TrainConfig, "batch_size")
+    optimizer: str = _like(TrainConfig, "optimizer")
+    learning_rate: float = _like(TrainConfig, "learning_rate")
+    clip_norm: float = option(TrainConfig.clip_norm, "global gradient-norm clip; "
+                              "0 disables clipping", at_least=0.0)
 
-    averaging: str = _option("macro", "headline average of the per-class scores",
-                             choices=AVERAGING_SCHEMES)
-    seed: int = _option(1, "master random seed", at_least=0)
-    output_dir: str = _option("senti-out", "where artifacts are written", non_empty=True)
+    averaging: str = option("macro", "headline average of the per-class scores",
+                            choices=AVERAGING_SCHEMES)
+    seed: int = _like(TrainConfig, "seed")
+    output_dir: str = option("senti-out", "where artifacts are written", non_empty=True)
 
     # names that came from a flag, the environment, or a config file,
     # as opposed to the defaults above
     explicit: frozenset = frozenset()
 
     def __post_init__(self):
-        for f in OPTIONS.values():
-            _check_option(f, getattr(self, f.name))
+        check_options(self)
 
 
 OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.metadata}
-
-_BOUNDS = (("at_least", ">=", operator.ge), ("above", ">", operator.gt),
-           ("below", "<", operator.lt))
-
-
-def _check_option(f, value):
-    if value is None and f.default is None:
-        return  # unset: the consumer resolves it (learning_rate per optimizer)
-    kinds = (int, float) if f.type is float else f.type
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise SentiError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
-    if f.type is float and math.isinf(value):
-        raise SentiError(f"{f.name} must be finite, got {value!r}")
-    choices = f.metadata["choices"]
-    if choices and value not in choices:
-        raise SentiError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
-    if f.metadata["non_empty"] and not value:
-        raise SentiError(f"{f.name} must not be empty")
-    for key, symbol, holds in _BOUNDS:
-        bound = f.metadata[key]
-        # `not holds` also rejects NaN
-        if bound is not None and not holds(value, bound):
-            raise SentiError(f"{f.name} must be {symbol} {bound}, got {value!r}")
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
@@ -135,12 +103,9 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            with open(config_path, encoding="utf-8") as f:
-                loaded = json.load(f)
+            loaded = binio.read_json(config_path)
         except FileNotFoundError:
             raise SentiError(f"config file not found: {config_path}") from None
-        except ValueError as exc:  # bad JSON, bad UTF-8
-            raise SentiError(f"{config_path}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
             raise SentiError(f"{config_path}: config must be a JSON object")
         unknown = sorted(set(loaded) - set(OPTIONS))
@@ -245,7 +210,7 @@ def cmd_preprocess(args) -> int:
     prep = prepare(cfg, args.data)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    fingerprint = bytes.fromhex(corpus.save_vocabulary(prep.vocab, os.path.join(out, "vocab.tsv")))
+    fingerprint = bytes.fromhex(corpus.save_vocabulary(prep.vocab, os.path.join(out, VOCAB_FILE)))
     corpus.save_encoded(prep.train, cfg.maxlen, os.path.join(out, TRAIN_SPLIT), fingerprint)
     corpus.save_encoded(prep.test, cfg.maxlen, os.path.join(out, TEST_SPLIT), fingerprint)
     binio.write_json(os.path.join(out, META_NAME), {
@@ -281,13 +246,13 @@ def _load_meta(input_dir):
 def cmd_train_embeddings(args) -> int:
     cfg = merge_config(args)
     _load_meta(args.input_dir)
-    vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
+    vocab = corpus.load_vocabulary(os.path.join(args.input_dir, VOCAB_FILE))
     examples, _ = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
     matrix = train_skipgram([ex.indices for ex in examples], _embedding_config(cfg), vocab)
     # default to dropping the file next to its inputs
     out_dir = cfg.output_dir if "output_dir" in cfg.explicit else args.input_dir
     os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, EMBEDDINGS_NAME)
+    out_path = os.path.join(out_dir, EMBEDDINGS_FILE)
     save_embeddings(matrix, out_path)
     log.info("trained %dx%d embeddings -> %s", matrix.n_rows, matrix.dim, out_path)
     print(f"wrote {out_path} ({matrix.n_rows} rows x {matrix.dim})")
@@ -297,13 +262,13 @@ def cmd_train_embeddings(args) -> int:
 def cmd_train(args) -> int:
     cfg = merge_config(args)
     meta = _load_meta(args.input_dir)
-    vocab = corpus.load_vocabulary(os.path.join(args.input_dir, "vocab.tsv"))
+    vocab = corpus.load_vocabulary(os.path.join(args.input_dir, VOCAB_FILE))
     examples, maxlen = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
 
     if args.random_init:
         embedding = random_embedding(vocab, cfg.dim, seed=(cfg.seed, 4))
     else:
-        emb_path = args.embeddings or os.path.join(args.input_dir, EMBEDDINGS_NAME)
+        emb_path = args.embeddings or os.path.join(args.input_dir, EMBEDDINGS_FILE)
         if not os.path.exists(emb_path):
             raise SentiError(
                 f"no embeddings at {emb_path}; run train-embeddings first or pass --random-init"
@@ -540,7 +505,8 @@ def main(argv=None) -> int:
         # looked up at call time: a wrapper put on a cmd_* function after the
         # parser was built is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (SentiError, OSError) as exc:  # OSError: a path that cannot be read, e.g. a directory
+    # OSError: a path that cannot be read; MemoryError: a size no allocation can hold
+    except (SentiError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import binio
 from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary
-from .errors import FormatError, TrainingError
+from .errors import FormatError, TrainingError, check_options, option
 
 log = logging.getLogger(__name__)
 
@@ -38,27 +38,16 @@ CHUNK_PAIRS = 4096
 
 @dataclass
 class EmbeddingConfig:
-    dim: int = 100
-    window: int = 7
-    min_count: int = 10
-    iterations: int = 10
-    negatives: int = 5
-    learning_rate: float = 0.025
-    seed: int = 1
+    dim: int = option(100, "embedding dimension for skip-gram or --random-init", at_least=1)
+    window: int = option(7, "skip-gram context window", at_least=1)
+    min_count: int = option(10, "frequency a token needed to enter the vocabulary", at_least=1)
+    iterations: int = option(10, "skip-gram passes over the train split", at_least=1)
+    negatives: int = option(5, "negative samples per skip-gram pair", at_least=0)
+    learning_rate: float = option(0.025, "initial skip-gram learning rate", above=0.0)
+    seed: int = option(1, "skip-gram random seed", at_least=0)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.negatives < 0:
-            raise ValueError("negatives must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_options(self)
 
 
 @dataclass

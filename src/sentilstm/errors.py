@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for config options."""
+
+import dataclasses
+import math
+import numbers
+import operator
+import sys
 
 
 class SentiError(Exception):
@@ -15,3 +21,44 @@ class FormatError(SentiError):
 
 class TrainingError(SentiError):
     """Training aborted (non-finite loss, inconsistent inputs)."""
+
+
+class OptionError(SentiError, ValueError):
+    """A config option of the wrong type, outside its choices or out of range."""
+
+
+def option(default, help, *, choices=None, at_least=None, above=None, below=None,
+           non_empty=False, optional=False):
+    """A config field with the help text, choices and bounds that every value
+    it takes is held to; None passes if the field is optional or defaults to None."""
+    return dataclasses.field(default=default, metadata=dict(
+        help=help, choices=choices, non_empty=non_empty, optional=optional or default is None,
+        at_least=at_least, above=above, below=below))
+
+
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
+_BOUNDS = (("at_least", ">=", operator.ge), ("above", ">", operator.gt),
+           ("below", "<", operator.lt))
+
+
+def check_options(config):
+    """Hold each `option` field of a config dataclass to its declaration."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not f.metadata or value is None and f.metadata["optional"]:
+            continue  # not an option, or unset: the consumer resolves it
+        if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
+            raise OptionError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+        if f.type is float and (abs(value) > sys.float_info.max if isinstance(value, int)
+                                else math.isinf(value)):  # an int past any float, or inf
+            raise OptionError(f"{f.name} must be finite, got {value!r}")
+        choices = f.metadata["choices"]
+        if choices and value not in choices:
+            raise OptionError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+        if f.metadata["non_empty"] and not value:
+            raise OptionError(f"{f.name} must not be empty")
+        for key, symbol, holds in _BOUNDS:
+            bound = f.metadata[key]
+            # `not holds` also rejects NaN
+            if bound is not None and not holds(value, bound):
+                raise OptionError(f"{f.name} must be {symbol} {bound}, got {value!r}")

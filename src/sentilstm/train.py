@@ -18,7 +18,7 @@ from . import binio
 from .corpus import (PAD_INDEX, TOKENIZER_MODES, Vocabulary, load_vocabulary,
                      save_vocabulary)
 from .embedding import EmbeddingMatrix, load_embeddings, save_embeddings
-from .errors import FormatError, TrainingError
+from .errors import FormatError, TrainingError, check_options, option
 from .metrics import MetricsReport, confusion, metrics
 from .nnet import (Grads, LstmParams, RnnParams, backward, cross_entropy,
                    forward)
@@ -42,24 +42,17 @@ INFERENCE_CHUNK = 32  # examples per engine call in batched inference
 
 @dataclass
 class TrainConfig:
-    epochs: int = 4
-    batch_size: int = 32
-    optimizer: str = "adam"
-    learning_rate: float = None  # resolved per optimizer when unset
-    clip_norm: float = 5.0
-    seed: int = 1
+    epochs: int = option(4, "classifier training epochs", at_least=1)
+    batch_size: int = option(32, "examples per gradient step", at_least=1)
+    optimizer: str = option("adam", "classifier optimizer", choices=OPTIMIZERS)
+    learning_rate: float = option(None, "classifier learning rate (default " + ", ".join(
+        f"{lr} for {name}" for name, lr in DEFAULT_LR.items()) + ")", above=0.0)
+    clip_norm: float = option(5.0, "global gradient-norm clip; None disables clipping",
+                              above=0.0, optional=True)
+    seed: int = option(1, "master random seed", at_least=0)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive (or None to disable)")
+        check_options(self)
 
     @property
     def resolved_learning_rate(self) -> float:

@@ -2,6 +2,7 @@
 temp-directory pipeline, and the documented error paths."""
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,15 +14,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sentilstm
 from sentilstm import binio
-from sentilstm.cli import (OUTPUT_DIR_ENV, RunConfig, build_parser, main,
+from sentilstm.baselines import LogRegConfig
+from sentilstm.cli import (OPTIONS, OUTPUT_DIR_ENV, RunConfig, build_parser, main,
                            merge_config)
 from sentilstm.corpus import load_encoded, load_vocabulary
-from sentilstm.embedding import load_embeddings, random_embedding
+from sentilstm.embedding import EmbeddingConfig, load_embeddings, random_embedding
+from sentilstm.errors import OptionError, SentiError
 from sentilstm.nnet import init_lstm_params
-from sentilstm.train import load_checkpoint, load_model, save_checkpoint, save_model
+from sentilstm.train import (TrainConfig, load_checkpoint, load_model, save_checkpoint,
+                             save_model)
 
 from synthetic import keyword_corpus, write_csv
 
@@ -123,6 +129,84 @@ class TestMergeConfig:
         cfg = merge_config(namespace(clip_norm=0.0, negatives=0, seed=0))
         assert (cfg.clip_norm, cfg.negatives, cfg.seed) == (0.0, 0, 0)
         assert cfg.learning_rate is None
+
+
+# a valid --config file that sets every option away from its default
+VALID_CONFIG = {
+    "maxlen": 40, "min_count": 2, "tokenizer": "whitespace", "test_fraction": 0.25,
+    "dim": 8, "window": 3, "iterations": 2, "negatives": 0, "embedding_lr": 0.05,
+    "hidden": 6, "model": "rnn", "epochs": 1, "batch_size": 4, "optimizer": "sgd",
+    "learning_rate": 0.1, "clip_norm": 0.0, "averaging": "micro", "seed": 0,
+    "output_dir": "out",
+}
+OTHER_JSON_TYPES = (None, True, False, 0, -3, 2.5, 10 ** 400, "", "x", [], [1], {}, {"a": 1})
+NOT_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xfe\xff")
+JSON_LITERALS = ("NaN", "-NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                 "9" * 4301, "-" + "1" * 5000, "1" * 400, "1" * 400 + ".0")
+
+
+@st.composite
+def fuzzed_config(draw):
+    """The bytes of VALID_CONFIG with one to three value mutations, then
+    (half the time) byte flips and bytes that are not UTF-8."""
+    config = dict(VALID_CONFIG)
+    literals = {}  # placeholder string -> the JSON text that replaces it
+    tail = []  # extra `"key": value` members: duplicate keys
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(config)))
+        kind = draw(st.sampled_from(("type", "literal", "nesting", "duplicate")))
+        if kind == "type":
+            config[key] = draw(st.sampled_from(OTHER_JSON_TYPES))
+        elif kind == "literal":
+            literals[f"@{key}@"] = draw(st.sampled_from(JSON_LITERALS))
+            config[key] = f"@{key}@"
+        elif kind == "nesting":
+            depth = draw(st.sampled_from((1, 2, 50, 5000, 100_000)))
+            closed = draw(st.booleans())
+            literals[f"@{key}@"] = "[" * depth + ("0" + "]" * depth if closed else "")
+            config[key] = f"@{key}@"
+        else:
+            value = draw(st.sampled_from(OTHER_JSON_TYPES + (VALID_CONFIG[key],)))
+            tail.append(f"{json.dumps(key)}: {json.dumps(value)}")
+    text = json.dumps(config)
+    for placeholder, literal in literals.items():
+        text = text.replace(json.dumps(placeholder), literal)
+    if tail:
+        text = text[:-1] + ", " + ", ".join(tail) + "}"
+    raw = bytearray(text.encode("utf-8"))
+    if not draw(st.booleans()):  # half the files keep their bytes
+        return bytes(raw)
+    for _ in range(draw(st.integers(0, 3))):  # byte flips
+        at = draw(st.integers(0, len(raw) - 1))
+        raw[at] ^= draw(st.integers(1, 255))
+    for _ in range(draw(st.integers(0, 2))):  # bytes that are not UTF-8
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = draw(st.sampled_from(NOT_UTF8))
+    return bytes(raw)
+
+
+class TestConfigFuzz:
+    """merge_config alone, in process: a fuzzed --config file gives a
+    RunConfig or a SentiError, never another exception. No pipeline runs, so
+    no fuzzed size is ever allocated."""
+
+    def test_valid_config_is_read(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(VALID_CONFIG))
+        cfg = merge_config(namespace(config=str(path)))
+        assert {name: getattr(cfg, name) for name in OPTIONS} == VALID_CONFIG
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=fuzzed_config())
+    def test_fuzzed_config_is_run_config_or_senti_error(self, raw, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_bytes(raw)
+        try:
+            cfg = merge_config(namespace(config=str(path)))
+        except SentiError:
+            return
+        assert isinstance(cfg, RunConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +1047,83 @@ class TestOptionTable:
         assert not (tmp_path / "out").exists()
 
 
+# (RunConfig field, stage config, stage field, a value out of range)
+SHARED_OPTIONS = [
+    ("dim", EmbeddingConfig, "dim", 0),
+    ("window", EmbeddingConfig, "window", 0),
+    ("iterations", EmbeddingConfig, "iterations", 0),
+    ("negatives", EmbeddingConfig, "negatives", -1),
+    ("embedding_lr", EmbeddingConfig, "learning_rate", 0.0),
+    ("epochs", TrainConfig, "epochs", 0),
+    ("batch_size", TrainConfig, "batch_size", 0),
+    ("optimizer", TrainConfig, "optimizer", "rmsprop"),
+    ("learning_rate", TrainConfig, "learning_rate", -0.5),
+    ("seed", TrainConfig, "seed", -5),
+]
+
+
+class TestSharedOptions:
+    """An option a stage config has is declared once, by that stage config."""
+
+    @pytest.mark.parametrize("name, stage, field, bad", SHARED_OPTIONS)
+    def test_run_option_is_the_stage_field(self, name, stage, field, bad):
+        run_field = OPTIONS[name]
+        stage_field = {f.name: f for f in dataclasses.fields(stage)}[field]
+        assert run_field.type is stage_field.type
+        assert run_field.default == stage_field.default
+        assert dict(run_field.metadata) == dict(stage_field.metadata)  # help, choices, bounds
+
+    @pytest.mark.parametrize("name, stage, field, bad", SHARED_OPTIONS)
+    def test_same_message_from_cli_and_stage(self, name, stage, field, bad):
+        with pytest.raises(SentiError) as from_cli:
+            merge_config(namespace(**{name: bad}))
+        with pytest.raises(ValueError) as from_stage:
+            stage(**{field: bad})
+        assert str(from_cli.value) == str(from_stage.value).replace(field, name, 1)
+        assert str(from_cli.value).startswith(f"{name} must be ")
+
+    def test_learning_rate_help_names_each_default(self):
+        assert OPTIONS["learning_rate"].metadata["help"] == (
+            "classifier learning rate (default 0.001 for adam, 0.1 for sgd)")
+
+
+class TestStageConfigs:
+    @pytest.mark.parametrize("stage, kwargs", [
+        (TrainConfig, {"epochs": 0}), (TrainConfig, {"batch_size": 0}),
+        (TrainConfig, {"optimizer": "rmsprop"}), (TrainConfig, {"learning_rate": 0.0}),
+        (TrainConfig, {"learning_rate": -1.0}), (TrainConfig, {"clip_norm": 0.0}),
+        (TrainConfig, {"clip_norm": -1.0}), (TrainConfig, {"epochs": True}),
+        (TrainConfig, {"epochs": 2.0}), (TrainConfig, {"learning_rate": float("inf")}),
+        (TrainConfig, {"learning_rate": float("nan")}), (TrainConfig, {"seed": -1}),
+        (TrainConfig, {"learning_rate": 10 ** 400}),
+        (EmbeddingConfig, {"dim": 0}), (EmbeddingConfig, {"window": 0}),
+        (EmbeddingConfig, {"min_count": 0}), (EmbeddingConfig, {"iterations": 0}),
+        (EmbeddingConfig, {"negatives": -1}), (EmbeddingConfig, {"learning_rate": 0.0}),
+        (EmbeddingConfig, {"dim": np.bool_(True)}), (EmbeddingConfig, {"dim": "8"}),
+        (LogRegConfig, {"iterations": 0}), (LogRegConfig, {"learning_rate": 0.0}),
+        (LogRegConfig, {"l2": -1e-3}), (LogRegConfig, {"l2": False}),
+    ])
+    def test_refused_as_option_error(self, stage, kwargs):
+        with pytest.raises(OptionError, match=f"^{next(iter(kwargs))} must "):
+            stage(**kwargs)
+
+    @pytest.mark.parametrize("stage, kwargs", [
+        (TrainConfig, {"epochs": np.int64(2), "batch_size": np.int32(3),
+                       "learning_rate": np.float32(0.01), "clip_norm": np.float64(1.0),
+                       "seed": np.uint8(7)}),
+        (TrainConfig, {"learning_rate": 1, "clip_norm": None}),
+        (EmbeddingConfig, {"dim": np.int16(4), "negatives": np.int64(0),
+                           "learning_rate": np.float16(0.5)}),
+        (LogRegConfig, {"iterations": np.int64(5), "l2": 0}),
+    ])
+    def test_numpy_scalars_accepted(self, stage, kwargs):
+        config = stage(**kwargs)
+        assert all(getattr(config, key) is value for key, value in kwargs.items())
+
+    def test_option_error_is_value_error_and_senti_error(self):
+        assert issubclass(OptionError, ValueError) and issubclass(OptionError, SentiError)
+
+
 # ---------------------------------------------------------------------------
 # top-level behavior
 
@@ -1056,3 +1217,34 @@ class TestMain:
         token = lines[3].split("\t")[1]
         assert capsys.readouterr().err.splitlines() == [
             f"error: {vocab}: lines 4 and 5 both list token {token!r}"]
+
+    @pytest.mark.parametrize("where", ["config", "manifest"])
+    def test_deeply_nested_json_is_one_error_line(self, where, tmp_path, trained_checkpoint,
+                                                  corpus_csv, capsys):
+        nested = "[" * 100_000
+        if where == "config":
+            bad = tmp_path / "conf.json"
+            bad.write_text(nested)
+            argv = ["preprocess", "--data", corpus_csv, "--config", str(bad),
+                    "--output-dir", str(tmp_path / "out")]
+        else:
+            checkpoint = tmp_path / "ckpt"
+            shutil.copytree(trained_checkpoint, checkpoint)
+            bad = checkpoint / "manifest.json"
+            bad.write_text(nested)
+            argv = ["evaluate", "--checkpoint", str(checkpoint), "--data", corpus_csv]
+        capsys.readouterr()
+        assert main(argv + ["--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.splitlines()[0]]
+        assert err.startswith(f"error: {bad}: invalid JSON (")
+
+    def test_unallocatable_size_is_one_error_line(self, tmp_path, corpus_csv, capsys):
+        # numpy refuses this request at once (petabytes) and allocates nothing
+        argv = ["preprocess", "--data", corpus_csv, "--maxlen", "100000000000000",
+                "--output-dir", str(tmp_path / "out"), "--quiet"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
+        assert not (tmp_path / "out").exists()
