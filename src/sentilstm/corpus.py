@@ -19,7 +19,7 @@ import numpy as np
 
 from . import binio
 from .binio import read_bytes, sha256, write_atomic
-from .errors import DatasetError, FormatError
+from .errors import DatasetError, FormatError, check_allocatable
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -191,6 +191,7 @@ def encode_split(pairs, vocab: Vocabulary, maxlen: int) -> list:
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     kept = [tokens[:maxlen] for _, tokens in pairs]
+    check_allocatable((len(kept), maxlen), 4)
     lengths = np.array(list(map(len, kept)), dtype=np.intp)
     block = np.full((len(kept), maxlen), PAD_INDEX, dtype=np.int32)
     indices = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(UNK_INDEX))

@@ -41,6 +41,24 @@ _BOUNDS = (("at_least", ">=", operator.ge), ("above", ">", operator.gt),
            ("below", "<", operator.lt))
 
 
+def shown(value):
+    """repr(value), or for an int too long for Python to print its digit count."""
+    try:
+        return repr(value)
+    except ValueError:  # int-to-str conversion past sys.get_int_max_str_digits()
+        digits = math.floor(math.log10(abs(value))) + 1
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
+def check_allocatable(shape, itemsize=8):
+    """Raise MemoryError, as numpy does for a request it cannot meet, for an
+    array whose byte count no index can hold (numpy's own refusal of those is
+    a ValueError)."""
+    if math.prod(shape) * itemsize > sys.maxsize:
+        raise MemoryError(f"Unable to allocate an array of shape ({', '.join(map(shown, shape))}): "
+                          "its byte count overflows int64")
+
+
 def check_options(config):
     """Hold each `option` field of a config dataclass to its declaration."""
     for f in dataclasses.fields(config):
@@ -48,17 +66,17 @@ def check_options(config):
         if not f.metadata or value is None and f.metadata["optional"]:
             continue  # not an option, or unset: the consumer resolves it
         if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
-            raise OptionError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+            raise OptionError(f"{f.name} must be of type {f.type.__name__}, got {shown(value)}")
         if f.type is float and (abs(value) > sys.float_info.max if isinstance(value, int)
                                 else math.isinf(value)):  # an int past any float, or inf
-            raise OptionError(f"{f.name} must be finite, got {value!r}")
+            raise OptionError(f"{f.name} must be finite, got {shown(value)}")
         choices = f.metadata["choices"]
         if choices and value not in choices:
-            raise OptionError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+            raise OptionError(f"{f.name} must be one of {', '.join(choices)}, got {shown(value)}")
         if f.metadata["non_empty"] and not value:
             raise OptionError(f"{f.name} must not be empty")
         for key, symbol, holds in _BOUNDS:
             bound = f.metadata[key]
             # `not holds` also rejects NaN
             if bound is not None and not holds(value, bound):
-                raise OptionError(f"{f.name} must be {symbol} {bound}, got {value!r}")
+                raise OptionError(f"{f.name} must be {symbol} {bound}, got {shown(value)}")

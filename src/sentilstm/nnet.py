@@ -27,10 +27,13 @@ tokens in one product, laid out as one contiguous (G*H, n_t) block per
 step; step t adds W_h @ h to its block and runs the cell on it in place, so
 gate g is the contiguous rows gH:(g+1)H and no pad is ever a cell column.
 Where n_t drops (a finish step) the rows that ran out keep their final h.
-`backward` walks the same blocks in reverse, a row joining at its last step
-with dh from the head and dc = 0, then forms dW, db and dx with one product
-each. It returns the gradient of the batch's mean loss, one summed entry
-per embedding row read. Both return their results in input row order.
+With cache, each run of equal-width steps keeps h, c and tanh(c) in one
+(3, steps+1, H, n) block. `backward` turns a run's blocks in place into the
+gate-gradient factors that do not depend on dh or dc, so that a step only
+scales them by dh and dc. It walks the runs in reverse, a row joining at its
+last step with dh from the head and dc = 0, forms dW, db and dx with one
+product each, and returns the gradient of the batch's mean loss, one summed
+entry per embedding row read. Both return results in input row order.
 
 Padding invariance is exact: an example with pads appended compacts to the
 same (1, L) array as without them, so both pack the same way and run the
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import N_CLASSES, PAD_INDEX
-from .errors import TrainingError
+from .errors import TrainingError, check_allocatable
 
 
 def softmax(logits):
@@ -92,8 +95,8 @@ class _CellParams:
         from one stream; the forget bias b_f 1.0, so early training does not
         forget everything before the gates have learned anything; every other
         bias and the head zero."""
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(hidden + input_dim)
+        check_allocatable((hidden, hidden + input_dim))  # the largest tensor
+        rng, bound = np.random.default_rng(seed), 1.0 / np.sqrt(hidden + input_dim)
         return cls(**{name: (rng.uniform(-bound, bound, size=shape) if cls.SHAPES[name] == "HC"
                              else np.full(shape, 1.0 if name == "b_f" else 0.0))
                       for name, shape in cls.shapes(hidden, hidden + input_dim).items()})
@@ -180,20 +183,20 @@ init_lstm_params = LstmParams.init
 init_rnn_params = RnnParams.init
 
 
-def _lstm_cell(a, c_prev):
+def _lstm_cell(a, c_prev, out=(None, None, None)):
     """The LSTM cell after its affine map, feature-major: a holds the fused
     pre-activations (4H, ...) in f, i, o, c order with the sigmoid rows
     halved, and is overwritten by the activations. Returns (h, c, s, cbar,
-    tanh_c), s being the sigmoid gates f, i, o stacked."""
+    tanh_c), s being the sigmoid gates f, i, o stacked; h, c, tanh_c go to out."""
     H = c_prev.shape[0]
     np.tanh(a, out=a)
     s, cbar = a[:3 * H], a[3 * H:]
     s *= 0.5
     s += 0.5
-    c = s[:H] * c_prev
+    c = np.multiply(s[:H], c_prev, out=out[1])
     c += s[H:2 * H] * cbar
-    tanh_c = np.tanh(c)
-    return s[2 * H:] * tanh_c, c, s, cbar, tanh_c
+    tanh_c = np.tanh(c, out=out[2])
+    return np.multiply(s[2 * H:], tanh_c, out=out[0]), c, s, cbar, tanh_c
 
 
 def _runs(lengths):
@@ -250,35 +253,38 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     H, runs = params.hidden, _runs(lengths)
     W, b = params.gate_weights()
     x = embedding.rows[packed]                              # (N, D)
-    N, G = len(packed), len(W)
-    # one allocation for the input half's product (N, G*H) and the steps' gate
-    # blocks: a second array that size made each call of a long batch page-fault
-    buf = np.empty(2 * N * G)
-    xw = np.matmul(x, W[:, H:].T, out=buf[:N * G].reshape(N, G))
+    N, G, C = len(packed), len(W), 3 if lstm else 1
+    # one allocation for the steps' gate blocks and the input half's product
+    # (N, G*H), whose space the run blocks reuse (two arrays page-faulted)
+    buf = np.empty(N * G + max(N * G, cache * C * H * (N + sum(n for _, _, n in runs))))
+    xw = np.matmul(x, W[:, H:].T, out=buf[N * G:2 * N * G].reshape(N, G))
     xw += b
     # per run, its steps' gate blocks (steps, G*H, n): pre-activations, then activations
-    acts = [buf[N * G + G * s:N * G + G * e].reshape(-1, G, n) for s, e, n in runs]
+    acts = [buf[G * s:G * e].reshape(-1, G, n) for s, e, n in runs]
     for (s, e, n), A in zip(runs, acts):
         A[...] = xw[s:e].reshape(-1, n, G).transpose(0, 2, 1)
+    # with cache, per run: h, c and tanh(c) (RNN: h), slot j+1 after step j, 0 before it
+    blocks, at = [], N * G
+    for s, e, n in runs if cache else ():
+        blocks.append(buf[at:at + C * H * (e - s + n)].reshape(C, -1, H, n))
+        at += blocks[-1].size
     w_h = W[:, :H]
     h = c = np.zeros((H, len(order)))
     last = np.empty((len(order), H))  # each row's final hidden state, in input order
-    steps = []  # per run and step: (h, c) before it and the LSTM's tanh(c) after it
-    for A in acts:
+    for A, blk in zip(acts, blocks or acts):
         n = A.shape[2]
         if n < h.shape[1]:  # rows n.. had their last token at the step before
             last[order[n:h.shape[1]]] = h[:, n:].T
             h, c = h[:, :n], c[:, :n]
-        steps.append([])
-        for a in A:
+        if cache:
+            blk[:2, 0] = (h, c)[:C]
+        for j, a in enumerate(A):
             a += w_h @ h
+            out = blk[:, j + 1] if cache else (None, None, None)
             if lstm:
-                h_new, c_new, _, _, tanh_c = _lstm_cell(a, c)
+                h, c, *_ = _lstm_cell(a, c, out)
             else:
-                h_new, c_new, tanh_c = np.tanh(a, out=a), c, None
-            if cache:
-                steps[-1].append((h, c, tanh_c))
-            h, c = h_new, c_new
+                h = np.tanh(a, out=out[0] if cache else a)
     last[order[:h.shape[1]]] = h.T
     logits = last @ params.head_W.T + params.head_b
     if not np.isfinite(logits).all():
@@ -288,7 +294,7 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
         logits, probs = logits[0], probs[0]
     return ForwardTrace(indices=tokens, logits=logits, probs=probs,
                         cache={"W": W, "x": x, "h": last, "order": order, "packed": packed,
-                               "runs": runs, "acts": acts, "steps": steps}
+                               "runs": runs, "acts": acts, "blocks": blocks}
                         if cache else None)
 
 
@@ -316,10 +322,11 @@ class Grads:
 
 def backward(trace: ForwardTrace, params, label) -> Grads:
     """Exact gradient of the mean cross-entropy over the traced batch; label
-    is an int for a single example, a (B,) array for a batch."""
-    saved = trace.cache
+    is an int for a single example, a (B,) array for a batch. The trace's
+    cache is used up: its blocks become the gate gradients in place."""
+    saved, trace.cache = trace.cache, None
     if saved is None:
-        raise ValueError("backward needs a trace from forward(..., cache=True)")
+        raise ValueError("backward needs a trace from forward(..., cache=True), used once")
     dlogits = np.atleast_2d(trace.probs).copy()
     B, H = dlogits.shape[0], params.hidden
     dlogits[np.arange(B), label] -= 1.0
@@ -329,42 +336,54 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     W[:params.sigmoid_rows] *= 2.0  # undo gate_weights' exact halving
     tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
-    # BPTT over the steps, last first: a step's gate gradients are one
-    # (G*H, n) block like its activations. A row joins at its last step,
-    # with dh from the head and dc = 0.
+    # BPTT over the steps, last first, each step's gate gradients in its gate
+    # block. A row joins at its last step, with dh from the head and dc = 0.
     dh_head = (dlogits @ params.head_W)[saved["order"]].T
     dh = dc = np.zeros((H, 0))
     w_h = W[:, :H].T
     dpre = np.empty((len(saved["packed"]), len(W)))  # per token, in the forward's packed order
-    hs = np.empty((len(dpre), H))                    # per token, the h it read
-    for (s, e, n), A, run in reversed(list(zip(saved["runs"], saved["acts"], saved["steps"]))):
+    hx = np.empty((len(dpre), W.shape[1]))           # per token, the h it read and its x
+    hx[:, H:] = saved["x"]
+    for (s, e, n), A, blk in reversed(list(zip(saved["runs"], saved["acts"], saved["blocks"]))):
         if n > dh.shape[1]:
             dh = np.concatenate([dh, dh_head[:, dh.shape[1]:n]], axis=1)
             dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]))], axis=1)
-        D = np.empty_like(A) if lstm else 1.0 - A * A  # RNN: d = dh * (1 - h^2)
-        for (_, c_prev, tanh_c), a, d in zip(reversed(run), A[::-1], D[::-1]):
+        # once per run, in place: the factors that do not depend on dh or dc,
+        # through h = o tanh(c) and u = i cbar (f moves to u's array)
+        h, K, F = blk[0, 1:], blk[-1, 1:], A
+        if lstm:
+            f, i, o, cbar = (A[:, g * H:(g + 1) * H] for g in range(4))
+            np.subtract(o, np.multiply(h, K, out=K), out=K)        # o (1 - tanh(c)^2)
+            np.subtract(h, np.multiply(o, h, out=o), out=o)        # sigma'(o) tanh(c)
+            F = i * cbar
+            np.subtract(i, np.multiply(F, cbar, out=cbar), out=cbar)  # i (1 - cbar^2)
+            np.subtract(F, np.multiply(i, F, out=i), out=i)        # sigma'(i) cbar
+            fc = np.multiply(f, blk[1, :-1], out=blk[1, :-1])
+            F[...] = f
+            np.subtract(fc, np.multiply(f, fc, out=f), out=f)      # sigma'(f) c_prev
+        else:
+            np.subtract(1.0, np.multiply(h, h, out=A), out=A)      # RNN: 1 - h^2
+        for d, g, k, f in zip(A[::-1], A.reshape(len(A), -1, H, n)[::-1], K[::-1], F[::-1]):
             if lstm:
-                s3, cbar = a[:3 * H], a[3 * H:]
-                dc_t = dc + dh * s3[2 * H:] * (1.0 - tanh_c * tanh_c)
-                np.multiply(dc_t, c_prev, out=d[:H])
-                np.multiply(dc_t, cbar, out=d[H:2 * H])
-                np.multiply(dh, tanh_c, out=d[2 * H:3 * H])
-                d[:3 * H] *= s3 * (1.0 - s3)
-                np.multiply(dc_t * s3[H:2 * H], 1.0 - cbar * cbar, out=d[3 * H:])
-                dc = np.multiply(dc_t, s3[:H], out=dc_t)
+                dc_t = dh * k
+                dc_t += dc
+                g[:2] *= dc_t
+                g[2] *= dh
+                g[3] *= dc_t
+                dc = np.multiply(dc_t, f, out=dc_t)
             else:
                 d *= dh
             dh = w_h @ d
-        dpre[s:e].reshape(-1, n, len(W))[...] = D.transpose(0, 2, 1)
-        hs[s:e].reshape(-1, n, H)[...] = np.array([st[0] for st in run]).transpose(0, 2, 1)
+        dpre[s:e].reshape(-1, n, len(W))[...] = A.transpose(0, 2, 1)
+        hx[s:e, :H].reshape(-1, n, H)[...] = blk[0, :-1].transpose(0, 2, 1)
 
-    dW, db = dpre.T @ np.concatenate([hs, saved["x"]], axis=1), dpre.sum(axis=0)
+    dW, db = dpre.T @ hx, dpre.sum(axis=0)
     for k, g in enumerate(params.GATES):  # per-gate views of the fused gradient
         tensors["W" + g], tensors["b" + g] = dW[k * H:(k + 1) * H], db[k * H:(k + 1) * H]
     # one input gradient per real token, summed into one row per distinct token
     dx = dpre @ W[:, H:]
     rows, where = np.unique(saved["packed"], return_inverse=True)
-    block = np.zeros((rows.size, dx.shape[1]))
-    np.add.at(block, where, dx)
+    D = dx.shape[1]  # one bincount: the sums of np.add.at, in its order
+    block = np.bincount((where[:, None] * D + np.arange(D)).ravel(), dx.ravel(), rows.size * D)
     return Grads(tensors={name: tensors[name] for name in params.TENSOR_NAMES},
-                 embedding_index=rows, embedding_grad=block)
+                 embedding_index=rows, embedding_grad=block.reshape(-1, D))

@@ -1120,6 +1120,16 @@ class TestStageConfigs:
         config = stage(**kwargs)
         assert all(getattr(config, key) is value for key, value in kwargs.items())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": -10 ** 5000}, "epochs must be >= 1, got a negative int of 5001 digits"),
+        ({"learning_rate": 10 ** 5000}, "learning_rate must be finite, got an int of 5001 digits"),
+    ])
+    def test_int_too_long_to_print_is_option_error(self, kwargs, message):
+        # Python refuses to turn an int of over 4,300 digits into a string
+        with pytest.raises(OptionError) as caught:
+            TrainConfig(**kwargs)
+        assert str(caught.value) == message
+
     def test_option_error_is_value_error_and_senti_error(self):
         assert issubclass(OptionError, ValueError) and issubclass(OptionError, SentiError)
 
@@ -1248,3 +1258,20 @@ class TestMain:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_size_past_int64_is_one_error_line(self, tmp_path, corpus_csv, preprocessed,
+                                               command, capsys):
+        # byte counts past int64, which numpy refuses with a ValueError: the
+        # sizes are checked first, and nothing is allocated or written
+        out = str(tmp_path / "out")
+        argv = (["preprocess", "--data", corpus_csv, "--maxlen", "1000000000000000000"]
+                if command == "preprocess" else
+                ["train", "--input-dir", preprocessed, "--random-init", "--hidden", "10000000000"])
+        capsys.readouterr()
+        assert main(argv + ["--output-dir", out, "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: Unable to allocate an array of shape (")
+        assert lines[0].endswith("): its byte count overflows int64")
+        assert not os.path.exists(out)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (batch_grads_ref, cross_entropy_ref, example_grads_ref,
@@ -326,9 +326,8 @@ class TestBackward:
         # probs - onehot(label) = [1/3, 1/3, 1/3] - e_label
         params = zero_lstm(hidden=2, input_dim=2)
         emb = embedding_for(np.ones((4, 2)))
-        trace = forward(params, emb, np.array([2, 3]))
-        for label in range(3):
-            grads = backward(trace, params, label)
+        for label in range(3):  # backward uses its trace up: one forward per label
+            grads = backward(forward(params, emb, np.array([2, 3])), params, label)
             want = np.full(3, 1 / 3)
             want[label] -= 1.0
             assert np.allclose(grads.tensors["head_b"], want, atol=1e-15)
@@ -487,6 +486,52 @@ class TestEngineOracle:
         assert np.max(np.abs(grads.embedding_grad - grads_moved.embedding_grad)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    @pytest.mark.parametrize("shape", ["2x48", "16x32 ragged"])
+    def test_long_runs_match_per_example_reference(self, kind, shape):
+        # runs of 48 and up to 32 steps, where the drawn batches above have at most 8
+        rng = np.random.default_rng((23, kind == "lstm", len(shape)))
+        params, rows = random_model(kind, int(rng.integers(2 ** 32)))
+        B, T = (2, 48) if shape == "2x48" else (16, 32)
+        indices = rng.integers(1, 10, size=(B, T))
+        if shape != "2x48":
+            indices[np.arange(T) >= rng.integers(1, T + 1, size=(B, 1))] = PAD_INDEX
+        labels = rng.integers(0, 3, size=B)
+        trace = forward(params, embedding_for(rows), indices)
+        steps = [(e - s) // n for s, e, n in trace.cache["runs"]]  # per run of one width
+        assert steps == [48] if B == 2 else len(steps) > 8
+        grads = backward(trace, params, labels)
+        _, ref_tensors, ref_rows = batch_grads_ref(params.tensors(), rows, indices, labels)
+        for name in params.TENSOR_NAMES:
+            assert np.max(np.abs(grads.tensors[name] - ref_tensors[name])) <= 1e-12, name
+        got = row_grads(grads)
+        assert sorted(got) == sorted(ref_rows)
+        for idx, ref in ref_rows.items():
+            assert np.max(np.abs(got[idx] - ref)) <= 1e-12, idx
+
+    @given(tokens=st.lists(st.integers(1, 6), min_size=1, max_size=24), seed=st.integers(0, 99))
+    @example(tokens=[3], seed=0)
+    @example(tokens=[5] * 24, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_embedding_rows_sum_as_add_at(self, tokens, seed):
+        # one unpadded row of these tokens against the same row with each
+        # position its own vocabulary index (same embedding vector): the first
+        # gives the summed rows, the second each token's own gradient, which
+        # np.add.at sums in token order; the two must agree bit for bit
+        params, rows = random_model("lstm", seed)
+        rows = np.repeat(rows, 4, axis=0)[:, :3]  # 40 rows, enough for 24 distinct indices
+        tokens = np.array(tokens)
+        distinct = np.arange(1, tokens.size + 1)
+        own_rows = np.concatenate([rows[:1], rows[tokens]])
+        summed = backward(forward(params, embedding_for(rows), tokens), params, 1)
+        each = backward(forward(params, embedding_for(own_rows), distinct), params, 1)
+        assert each.embedding_index.tolist() == distinct.tolist()
+        index, where = np.unique(tokens, return_inverse=True)
+        want = np.zeros((index.size, rows.shape[1]))
+        np.add.at(want, where, each.embedding_grad)
+        assert summed.embedding_index.tolist() == index.tolist()
+        assert summed.embedding_grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
     def test_cell_runs_once_per_real_token(self, kind):
         # 6 real tokens in a (3, 5) batch: 9 pads are never a cell row
         indices = np.array([[2, 0, 3, 0, 0], [0, 0, 0, 0, 4], [5, 6, 0, 7, 0]])
@@ -525,3 +570,13 @@ class TestEngineOracle:
         assert trace.cache is None
         with pytest.raises(ValueError, match="cache"):
             backward(trace, params, np.array([0, 1]))
+
+    def test_backward_uses_its_trace_once(self):
+        # backward turns the trace's blocks into gate gradients in place, so a
+        # second backward of the same trace is refused, not silently wrong
+        params, rows = random_model("lstm", 16)
+        trace = forward(params, embedding_for(rows), np.array([[1, 2, 3], [4, 5, 0]]))
+        backward(trace, params, np.array([0, 2]))
+        assert trace.cache is None
+        with pytest.raises(ValueError, match="used once"):
+            backward(trace, params, np.array([0, 2]))
