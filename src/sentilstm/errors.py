@@ -42,18 +42,17 @@ _BOUNDS = (("at_least", ">=", operator.ge), ("above", ">", operator.gt),
 
 
 def shown(value):
-    """repr(value), or for an int too long for Python to print its digit count."""
+    """repr(value), or for an int too long for repr a description of it."""
     try:
         return repr(value)
-    except ValueError:  # int-to-str conversion past sys.get_int_max_str_digits()
-        digits = math.floor(math.log10(abs(value))) + 1
-        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of more than {sys.get_int_max_str_digits()} digits"
 
 
 def check_allocatable(shape, itemsize=8):
-    """Raise MemoryError, as numpy does for a request it cannot meet, for an
-    array whose byte count no index can hold (numpy's own refusal of those is
-    a ValueError)."""
+    """MemoryError, like numpy's for a request it cannot meet, for an array whose
+    byte count overflows int64 (numpy refuses those with a ValueError)."""
     if math.prod(shape) * itemsize > sys.maxsize:
         raise MemoryError(f"Unable to allocate an array of shape ({', '.join(map(shown, shape))}): "
                           "its byte count overflows int64")

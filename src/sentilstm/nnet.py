@@ -254,9 +254,10 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     W, b = params.gate_weights()
     x = embedding.rows[packed]                              # (N, D)
     N, G, C = len(packed), len(W), 3 if lstm else 1
-    # one allocation for the steps' gate blocks and the input half's product
-    # (N, G*H), whose space the run blocks reuse (two arrays page-faulted)
-    buf = np.empty(N * G + max(N * G, cache * C * H * (N + sum(n for _, _, n in runs))))
+    # one allocation for the gate blocks, the input half's product (N, G*H), whose space the
+    # run blocks reuse, and backward's per-token arrays (apart, each call page-faulted anew)
+    tail = N * G + max(N * G, cache * C * H * (N + sum(n for _, _, n in runs)))
+    buf = np.empty(tail + cache * N * (G + W.shape[1]))
     xw = np.matmul(x, W[:, H:].T, out=buf[N * G:2 * N * G].reshape(N, G))
     xw += b
     # per run, its steps' gate blocks (steps, G*H, n): pre-activations, then activations
@@ -294,7 +295,7 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
         logits, probs = logits[0], probs[0]
     return ForwardTrace(indices=tokens, logits=logits, probs=probs,
                         cache={"W": W, "x": x, "h": last, "order": order, "packed": packed,
-                               "runs": runs, "acts": acts, "blocks": blocks}
+                               "runs": runs, "acts": acts, "blocks": blocks, "work": buf[tail:]}
                         if cache else None)
 
 
@@ -336,20 +337,18 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     W[:params.sigmoid_rows] *= 2.0  # undo gate_weights' exact halving
     tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
-    # BPTT over the steps, last first, each step's gate gradients in its gate
-    # block. A row joins at its last step, with dh from the head and dc = 0.
+    # BPTT, last step first; a row joins at its last step with dh from the head and dc = 0
     dh_head = (dlogits @ params.head_W)[saved["order"]].T
     dh = dc = np.zeros((H, 0))
     w_h = W[:, :H].T
-    dpre = np.empty((len(saved["packed"]), len(W)))  # per token, in the forward's packed order
-    hx = np.empty((len(dpre), W.shape[1]))           # per token, the h it read and its x
+    N, G = len(saved["packed"]), len(W)  # per token, in packed order: gate gradients, [h read, x]
+    dpre, hx = saved["work"][:N * G].reshape(N, G), saved["work"][N * G:].reshape(N, -1)
     hx[:, H:] = saved["x"]
     for (s, e, n), A, blk in reversed(list(zip(saved["runs"], saved["acts"], saved["blocks"]))):
         if n > dh.shape[1]:
             dh = np.concatenate([dh, dh_head[:, dh.shape[1]:n]], axis=1)
             dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]))], axis=1)
-        # once per run, in place: the factors that do not depend on dh or dc,
-        # through h = o tanh(c) and u = i cbar (f moves to u's array)
+        # once per run, in place: the factors that do not depend on dh or dc (f moves to F)
         h, K, F = blk[0, 1:], blk[-1, 1:], A
         if lstm:
             f, i, o, cbar = (A[:, g * H:(g + 1) * H] for g in range(4))
@@ -374,7 +373,7 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
             else:
                 d *= dh
             dh = w_h @ d
-        dpre[s:e].reshape(-1, n, len(W))[...] = A.transpose(0, 2, 1)
+        dpre[s:e].reshape(-1, n, G)[...] = A.transpose(0, 2, 1)
         hx[s:e, :H].reshape(-1, n, H)[...] = blk[0, :-1].transpose(0, 2, 1)
 
     dW, db = dpre.T @ hx, dpre.sum(axis=0)
