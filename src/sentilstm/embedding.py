@@ -25,7 +25,7 @@ import numpy as np
 
 from . import binio
 from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary
-from .errors import FormatError, TrainingError, check_options, option
+from .errors import FormatError, TrainingError, check_allocatable, check_options, option
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +88,7 @@ class EmbeddingMatrix:
 def random_embedding(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingMatrix:
     """Randomly initialized embeddings (pad row zero), for training without
     skip-gram pretraining."""
+    check_allocatable((len(vocab), dim))
     rng = np.random.default_rng(seed)
     rows = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
     rows[PAD_INDEX] = 0.0

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one rule for config options."""
+"""Exception types shared across the package, the one rule for config options, and
+the size check that numpy's own refusal would turn into a traceback."""
 
 import dataclasses
 import math

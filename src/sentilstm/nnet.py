@@ -27,13 +27,13 @@ tokens in one product, laid out as one contiguous (G*H, n_t) block per
 step; step t adds W_h @ h to its block and runs the cell on it in place, so
 gate g is the contiguous rows gH:(g+1)H and no pad is ever a cell column.
 Where n_t drops (a finish step) the rows that ran out keep their final h.
-With cache, each run of equal-width steps keeps h, c and tanh(c) in one
-(3, steps+1, H, n) block. `backward` turns a run's blocks in place into the
-gate-gradient factors that do not depend on dh or dc, so that a step only
-scales them by dh and dc. It walks the runs in reverse, a row joining at its
-last step with dh from the head and dc = 0, forms dW, db and dx with one
-product each, and returns the gradient of the batch's mean loss, one summed
-entry per embedding row read. Both return results in input row order.
+With cache, each run of equal-width steps keeps h, c and tanh(c) (the RNN:
+h) in one block. `backward` turns a run's blocks in place into the gate-
+gradient factors that do not depend on dh or dc, so that a step only scales
+them by dh and dc. It walks the runs in reverse, a row joining at its last
+step with dh from the head and dc = 0, forms dW, db and dx with one product
+each, and returns the gradient of the batch's mean loss, one summed entry
+per embedding row read. Both return results in input row order.
 
 Padding invariance is exact: an example with pads appended compacts to the
 same (1, L) array as without them, so both pack the same way and run the
@@ -272,7 +272,7 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     w_h = W[:, :H]
     h = c = np.zeros((H, len(order)))
     last = np.empty((len(order), H))  # each row's final hidden state, in input order
-    for A, blk in zip(acts, blocks or acts):
+    for A, blk in zip(acts, blocks or acts):  # without cache, blk is not read
         n = A.shape[2]
         if n < h.shape[1]:  # rows n.. had their last token at the step before
             last[order[n:h.shape[1]]] = h[:, n:].T
@@ -348,8 +348,8 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
         if n > dh.shape[1]:
             dh = np.concatenate([dh, dh_head[:, dh.shape[1]:n]], axis=1)
             dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]))], axis=1)
-        # once per run, in place: the factors that do not depend on dh or dc (f moves to F)
-        h, K, F = blk[0, 1:], blk[-1, 1:], A
+        # once per run, in place, the factors that do not depend on dh or dc; f moves to F
+        h, K, F = blk[0, 1:], blk[-1, 1:], A  # the RNN reads neither K nor F
         if lstm:
             f, i, o, cbar = (A[:, g * H:(g + 1) * H] for g in range(4))
             np.subtract(o, np.multiply(h, K, out=K), out=K)        # o (1 - tanh(c)^2)

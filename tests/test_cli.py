@@ -1260,15 +1260,19 @@ class TestMain:
         assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), lines
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    @pytest.mark.parametrize("command, size", [
+        ("preprocess", ["--maxlen", "1000000000000000000"]),
+        ("train", ["--random-init", "--hidden", "10000000000"]),
+        ("train", ["--random-init", "--dim", "1000000000000000000"]),
+        ("train-embeddings", ["--dim", "1000000000000000000"]),
+    ])
     def test_size_past_int64_is_one_error_line(self, tmp_path, corpus_csv, preprocessed,
-                                               command, capsys):
+                                               command, size, capsys):
         # byte counts past int64, which numpy refuses with a ValueError: the
         # sizes are checked first, and nothing is allocated or written
         out = str(tmp_path / "out")
-        argv = (["preprocess", "--data", corpus_csv, "--maxlen", "1000000000000000000"]
-                if command == "preprocess" else
-                ["train", "--input-dir", preprocessed, "--random-init", "--hidden", "10000000000"])
+        source = ["--data", corpus_csv] if command == "preprocess" else ["--input-dir", preprocessed]
+        argv = [command] + source + size
         capsys.readouterr()
         assert main(argv + ["--output-dir", out, "--quiet"]) == 1
         lines = capsys.readouterr().err.splitlines()
