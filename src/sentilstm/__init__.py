@@ -28,10 +28,9 @@ __version__ = "0.1.0"
 
 # scipy.sparse takes longer to import than the rest of the package together
 _BASELINE_NAMES = (
-    "LogRegConfig", "LogRegModel", "NaiveBayesModel", "TfidfModel",
-    "count_features", "load_baseline", "logreg_fit", "logreg_predict",
-    "naive_bayes_fit", "naive_bayes_predict", "save_baseline", "tfidf_fit",
-    "tfidf_transform",
+    "LogRegConfig", "LogRegModel", "NaiveBayesModel", "count_features",
+    "load_baseline", "logreg_fit", "logreg_predict", "naive_bayes_fit",
+    "naive_bayes_predict", "save_baseline", "tfidf_fit", "tfidf_transform",
 )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from . import binio
-from .corpus import CLASS_INDEX_LIST, N_CLASSES
+from .corpus import CLASS_INDEX_LIST, FIRST_TOKEN_INDEX, N_CLASSES
 from .errors import FormatError, TrainingError, check_options, option
 
 log = logging.getLogger(__name__)
@@ -26,7 +26,7 @@ NB_ALPHA = 1.0
 
 def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
     """Token-count matrix, one row per sequence, one column per vocabulary
-    token (column j holds the count of vocabulary index j+2)."""
+    token (column j holds the count of vocabulary index FIRST_TOKEN_INDEX + j)."""
     # the empty tail row gives concatenate an array when there are no sequences
     parts = [*sequences, np.empty(0, dtype=np.int64)]
     n_rows = len(parts) - 1
@@ -36,16 +36,15 @@ def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
         if np.any(flat != given):
             raise TrainingError("token indices must be integers")
     lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-    keep = flat >= 2
+    keep = flat >= FIRST_TOKEN_INDEX
     rows = np.repeat(np.arange(n_rows + 1), lengths)[keep]
-    cols = flat[keep] - 2
+    cols = flat[keep] - FIRST_TOKEN_INDEX
     over = cols >= n_tokens
     if over.any():
         # the message names the largest index of the first offending sequence
         row = rows[over.argmax()]
-        raise TrainingError(
-            f"token index {int(cols[rows == row].max()) + 2} out of range for vocabulary of {n_tokens}"
-        )
+        raise TrainingError(f"token index {int(cols[rows == row].max()) + FIRST_TOKEN_INDEX} "
+                            f"out of range for vocabulary of {n_tokens}")
     # one sorted key per (row, column) cell: CSR order, duplicates counted
     keys, counts = np.unique(rows * n_tokens + cols, return_counts=True)
     return sparse.csr_matrix(
@@ -56,31 +55,22 @@ def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
     )
 
 
-@dataclass
-class TfidfModel:
-    idf: np.ndarray  # (n_tokens,)
-
-    def __post_init__(self):
-        self.idf = np.asarray(self.idf, dtype=np.float64).ravel()
-
-
-def tfidf_fit(counts: sparse.csr_matrix) -> TfidfModel:
-    """idf_t = ln((1 + N) / (1 + df_t)) + 1 with df counted on nonzero cells."""
+def tfidf_fit(counts: sparse.csr_matrix) -> np.ndarray:
+    """The idf vector: idf_t = ln((1 + N) / (1 + df_t)) + 1, df counted on nonzero cells."""
     n_docs = counts.shape[0]
     if n_docs == 0:
         raise TrainingError("cannot fit tf-idf on an empty matrix")
     df = np.asarray((counts > 0).sum(axis=0)).ravel().astype(np.float64)
-    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    return TfidfModel(idf=idf)
+    return np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
 
 
-def tfidf_transform(model: TfidfModel, counts: sparse.csr_matrix) -> sparse.csr_matrix:
+def tfidf_transform(idf: np.ndarray, counts: sparse.csr_matrix) -> sparse.csr_matrix:
     """Scale raw counts by idf and L2-normalize rows (all-zero rows stay zero)."""
-    if counts.shape[1] != model.idf.shape[0]:
+    if counts.shape[1] != idf.shape[0]:
         raise TrainingError(
-            f"feature width {counts.shape[1]} does not match fitted idf ({model.idf.shape[0]})"
+            f"feature width {counts.shape[1]} does not match fitted idf ({idf.shape[0]})"
         )
-    weighted = counts.astype(np.float64).multiply(model.idf[np.newaxis, :]).tocsr()
+    weighted = counts.astype(np.float64).multiply(idf[np.newaxis, :]).tocsr()
     norms = np.sqrt(np.asarray(weighted.multiply(weighted).sum(axis=1)).ravel())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     return sparse.diags(scale).dot(weighted).tocsr()
@@ -195,8 +185,8 @@ def logreg_fit(counts: sparse.csr_matrix, labels,
     from zero weights."""
     config = config or LogRegConfig()
     labels = _class_labels(counts, labels)
-    tfidf = tfidf_fit(counts)
-    X = tfidf_transform(tfidf, counts)
+    idf = tfidf_fit(counts)
+    X = tfidf_transform(idf, counts)
     XT = X.T.tocsr()  # each token's gradient sums its documents in ascending order
     one_hot = np.eye(N_CLASSES)[labels]
     Wt = np.zeros((counts.shape[1], N_CLASSES))
@@ -210,11 +200,11 @@ def logreg_fit(counts: sparse.csr_matrix, labels,
         Wt -= grad_Wt
         b -= grad_b
     log.info("logistic regression: final loss %.4f after %d iterations", loss, config.iterations)
-    return LogRegModel(W=Wt.T, b=b, idf=tfidf.idf)
+    return LogRegModel(W=Wt.T, b=b, idf=idf)
 
 
 def logreg_predict(model: LogRegModel, counts: sparse.csr_matrix) -> np.ndarray:
-    X = tfidf_transform(TfidfModel(idf=model.idf), counts)
+    X = tfidf_transform(model.idf, counts)
     scores = np.asarray(X.dot(model.W.T)) + model.b
     return np.argmax(scores, axis=1).astype(np.int64)
 

@@ -224,8 +224,8 @@ def cmd_preprocess(args) -> int:
         "n_train": len(prep.train),
         "n_test": len(prep.test),
         "n_dropped_empty": prep.n_dropped,
-        "train_class_counts": _class_counts([ex.label for ex in prep.train]),
-        "test_class_counts": _class_counts([ex.label for ex in prep.test]),
+        "train_class_counts": _class_counts(corpus.stack(prep.train)[1]),
+        "test_class_counts": _class_counts(corpus.stack(prep.test)[1]),
         "vocab_size": prep.vocab.n_tokens,
     })
     log.info("preprocess: %d train / %d test examples, %d vocabulary tokens -> %s",
@@ -248,7 +248,7 @@ def cmd_train_embeddings(args) -> int:
     _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, VOCAB_FILE))
     examples, _ = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
-    matrix = train_skipgram([ex.indices for ex in examples], _embedding_config(cfg), vocab)
+    matrix = train_skipgram(corpus.stack(examples)[0], _embedding_config(cfg), vocab)
     # default to dropping the file next to its inputs
     out_dir = cfg.output_dir if "output_dir" in cfg.explicit else args.input_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -361,7 +361,8 @@ def cmd_compare(args) -> int:
     cfg = merge_config(args)
     prep = prepare(cfg, args.data)
     vocab = prep.vocab
-    test_labels = np.array([ex.label for ex in prep.test], dtype=np.int64)
+    train_indices, train_labels = corpus.stack(prep.train)
+    test_indices, test_labels = corpus.stack(prep.test)
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -370,8 +371,7 @@ def cmd_compare(args) -> int:
     if args.random_init:
         pretrained = random_embedding(vocab, cfg.dim, seed=(cfg.seed, 4))
     else:
-        pretrained = train_skipgram([ex.indices for ex in prep.train],
-                                    _embedding_config(cfg), vocab)
+        pretrained = train_skipgram(train_indices, _embedding_config(cfg), vocab)
 
     tconf = _train_config(cfg)
 
@@ -385,9 +385,8 @@ def cmd_compare(args) -> int:
         save_checkpoint(os.path.join(out, kind), params, embedding, vocab,
                         cfg.maxlen, prep.mode)
 
-    train_counts = bl.count_features([ex.indices for ex in prep.train], vocab.n_tokens)
-    test_counts = bl.count_features([ex.indices for ex in prep.test], vocab.n_tokens)
-    train_labels = np.array([ex.label for ex in prep.train], dtype=np.int64)
+    train_counts = bl.count_features(train_indices, vocab.n_tokens)
+    test_counts = bl.count_features(test_indices, vocab.n_tokens)
 
     baseline_dir = os.path.join(out, "baselines")
     os.makedirs(baseline_dir, exist_ok=True)

@@ -13,7 +13,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import DatasetError, FormatError, check_allocatable
 
 PAD_INDEX = 0
 UNK_INDEX = 1
+FIRST_TOKEN_INDEX = 2  # the index of the most frequent token; those below are reserved
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
@@ -147,7 +148,7 @@ class Vocabulary:
     @property
     def n_tokens(self):
         """Number of non-reserved tokens."""
-        return len(self.index_to_token) - 2
+        return len(self.index_to_token) - FIRST_TOKEN_INDEX
 
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
@@ -165,7 +166,7 @@ def build_vocabulary(corpus, min_count: int) -> Vocabulary:
     """Index every token whose corpus frequency is >= min_count.
 
     Indices are assigned frequency-descending with lexicographic tie-break,
-    starting at 2 (0 and 1 are reserved), so the assignment is deterministic.
+    starting at FIRST_TOKEN_INDEX, so the assignment is deterministic.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -174,7 +175,7 @@ def build_vocabulary(corpus, min_count: int) -> Vocabulary:
     # a stable sort keeps the lexicographic order among equal counts
     kept.sort(key=counts.__getitem__, reverse=True)
     index_to_token = [PAD_TOKEN, UNK_TOKEN] + kept
-    token_to_index = {t: i + 2 for i, t in enumerate(kept)}
+    token_to_index = dict(zip(kept, count(FIRST_TOKEN_INDEX)))
     frequencies = {t: counts[t] for t in kept}
     return Vocabulary(token_to_index, index_to_token, frequencies, min_count)
 
@@ -197,6 +198,19 @@ def encode_split(pairs, vocab: Vocabulary, maxlen: int) -> list:
     indices = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(UNK_INDEX))
     block[np.arange(maxlen) < lengths[:, None]] = list(indices)
     return [EncodedExample(row, label) for row, (label, _) in zip(block, pairs)]
+
+
+def stack(examples, width=None):
+    """The examples as arrays: their indices as the rows of one (N, width) block of
+    the indices' dtype, right-padded (width defaults to the longest), and (N,) int64 labels."""
+    examples = list(examples)
+    rows = [ex.indices for ex in examples]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    width = lengths.max(initial=0) if width is None else width
+    flat = np.concatenate(rows) if rows else np.empty(0, np.int32)
+    block = np.full((len(rows), width), PAD_INDEX, dtype=flat.dtype)
+    block[np.arange(width) < lengths[:, None]] = flat
+    return block, np.fromiter([ex.label for ex in examples], np.int64, len(examples))
 
 
 def encode_example(tokens, label, vocab: Vocabulary, maxlen: int) -> EncodedExample:
@@ -271,10 +285,8 @@ def stratified_split(records, test_fraction: float, seed: int):
 
 def serialize_vocabulary(vocab: Vocabulary) -> str:
     lines = [f"#senti-vocab v1 min_count={vocab.min_count}"]
-    lines.append(f"0\t{PAD_TOKEN}\t0")
-    lines.append(f"1\t{UNK_TOKEN}\t0")
-    for i, token in enumerate(vocab.index_to_token[2:], start=2):
-        lines.append(f"{i}\t{token}\t{vocab.frequencies[token]}")
+    for i, token in enumerate(vocab.index_to_token):  # a reserved token has frequency 0
+        lines.append(f"{i}\t{token}\t{vocab.frequencies[token] if i >= FIRST_TOKEN_INDEX else 0}")
     return "\n".join(lines) + "\n"
 
 
@@ -334,7 +346,7 @@ def load_vocabulary(path, data: bytes = None) -> Vocabulary:
         else:
             frequencies[token] = freq
     tokens = list(frequencies)
-    return Vocabulary(dict(zip(tokens, range(2, len(tokens) + 2))),
+    return Vocabulary(dict(zip(tokens, count(FIRST_TOKEN_INDEX))),
                       [PAD_TOKEN, UNK_TOKEN] + tokens, frequencies, min_count)
 
 
@@ -350,8 +362,7 @@ _SENTIMENTS = tuple(Sentiment)
 def save_encoded(examples, maxlen: int, path, binding: bytes) -> str:
     """Write a split as one container bound to `binding`, the fingerprint
     of the vocabulary it was encoded with; returns its SHA-256 hex."""
-    indices = np.array([ex.indices for ex in examples], dtype=np.int32).reshape(-1, maxlen)
-    labels = np.array([ex.label for ex in examples], dtype=np.int32)
+    indices, labels = stack(examples, maxlen)
     return binio.save(path, "encoded", binding, {"indices": indices, "labels": labels}, "i32",
                       {"maxlen": maxlen})
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binio
-from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary
+from .corpus import FIRST_TOKEN_INDEX, PAD_INDEX, UNK_INDEX, Vocabulary
 from .errors import FormatError, TrainingError, check_allocatable, check_options, option
 
 log = logging.getLogger(__name__)
@@ -39,7 +39,7 @@ CHUNK_PAIRS = 4096
 @dataclass
 class EmbeddingConfig:
     dim: int = option(100, "embedding dimension for skip-gram or --random-init", at_least=1)
-    window: int = option(7, "skip-gram context window", at_least=1)
+    window: int = option(7, "skip-gram context window", at_least=1, below=2 ** 63)  # int64 draws
     min_count: int = option(10, "frequency a token needed to enter the vocabulary", at_least=1)
     iterations: int = option(10, "skip-gram passes over the train split", at_least=1)
     negatives: int = option(5, "negative samples per skip-gram pair", at_least=0)
@@ -52,7 +52,7 @@ class EmbeddingConfig:
 
 @dataclass
 class EmbeddingMatrix:
-    """(vocab+2) x dim dense matrix; row 0 is the all-zero padding vector."""
+    """len(vocab) x dim dense matrix; row 0 is the all-zero padding vector."""
 
     rows: np.ndarray
     vocab_fingerprint: bytes = b"\x00" * 32
@@ -133,9 +133,8 @@ class NegativeSampler:
     """Draws token indices from the unigram^0.75 distribution."""
 
     def __init__(self, vocab: Vocabulary):
-        counts = np.array(
-            [vocab.frequencies[t] for t in vocab.index_to_token[2:]], dtype=np.float64
-        )
+        tokens = vocab.index_to_token[FIRST_TOKEN_INDEX:]
+        counts = np.array([vocab.frequencies[t] for t in tokens], dtype=np.float64)
         if len(counts) == 0:
             raise TrainingError("cannot build a negative sampler from an empty vocabulary")
         weights = counts ** NEGATIVE_POWER
@@ -144,9 +143,9 @@ class NegativeSampler:
         self._cumulative[-1] = 1.0
 
     def sample(self, rng, k: int) -> np.ndarray:
-        """k token indices (>= 2, never pad/unk)."""
+        """k token indices, never pad or unk."""
         u = rng.random(k)
-        return 2 + np.searchsorted(self._cumulative, u, side="right")
+        return FIRST_TOKEN_INDEX + np.searchsorted(self._cumulative, u, side="right")
 
 
 def sgns_gradient(center, context, negatives):
@@ -248,6 +247,7 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
             chunk = pairs[start:start + CHUNK_PAIRS]
             progress = (epoch + np.arange(start, start + len(chunk)) / n_pairs) / total_epochs
             lrs = lr0 * (1.0 - (1.0 - FINAL_LR_FRACTION) * progress)
+            check_allocatable((len(chunk), config.negatives))
             negatives = sampler.sample(rng_neg, config.negatives * len(chunk))
             losses = _sgd_pairs(W, C, chunk, negatives.reshape(len(chunk), config.negatives), lrs)
             bad = np.flatnonzero(~np.isfinite(losses))
@@ -257,7 +257,7 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
         log.info("embedding iteration %d/%d: mean loss %.4f over %d pairs",
                  epoch + 1, total_epochs, loss_sum / n_pairs, n_pairs)
 
-    W[UNK_INDEX] = W[2:].mean(axis=0)
+    W[UNK_INDEX] = W[FIRST_TOKEN_INDEX:].mean(axis=0)
     return EmbeddingMatrix(rows=W, vocab_fingerprint=vocab.fingerprint())
 
 
@@ -268,10 +268,13 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> str:
 
 
 def load_embeddings(path, vocab: Vocabulary = None, data: bytes = None) -> EmbeddingMatrix:
-    """Load and validate; if `vocab` is given, its fingerprint must match."""
+    """Load and validate; if `vocab` is given, its fingerprint and size must match."""
     artifact = binio.load(path, ("embedding",), data)
-    if list(artifact.tensors) != ["rows"] or artifact.tensors["rows"].ndim != 2:
+    rows = artifact.tensors.get("rows")
+    if list(artifact.tensors) != ["rows"] or rows.ndim != 2:
         raise FormatError(f"{path}: expected one 2-D tensor 'rows', got {sorted(artifact.tensors)}")
     if vocab is not None and vocab.fingerprint() != artifact.binding:
         raise FormatError(f"{path}: embeddings were built for a different vocabulary")
-    return EmbeddingMatrix(rows=artifact.tensors["rows"], vocab_fingerprint=artifact.binding)
+    if vocab is not None and len(rows) != len(vocab):
+        raise FormatError(f"{path}: {len(rows)} rows for a vocabulary of {len(vocab)}")
+    return EmbeddingMatrix(rows=rows, vocab_fingerprint=artifact.binding)

@@ -229,7 +229,7 @@ class ForwardTrace:
 
 def _compact(indices):
     """Each row's non-pad tokens moved to its front in order, cut to the
-    longest row; returns those (B, T) tokens and each row's length."""
+    longest row; returns those (B, T) tokens as intp and each row's length."""
     idx = np.atleast_2d(np.asarray(indices))
     real = idx != PAD_INDEX
     lengths = real.sum(axis=1)
@@ -237,7 +237,7 @@ def _compact(indices):
         raise TrainingError("empty sequence after masking")
     # a stable sort on "is pad" keeps the real tokens' order
     order = np.argsort(~real, axis=1, kind="stable")[:, :lengths.max()]
-    return np.take_along_axis(idx, order, axis=1), lengths
+    return np.take_along_axis(idx, order, axis=1).astype(np.intp, casting="safe", copy=False), lengths
 
 
 def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
@@ -245,6 +245,9 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     + softmax. With cache=False (inference) nothing is kept for `backward`."""
     if not isinstance(params, (LstmParams, RnnParams)):
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
+    if embedding.dim != params.input_dim:
+        raise TrainingError(
+            f"embedding dim {embedding.dim} does not match model input dim {params.input_dim}")
     lstm = isinstance(params, LstmParams)
     tokens, lengths = _compact(indices)
     order = np.argsort(-lengths, kind="stable")            # longest row first

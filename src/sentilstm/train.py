@@ -16,7 +16,7 @@ import numpy as np
 
 from . import binio
 from .corpus import (PAD_INDEX, TOKENIZER_MODES, Vocabulary, load_vocabulary,
-                     save_vocabulary)
+                     save_vocabulary, stack)
 from .embedding import EmbeddingMatrix, load_embeddings, save_embeddings
 from .errors import FormatError, TrainingError, check_options, option
 from .metrics import MetricsReport, confusion, metrics
@@ -80,16 +80,15 @@ class TrainReport:
         return self.epoch_accuracies[-1] if self.epoch_accuracies else None
 
 
-def adam_update(param, grad, m, v, t, lr,
-                beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+def adam_update(param, grad, m, v, t, lr):
     """One bias-corrected Adam step, in place on param/m/v. t counts from 1."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class _Optimizer:
@@ -136,14 +135,6 @@ def clip_grads(grads: Grads, clip_norm) -> float:
     return norm
 
 
-def _stack(examples):
-    """(B, T) indices of the examples, right-padded to the longest."""
-    out = np.full((len(examples), max(len(ex.indices) for ex in examples)), PAD_INDEX)
-    for row, ex in zip(out, examples):
-        row[:len(ex.indices)] = ex.indices
-    return out
-
-
 def _batch_grads(params, embedding, indices, labels):
     """Mean loss, mean grads and correct-prediction count of one batch, in one engine pass."""
     trace = forward(params, embedding, indices)
@@ -155,23 +146,17 @@ def _batch_grads(params, embedding, indices, labels):
 def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
     """Train the classifier and fine-tune the embedding rows in place;
     returns (params, report)."""
-    examples = list(examples)
-    if not examples:
+    block, labels = stack(examples)
+    n = len(labels)
+    if not n:
         raise TrainingError("no training examples")
-    block = _stack(examples)
-    labels = np.array([ex.label for ex in examples], dtype=np.int64)
     empty = ~(block != PAD_INDEX).any(axis=1)
     if empty.any():
         raise TrainingError(f"training example {int(np.argmax(empty))} is empty after masking")
-    if embedding.dim != params.input_dim:
-        raise TrainingError(
-            f"embedding dim {embedding.dim} does not match model input dim {params.input_dim}"
-        )
 
     optimizer = _Optimizer(params, embedding, config)
     shuffle_rng = np.random.default_rng((config.seed, 17))
     report = TrainReport()
-    n = len(examples)
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -203,23 +188,25 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
     return params, report
 
 
-def predict_dataset(params, embedding, examples) -> np.ndarray:
-    """Predicted labels for a list of encoded examples, run without BPTT caches
-    in chunks of at most INFERENCE_CHUNK examples of similar non-pad length."""
-    predicted = np.zeros(len(examples), dtype=np.int64)
-    if examples:
-        indices = _stack(examples)
-        order = np.argsort(np.count_nonzero(indices != PAD_INDEX, axis=1), kind="stable")
-        for start in range(0, len(order), INFERENCE_CHUNK):
-            rows = order[start:start + INFERENCE_CHUNK]
-            predicted[rows] = forward(params, embedding, indices[rows], cache=False).predicted
+def _predict(params, embedding, indices) -> np.ndarray:
+    """Predicted labels for the rows of an (N, T) block, run without BPTT caches
+    in chunks of at most INFERENCE_CHUNK rows of similar non-pad length."""
+    predicted = np.zeros(len(indices), dtype=np.int64)
+    order = np.argsort(np.count_nonzero(indices != PAD_INDEX, axis=1), kind="stable")
+    for start in range(0, len(order), INFERENCE_CHUNK):
+        rows = order[start:start + INFERENCE_CHUNK]
+        predicted[rows] = forward(params, embedding, indices[rows], cache=False).predicted
     return predicted
 
 
+def predict_dataset(params, embedding, examples) -> np.ndarray:
+    """Predicted labels for a list of encoded examples."""
+    return _predict(params, embedding, stack(examples)[0])
+
+
 def evaluate_model(params, embedding, examples, averaging="macro") -> MetricsReport:
-    actual = np.array([ex.label for ex in examples], dtype=np.int64)
-    predicted = predict_dataset(params, embedding, examples)
-    return metrics(confusion(actual, predicted), averaging=averaging)
+    indices, actual = stack(examples)
+    return metrics(confusion(actual, _predict(params, embedding, indices)), averaging=averaging)
 
 
 _KINDS = {cls.KIND: cls for cls in (LstmParams, RnnParams)}

@@ -506,6 +506,21 @@ def encoded_container_ref(binding: bytes, fields: dict, tensors: dict, dtype: st
     return out + u32(zlib.crc32(out))
 
 
+def stack_ref(examples, width=None):
+    """(indices, labels) of a list of examples, row by row: each row is its
+    example's indices, then pads (0) up to `width`, by default the longest
+    row's length. int64 indices and labels."""
+    if width is None:
+        width = max([len(ex.indices) for ex in examples], default=0)
+    rows, labels = [], []
+    for ex in examples:
+        row = [int(i) for i in ex.indices]
+        rows.append(row + [0] * (width - len(row)))
+        labels.append(int(ex.label))
+    return (np.array(rows, dtype=np.int64).reshape(len(rows), width),
+            np.array(labels, dtype=np.int64))
+
+
 def save_encoded_ref(examples, maxlen: int, path, binding: bytes):
     """Writes a split as the container the package writes: field maxlen,
     int32 tensors indices (N, maxlen) and labels (N,)."""

@@ -14,8 +14,7 @@ from scipy import sparse
 
 from sentilstm import binio
 from sentilstm.baselines import (LogRegConfig, LogRegModel, NaiveBayesModel,
-                                 TfidfModel, _loss_and_grad,
-                                 count_features, load_baseline, logreg_fit,
+                                 _loss_and_grad, count_features, load_baseline, logreg_fit,
                                  logreg_predict, naive_bayes_fit,
                                  naive_bayes_predict, save_baseline, tfidf_fit,
                                  tfidf_transform)
@@ -164,22 +163,22 @@ class TestTfidf:
     def test_everywhere_token_hits_idf_floor(self):
         # df == N: idf = ln(1) + 1 = 1 exactly
         counts = csr([[1, 1], [1, 0], [2, 0]])
-        model = tfidf_fit(counts)
-        assert model.idf[0] == 1.0
-        assert model.idf[1] == pytest.approx(math.log(4 / 2) + 1, rel=1e-15)
+        idf = tfidf_fit(counts)
+        assert idf[0] == 1.0
+        assert idf[1] == pytest.approx(math.log(4 / 2) + 1, rel=1e-15)
 
     def test_single_doc_single_token_normalizes_to_one(self):
         counts = csr([[3]])
-        model = tfidf_fit(counts)
-        X = tfidf_transform(model, counts)
+        idf = tfidf_fit(counts)
+        X = tfidf_transform(idf, counts)
         np.testing.assert_allclose(X.toarray(), [[1.0]])
 
     def test_matches_brute_force_formula(self):
         rng = np.random.default_rng(5)
         dense = rng.integers(0, 4, size=(20, 7)).astype(np.float64)
         counts = csr(dense)
-        model = tfidf_fit(counts)
-        X = tfidf_transform(model, counts).toarray()
+        fitted = tfidf_fit(counts)
+        X = tfidf_transform(fitted, counts).toarray()
 
         n_docs = dense.shape[0]
         df = (dense > 0).sum(axis=0)
@@ -190,7 +189,7 @@ class TestTfidf:
             if norm > 0:
                 expected[i] /= norm
         np.testing.assert_allclose(X, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(model.idf, idf, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fitted, idf, rtol=0, atol=1e-12)
 
     def test_l2_rows_unit_norm(self):
         rng = np.random.default_rng(6)
@@ -204,18 +203,18 @@ class TestTfidf:
     def test_idf_nonnegative_and_finite(self):
         rng = np.random.default_rng(7)
         counts = csr(rng.integers(0, 5, size=(30, 9)))
-        model = tfidf_fit(counts)
-        assert np.all(np.isfinite(model.idf))
-        assert np.all(model.idf >= 0)
+        idf = tfidf_fit(counts)
+        assert np.all(np.isfinite(idf))
+        assert np.all(idf >= 0)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             tfidf_fit(csr(np.zeros((0, 3))))
 
     def test_width_mismatch_rejected(self):
-        model = tfidf_fit(csr([[1, 2]]))
+        idf = tfidf_fit(csr([[1, 2]]))
         with pytest.raises(TrainingError, match="does not match"):
-            tfidf_transform(model, csr([[1, 2, 3]]))
+            tfidf_transform(idf, csr([[1, 2, 3]]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +381,7 @@ class TestLogReg:
         counts = csr([[2, 0], [0, 2], [1, 1]])
         labels = np.array([0, 1, 2])
         model = logreg_fit(counts, labels)
-        X = tfidf_transform(TfidfModel(idf=model.idf), counts)
+        X = tfidf_transform(model.idf, counts)
         scores = np.asarray(X.dot(model.W.T)) + model.b
         np.testing.assert_array_equal(logreg_predict(model, counts),
                                       scores.argmax(axis=1))

@@ -23,13 +23,15 @@ from sentilstm.baselines import LogRegConfig
 from sentilstm.cli import (OPTIONS, OUTPUT_DIR_ENV, RunConfig, build_parser, main,
                            merge_config)
 from sentilstm.corpus import load_encoded, load_vocabulary
-from sentilstm.embedding import EmbeddingConfig, load_embeddings, random_embedding
+from sentilstm.embedding import (EmbeddingConfig, EmbeddingMatrix, load_embeddings,
+                                 random_embedding, save_embeddings)
 from sentilstm.errors import OptionError, SentiError
 from sentilstm.nnet import init_lstm_params
 from sentilstm.train import (TrainConfig, load_checkpoint, load_model, save_checkpoint,
                              save_model)
 
 from synthetic import keyword_corpus, write_csv
+from test_train import repair_digest
 
 
 def namespace(**kwargs):
@@ -1051,6 +1053,7 @@ class TestOptionTable:
 SHARED_OPTIONS = [
     ("dim", EmbeddingConfig, "dim", 0),
     ("window", EmbeddingConfig, "window", 0),
+    ("window", EmbeddingConfig, "window", 2 ** 63),
     ("iterations", EmbeddingConfig, "iterations", 0),
     ("negatives", EmbeddingConfig, "negatives", -1),
     ("embedding_lr", EmbeddingConfig, "learning_rate", 0.0),
@@ -1265,6 +1268,7 @@ class TestMain:
         ("train", ["--random-init", "--hidden", "10000000000"]),
         ("train", ["--random-init", "--dim", "1000000000000000000"]),
         ("train-embeddings", ["--dim", "1000000000000000000"]),
+        ("train-embeddings", ["--negatives", "1000000000000000000"]),
     ])
     def test_size_past_int64_is_one_error_line(self, tmp_path, corpus_csv, preprocessed,
                                                command, size, capsys):
@@ -1280,3 +1284,81 @@ class TestMain:
         assert lines[0].startswith("error: Unable to allocate an array of shape (")
         assert lines[0].endswith("): its byte count overflows int64")
         assert not os.path.exists(out)
+
+    def test_window_numpy_cannot_draw_is_one_error_line(self, tmp_path, preprocessed, capsys):
+        # the widest window numpy draws widths for still runs
+        argv = ["train-embeddings", "--input-dir", preprocessed, "--dim", "4", "--iterations",
+                "1", "--output-dir", str(tmp_path / "out"), "--quiet", "--window"]
+        assert main(argv + ["9223372036854775807"]) == 0
+        shutil.rmtree(tmp_path / "out")
+        capsys.readouterr()
+        assert main(argv + ["9223372036854775808"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: window must be < 9223372036854775808, got 9223372036854775808"]
+        assert not (tmp_path / "out").exists()
+
+
+def one_error_line(argv, capsys):
+    """The stderr line of a `main(argv)` that fails with one error and no output."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    return err.rstrip("\n")
+
+
+class TestMismatchedArtifacts:
+    """Files each valid and bound to one another, but of sizes that disagree."""
+
+    def test_embeddings_of_fewer_rows_than_the_vocabulary_in_train(self, tmp_path,
+                                                                    preprocessed, capsys):
+        prep = tmp_path / "prep"
+        shutil.copytree(preprocessed, prep)
+        vocab = load_vocabulary(prep / "vocab.tsv")
+        assert len(vocab) > 10
+        rows = random_embedding(vocab, 6, seed=0).rows[:10]
+        save_embeddings(EmbeddingMatrix(rows, vocab.fingerprint()), prep / "embeddings.bin")
+        argv = ["train", "--input-dir", str(prep), "--output-dir", str(tmp_path / "out"),
+                "--quiet"]
+        assert one_error_line(argv, capsys) == (
+            f"error: {prep / 'embeddings.bin'}: 10 rows for a vocabulary of {len(vocab)}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_embeddings_of_fewer_rows_than_the_vocabulary_in_a_checkpoint(
+            self, command, tmp_path, trained_checkpoint, corpus_csv, capsys):
+        # the model bound to the cut matrix and the manifest digests repaired
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_checkpoint, ckpt)
+        full = load_embeddings(ckpt / "embeddings.bin")
+        cut = EmbeddingMatrix(full.rows[:10], full.vocab_fingerprint)
+        save_embeddings(cut, ckpt / "embeddings.bin")
+        params, maxlen, _ = load_model(ckpt / "model.bin")
+        save_model(params, ckpt / "model.bin", cut.fingerprint(), maxlen)
+        repair_digest(ckpt, "embeddings.bin")
+        repair_digest(ckpt, "model.bin")
+        argv = {"evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", corpus_csv],
+                "predict": ["predict", "--checkpoint", str(ckpt), "good day"]}[command]
+        assert one_error_line(argv + ["--quiet"], capsys) == (
+            f"error: {ckpt / 'embeddings.bin'}: 10 rows for a vocabulary of {full.n_rows}")
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_model_input_wider_than_the_embeddings(self, command, tmp_path, trained_checkpoint,
+                                                   corpus_csv, capsys):
+        # bound to the checkpoint's embeddings, with the manifest's input_dim
+        # and digest repaired
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(trained_checkpoint, ckpt)
+        params, maxlen, binding = load_model(ckpt / "model.bin")
+        wide = init_lstm_params(params.hidden, params.input_dim + 1, seed=0)
+        save_model(wide, ckpt / "model.bin", binding, maxlen)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["input_dim"] = wide.input_dim
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        repair_digest(ckpt, "model.bin")
+        argv = {"evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", corpus_csv],
+                "predict": ["predict", "--checkpoint", str(ckpt), "good day"]}[command]
+        assert one_error_line(argv + ["--quiet"], capsys) == (
+            f"error: embedding dim {params.input_dim} does not match model input dim "
+            f"{wide.input_dim}")

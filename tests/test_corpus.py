@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import (build_vocabulary_ref, clean_ref, detect_tokenizer_mode_ref,
                      encoded_container_ref, encode_ref, load_encoded_ref, load_vocabulary_ref,
-                     save_encoded_ref)
+                     save_encoded_ref, stack_ref)
 from sentilstm import binio
 from sentilstm.corpus import (CLASS_NAMES, N_CLASSES, EncodedExample, RawRecord, Sentiment,
                               Vocabulary, build_vocabulary,
                               clean_text, detect_tokenizer_mode, encode, encode_example,
                               encode_split, load_dataset, load_encoded, load_vocabulary,
                               parse_label, save_encoded, save_vocabulary, serialize_vocabulary,
-                              stratified_split, tokenize)
+                              stack, stratified_split, tokenize)
 from sentilstm.errors import DatasetError, FormatError
 from synthetic import write_csv
 
@@ -434,6 +434,42 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode_split([(Sentiment.negative, ["a"])], self.vocab, 0)
         assert encode_split([], self.vocab, 4) == []
+
+
+class TestStack:
+    @given(st.lists(st.tuples(st.sampled_from(list(Sentiment)),
+                              st.lists(st.integers(0, 2 ** 31 - 1), max_size=7)),
+                    max_size=6), st.integers(0, 3))
+    @settings(max_examples=200)
+    def test_matches_row_by_row_reference(self, rows, extra):
+        examples = [EncodedExample(np.array(indices, dtype=np.int32), label)
+                    for label, indices in rows]
+        longest = max([len(indices) for _, indices in rows], default=0)
+        for width in (None, longest + extra):
+            indices, labels = stack(examples, width)
+            want_indices, want_labels = stack_ref(examples, width)
+            np.testing.assert_array_equal(indices, want_indices.astype(np.int32), strict=True)
+            np.testing.assert_array_equal(labels, want_labels, strict=True)
+
+    def test_split_stacks_back_to_its_block(self):
+        vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
+        examples = encode_split([(Sentiment.negative, ["a"]), (Sentiment.positive, ["b", "c"]),
+                                 (Sentiment.neutral, [])], vocab, 3)
+        indices, labels = stack(iter(examples))  # any iterable of examples
+        np.testing.assert_array_equal(indices, examples[0].indices.base, strict=True)
+        assert labels.tolist() == [0, 2, 1]
+
+    def test_indices_keep_their_dtype(self):
+        # int64 indices stay int64: one past int32 is not wrapped to a valid row
+        indices, _ = stack([EncodedExample(np.array([2 ** 32 + 2, 3]), Sentiment.neutral),
+                            EncodedExample(np.array([4]), Sentiment.positive)])
+        assert indices.dtype == np.int64
+        assert indices.tolist() == [[2 ** 32 + 2, 3], [4, 0]]
+
+    def test_no_examples(self):
+        assert stack([])[0].shape == (0, 0)
+        indices, labels = stack([], 5)
+        assert indices.shape == (0, 5) and labels.shape == (0,)
 
 
 class TestLabels:

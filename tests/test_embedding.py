@@ -1,6 +1,8 @@
 """Tests for skip-gram embeddings: pair generation, negative sampling,
 gradients against finite differences, training behavior, and file IO."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -50,6 +52,7 @@ class TestEmbeddingConfig:
         {"negatives": -1},
         {"learning_rate": 0.0},
         {"learning_rate": -0.1},
+        {"window": 2 ** 63},  # numpy draws the window widths as int64
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -130,8 +133,9 @@ class TestGeneratePairs:
 
     def test_window_wider_than_any_sequence(self):
         sequences = [[2, 3, 4, 5], [6], [7, 8]]
-        got = as_tuples(generate_pairs(sequences, window=10 ** 9, seed=5))
-        assert got == replay_pairs(sequences, 10 ** 9, 5)
+        for window in (10 ** 9, 2 ** 63 - 1):  # up to the widest window EmbeddingConfig takes
+            got = as_tuples(generate_pairs(sequences, window=window, seed=5))
+            assert got == replay_pairs(sequences, window, 5)
 
     def test_dynamic_pairs_subset_of_fixed(self):
         seq = [2, 3, 4, 5, 6, 7, 8]
@@ -516,6 +520,18 @@ class TestEmbeddingIO:
         assert load_embeddings(path, vocab=vocab).dim == 4
         with pytest.raises(FormatError, match="different vocabulary"):
             load_embeddings(path, vocab=other)
+
+    @pytest.mark.parametrize("n_rows", [3, 6])
+    def test_row_count_checked_on_load(self, tmp_path, n_rows):
+        # bound to the vocabulary, but with a row count other than its size
+        vocab = build_vocabulary([["aa", "bb", "cc"]] * 3, min_count=1)
+        rows = np.zeros((n_rows, 4))
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingMatrix(rows=rows, vocab_fingerprint=vocab.fingerprint()), path)
+        assert load_embeddings(path).n_rows == n_rows
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(path))}: {n_rows} rows for a vocabulary of 5$"):
+            load_embeddings(path, vocab=vocab)
 
     def test_refuses_non_finite(self, tmp_path):
         matrix = self.make_matrix()

@@ -275,6 +275,29 @@ class TestForward:
             forward(params, emb, np.zeros(4, dtype=np.int32))
 
     @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_embedding_dim_other_than_input_dim_rejected(self, kind, cache):
+        rng = np.random.default_rng(17)
+        params = random_lstm(3, 2, rng) if kind == "lstm" else random_rnn(3, 2, rng)
+        emb = embedding_for(rng.normal(size=(5, 3)))
+        with pytest.raises(TrainingError,
+                           match="^embedding dim 3 does not match model input dim 2$"):
+            forward(params, emb, np.array([[2, 3], [4, 0]]), cache=cache)
+
+    def test_integer_indices_read_as_intp_and_float_refused(self):
+        # an int32 block gives the same trace as int64; a float index is not truncated
+        rng = np.random.default_rng(18)
+        params = random_rnn(3, 2, rng)
+        emb = embedding_for(rng.normal(size=(5, 2)))
+        batch = np.array([[2, 3, 0], [4, 0, 0]])
+        want = forward(params, emb, batch, cache=False)
+        got = forward(params, emb, batch.astype(np.int32), cache=False)
+        assert got.indices.dtype == np.intp
+        np.testing.assert_array_equal(got.probs, want.probs)
+        with pytest.raises(TypeError):
+            forward(params, emb, batch + 0.5, cache=False)
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
     def test_non_finite_rejected(self, kind):
         rng = np.random.default_rng(16)
         params = random_lstm(3, 2, rng) if kind == "lstm" else random_rnn(3, 2, rng)

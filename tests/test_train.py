@@ -15,7 +15,7 @@ train_mod = importlib.import_module("sentilstm.train")
 from sentilstm import binio
 from sentilstm.binio import sha256_file
 from sentilstm.corpus import (PAD_INDEX, EncodedExample, build_vocabulary, encode_example,
-                              load_vocabulary, save_vocabulary, serialize_vocabulary)
+                              load_vocabulary, save_vocabulary, serialize_vocabulary, stack)
 from sentilstm.embedding import (EmbeddingMatrix, load_embeddings, random_embedding,
                                  save_embeddings)
 from sentilstm.errors import FormatError, TrainingError
@@ -312,7 +312,7 @@ class TestTrain:
         monkeypatch.setattr(train_mod, "_batch_grads", recording)
         config = TrainConfig(epochs=2, batch_size=3, seed=1)
         train(examples, make_lstm(), make_embedding(), config)
-        full = sorted(row.tobytes() for row in train_mod._stack(examples))
+        full = sorted(row.tobytes() for row in stack(examples)[0])
         assert sorted(seen[:10]) == full
         assert sorted(seen[10:]) == full
         # shuffling actually permutes across epochs for this seed
