@@ -196,9 +196,12 @@ def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dic
         tensor = np.asarray(tensor)
         if not np.all(np.isfinite(tensor)):
             raise FormatError(f"refusing to save non-finite tensor {name} of a {kind} artifact")
+        stored = np.asarray(tensor, dtype=DTYPES[dtype])
+        if dtype == "i32" and not np.array_equal(stored, tensor):  # the cast wraps
+            raise FormatError(f"refusing to save out-of-range tensor {name} of a {kind} artifact")
         chunks += [_pack_str(name), _pack_str(dtype), pack_u32(tensor.ndim)]
         chunks += [pack_u32(d) for d in tensor.shape]
-        chunks.append(np.ascontiguousarray(tensor, dtype=DTYPES[dtype]).tobytes())
+        chunks.append(stored.tobytes())
     return write_atomic(path, append_crc(chunks))
 
 

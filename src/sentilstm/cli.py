@@ -13,6 +13,7 @@ seed reproduces them byte for byte.
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -21,8 +22,6 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import binio, corpus
 from .metrics import (AVERAGING_SCHEMES, CLASS_NAMES, confusion, format_report,
@@ -58,8 +57,7 @@ class RunConfig:
     both the `--foo-bar` flag and the `foo_bar` key of a --config file."""
 
     maxlen: int = option(100, "tokens kept per text (truncate, then pad)", at_least=1)
-    min_count: int = option(10, "train-split frequency a token needs to enter the vocabulary",
-                            at_least=1)
+    min_count: int = _like(EmbeddingConfig, "min_count")
     tokenizer: str = option("auto", "how cleaned text splits into tokens; auto picks "
                             "character mode when CJK scalars are over half of the letters",
                             choices=("auto",) + corpus.TOKENIZER_MODES)
@@ -78,8 +76,7 @@ class RunConfig:
     batch_size: int = _like(TrainConfig, "batch_size")
     optimizer: str = _like(TrainConfig, "optimizer")
     learning_rate: float = _like(TrainConfig, "learning_rate")
-    clip_norm: float = option(TrainConfig.clip_norm, "global gradient-norm clip; "
-                              "0 disables clipping", at_least=0.0)
+    clip_norm: float = _like(TrainConfig, "clip_norm")
 
     averaging: str = option("macro", "headline average of the per-class scores",
                             choices=AVERAGING_SCHEMES)
@@ -132,20 +129,12 @@ def _resolve_tokenizer(cfg: RunConfig, records) -> str:
     return mode
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, optimizer=cfg.optimizer,
-        learning_rate=cfg.learning_rate, seed=cfg.seed,
-        clip_norm=cfg.clip_norm or None,
-    )
-
-
-def _embedding_config(cfg: RunConfig) -> EmbeddingConfig:
-    return EmbeddingConfig(
-        dim=cfg.dim, window=cfg.window, min_count=cfg.min_count,
-        iterations=cfg.iterations, negatives=cfg.negatives,
-        learning_rate=cfg.embedding_lr, seed=cfg.seed,
-    )
+def _stage_config(stage, cfg: RunConfig):
+    """The TrainConfig or EmbeddingConfig of `cfg`: each field is read from the
+    RunConfig field of its name, but the skip-gram learning_rate from embedding_lr."""
+    renamed = {"learning_rate": "embedding_lr"} if stage is EmbeddingConfig else {}
+    return stage(**{f.name: getattr(cfg, renamed.get(f.name, f.name))
+                    for f in dataclasses.fields(stage)})
 
 
 def _init_params(kind, cfg: RunConfig, input_dim):
@@ -154,8 +143,9 @@ def _init_params(kind, cfg: RunConfig, input_dim):
     return init_rnn_params(cfg.hidden, input_dim, seed=(cfg.seed, 7))
 
 
-def _class_counts(labels):
-    return dict(zip(CLASS_NAMES, np.bincount(labels, minlength=len(CLASS_NAMES)).tolist()))
+def _class_counts(examples):
+    counts = collections.Counter(ex.label for ex in examples)
+    return {name: counts[label] for label, name in enumerate(CLASS_NAMES)}
 
 
 class _Tokenized(NamedTuple):
@@ -224,8 +214,8 @@ def cmd_preprocess(args) -> int:
         "n_train": len(prep.train),
         "n_test": len(prep.test),
         "n_dropped_empty": prep.n_dropped,
-        "train_class_counts": _class_counts(corpus.stack(prep.train)[1]),
-        "test_class_counts": _class_counts(corpus.stack(prep.test)[1]),
+        "train_class_counts": _class_counts(prep.train),
+        "test_class_counts": _class_counts(prep.test),
         "vocab_size": prep.vocab.n_tokens,
     })
     log.info("preprocess: %d train / %d test examples, %d vocabulary tokens -> %s",
@@ -248,7 +238,7 @@ def cmd_train_embeddings(args) -> int:
     _load_meta(args.input_dir)
     vocab = corpus.load_vocabulary(os.path.join(args.input_dir, VOCAB_FILE))
     examples, _ = corpus.load_encoded(os.path.join(args.input_dir, TRAIN_SPLIT), vocab)
-    matrix = train_skipgram(corpus.stack(examples)[0], _embedding_config(cfg), vocab)
+    matrix = train_skipgram(corpus.stack(examples)[0], _stage_config(EmbeddingConfig, cfg), vocab)
     # default to dropping the file next to its inputs
     out_dir = cfg.output_dir if "output_dir" in cfg.explicit else args.input_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -276,7 +266,7 @@ def cmd_train(args) -> int:
         embedding = load_embeddings(emb_path, vocab=vocab)
 
     params = _init_params(cfg.model, cfg, embedding.dim)
-    tconf = _train_config(cfg)
+    tconf = _stage_config(TrainConfig, cfg)
     params, report = train(examples, params, embedding, tconf)
 
     out = cfg.output_dir
@@ -371,9 +361,9 @@ def cmd_compare(args) -> int:
     if args.random_init:
         pretrained = random_embedding(vocab, cfg.dim, seed=(cfg.seed, 4))
     else:
-        pretrained = train_skipgram(train_indices, _embedding_config(cfg), vocab)
+        pretrained = train_skipgram(train_indices, _stage_config(EmbeddingConfig, cfg), vocab)
 
-    tconf = _train_config(cfg)
+    tconf = _stage_config(TrainConfig, cfg)
 
     for kind in ("lstm", "rnn"):
         embedding = pretrained.copy()

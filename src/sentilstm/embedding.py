@@ -40,7 +40,8 @@ CHUNK_PAIRS = 4096
 class EmbeddingConfig:
     dim: int = option(100, "embedding dimension for skip-gram or --random-init", at_least=1)
     window: int = option(7, "skip-gram context window", at_least=1, below=2 ** 63)  # int64 draws
-    min_count: int = option(10, "frequency a token needed to enter the vocabulary", at_least=1)
+    min_count: int = option(10, "train-split frequency a token needs to enter the vocabulary",
+                            at_least=1)
     iterations: int = option(10, "skip-gram passes over the train split", at_least=1)
     negatives: int = option(5, "negative samples per skip-gram pair", at_least=0)
     learning_rate: float = option(0.025, "initial skip-gram learning rate", above=0.0)

@@ -29,12 +29,11 @@ class OptionError(SentiError, ValueError):
 
 
 def option(default, help, *, choices=None, at_least=None, above=None, below=None,
-           non_empty=False, optional=False):
+           non_empty=False):
     """A config field with the help text, choices and bounds that every value
-    it takes is held to; None passes if the field is optional or defaults to None."""
+    it takes is held to; None passes only if the field defaults to None."""
     return dataclasses.field(default=default, metadata=dict(
-        help=help, choices=choices, non_empty=non_empty, optional=optional or default is None,
-        at_least=at_least, above=above, below=below))
+        help=help, choices=choices, non_empty=non_empty, at_least=at_least, above=above, below=below))
 
 
 _KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
@@ -63,7 +62,7 @@ def check_options(config):
     """Hold each `option` field of a config dataclass to its declaration."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if not f.metadata or value is None and f.metadata["optional"]:
+        if not f.metadata or value is None and f.default is None:
             continue  # not an option, or unset: the consumer resolves it
         if isinstance(value, bool) or not isinstance(value, _KINDS[f.type]):
             raise OptionError(f"{f.name} must be of type {f.type.__name__}, got {shown(value)}")

@@ -42,13 +42,14 @@ INFERENCE_CHUNK = 32  # examples per engine call in batched inference
 
 @dataclass
 class TrainConfig:
+    """The training stage's options; a clip_norm of 0 disables clipping."""
+
     epochs: int = option(4, "classifier training epochs", at_least=1)
     batch_size: int = option(32, "examples per gradient step", at_least=1)
     optimizer: str = option("adam", "classifier optimizer", choices=OPTIMIZERS)
     learning_rate: float = option(None, "classifier learning rate (default " + ", ".join(
         f"{lr} for {name}" for name, lr in DEFAULT_LR.items()) + ")", above=0.0)
-    clip_norm: float = option(5.0, "global gradient-norm clip; None disables clipping",
-                              above=0.0, optional=True)
+    clip_norm: float = option(5.0, "global gradient-norm clip; 0 disables clipping", at_least=0.0)
     seed: int = option(1, "master random seed", at_least=0)
 
     def __post_init__(self):
@@ -126,11 +127,11 @@ class _Optimizer:
         embedding.rows[index], self.m_emb[index], self.v_emb[index] = param, m, v
 
 
-def clip_grads(grads: Grads, clip_norm) -> float:
-    """Scale all gradients so their global L2 norm is at most clip_norm.
-    Returns the pre-clip norm."""
+def clip_grads(grads: Grads, clip_norm: float) -> float:
+    """Scale all gradients so their global L2 norm is at most clip_norm; a
+    clip_norm of 0 leaves them as they are. Returns the pre-clip norm."""
     norm = grads.global_norm()
-    if clip_norm is not None and norm > clip_norm and norm > 0.0:
+    if 0.0 < clip_norm < norm:
         grads.scale_(clip_norm / norm)
     return norm
 
@@ -179,7 +180,7 @@ def train(examples, params, embedding: EmbeddingMatrix, config: TrainConfig):
         report.epoch_losses.append(loss_weighted / n)
         report.epoch_accuracies.append(n_correct / n)
         report.epoch_seconds.append(time.perf_counter() - started)
-        clipped = 0.0 if config.clip_norm is None else np.mean(np.array(norms) > config.clip_norm)
+        clipped = np.mean(np.array(norms) > config.clip_norm) if config.clip_norm else 0.0
         report.epoch_grad_norms.append((float(np.median(norms)), max(norms), float(clipped)))
         log.info("epoch %d/%d: loss %.4f, accuracy %.4f, gradient norm median %.4g max %.4g, "
                  "%.0f%% of steps clipped (%.1fs)", epoch + 1, config.epochs,

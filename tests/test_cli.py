@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sentilstm
-from sentilstm import binio
+from sentilstm import binio, cli
 from sentilstm.baselines import LogRegConfig
 from sentilstm.cli import (OPTIONS, OUTPUT_DIR_ENV, RunConfig, build_parser, main,
                            merge_config)
@@ -1061,7 +1061,9 @@ SHARED_OPTIONS = [
     ("batch_size", TrainConfig, "batch_size", 0),
     ("optimizer", TrainConfig, "optimizer", "rmsprop"),
     ("learning_rate", TrainConfig, "learning_rate", -0.5),
+    ("clip_norm", TrainConfig, "clip_norm", -1.0),
     ("seed", TrainConfig, "seed", -5),
+    ("min_count", EmbeddingConfig, "min_count", 0),
 ]
 
 
@@ -1089,12 +1091,53 @@ class TestSharedOptions:
         assert OPTIONS["learning_rate"].metadata["help"] == (
             "classifier learning rate (default 0.001 for adam, 0.1 for sgd)")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_every_stage_field_reaches_its_stage(self, source, corpus_csv, tmp_path,
+                                                 monkeypatch):
+        # a value away from the default for every field of both stage configs, by
+        # RunConfig name; compare is the one subcommand that takes them all
+        values = {"dim": 6, "window": 3, "min_count": 2, "iterations": 2, "negatives": 0,
+                  "embedding_lr": 0.05, "epochs": 2, "batch_size": 5, "optimizer": "sgd",
+                  "learning_rate": 0.2, "clip_norm": 0.0, "seed": 3}
+        want = {EmbeddingConfig: EmbeddingConfig(dim=6, window=3, min_count=2, iterations=2,
+                                                 negatives=0, learning_rate=0.05, seed=3),
+                TrainConfig: TrainConfig(epochs=2, batch_size=5, optimizer="sgd",
+                                         learning_rate=0.2, clip_norm=0.0, seed=3)}
+        for config in want.values():
+            assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
+        got = {}
+
+        class Reached(Exception):
+            pass
+
+        def skipgram(indices, config, vocab):
+            got[EmbeddingConfig] = config
+            return random_embedding(vocab, config.dim, seed=0)
+
+        def train(examples, params, embedding, config):
+            got[TrainConfig] = config
+            raise Reached
+
+        monkeypatch.setattr(cli, "train_skipgram", skipgram)
+        monkeypatch.setattr(cli, "train", train)
+        argv = ["compare", "--data", corpus_csv, "--output-dir", str(tmp_path / "out"), "--quiet"]
+        if source == "flag":
+            for name, value in values.items():
+                argv += ["--" + name.replace("_", "-"), str(value)]
+        else:
+            path = tmp_path / "conf.json"
+            path.write_text(json.dumps(values))
+            argv += ["--config", str(path)]
+        with pytest.raises(Reached):
+            main(argv)
+        assert got == want
+
 
 class TestStageConfigs:
     @pytest.mark.parametrize("stage, kwargs", [
         (TrainConfig, {"epochs": 0}), (TrainConfig, {"batch_size": 0}),
         (TrainConfig, {"optimizer": "rmsprop"}), (TrainConfig, {"learning_rate": 0.0}),
-        (TrainConfig, {"learning_rate": -1.0}), (TrainConfig, {"clip_norm": 0.0}),
+        (TrainConfig, {"learning_rate": -1.0}), (TrainConfig, {"clip_norm": None}),
         (TrainConfig, {"clip_norm": -1.0}), (TrainConfig, {"epochs": True}),
         (TrainConfig, {"epochs": 2.0}), (TrainConfig, {"learning_rate": float("inf")}),
         (TrainConfig, {"learning_rate": float("nan")}), (TrainConfig, {"seed": -1}),
@@ -1114,7 +1157,7 @@ class TestStageConfigs:
         (TrainConfig, {"epochs": np.int64(2), "batch_size": np.int32(3),
                        "learning_rate": np.float32(0.01), "clip_norm": np.float64(1.0),
                        "seed": np.uint8(7)}),
-        (TrainConfig, {"learning_rate": 1, "clip_norm": None}),
+        (TrainConfig, {"learning_rate": 1, "clip_norm": 0}),
         (EmbeddingConfig, {"dim": np.int16(4), "negatives": np.int64(0),
                            "learning_rate": np.float16(0.5)}),
         (LogRegConfig, {"iterations": np.int64(5), "l2": 0}),

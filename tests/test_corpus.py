@@ -790,6 +790,17 @@ class TestEncodedIO:
             assert got.read_bytes() == want.read_bytes()
             assert digest == hashlib.sha256(want.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("indices, label", [
+        ([2 ** 32 + 2, 3, 0], 1), ([2, 3, 0], 2 ** 32 + 1), ([2 ** 31, 3, 0], 1),
+        ([-2 ** 31 - 1, 3, 0], 1), ([2, 3, 0], -2 ** 31 - 1)],
+        ids=["index-2**32+2", "label-2**32+1", "index-2**31", "index-below", "label-below"])
+    def test_value_outside_int32_refused_before_writing(self, tmp_path, indices, label):
+        # an int32 cast would wrap 2**32 + 2 to 2, a valid row
+        example = EncodedExample(np.array(indices, dtype=np.int64), label)
+        with pytest.raises(FormatError, match="^refusing to save out-of-range tensor "):
+            save_encoded([example], 3, tmp_path / "enc.tsv", self.VOCAB.fingerprint())
+        assert list(tmp_path.iterdir()) == []
+
     def test_binding_and_range_checked_against_the_vocabulary(self, tmp_path):
         path = tmp_path / "enc.tsv"
         other = build_vocabulary([["a", "c"]], min_count=1)

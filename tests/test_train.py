@@ -98,15 +98,15 @@ class TestTrainConfig:
         {"optimizer": "rmsprop"},
         {"learning_rate": 0.0},
         {"learning_rate": -1.0},
-        {"clip_norm": 0.0},
+        {"clip_norm": None},
         {"clip_norm": -2.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
-    def test_clip_norm_none_disables(self):
-        assert TrainConfig(clip_norm=None).clip_norm is None
+    def test_clip_norm_zero_accepted(self):
+        assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +190,9 @@ class TestClipGrads:
         assert pre == pytest.approx(5.0, rel=1e-12)
         np.testing.assert_array_equal(grads.tensors["a"], np.ones((3, 3)))
 
-    def test_none_disables(self):
+    def test_zero_disables(self):
         grads = self.grads_with_norm()
-        clip_grads(grads, clip_norm=None)
+        assert clip_grads(grads, clip_norm=0.0) == pytest.approx(5.0, rel=1e-12)
         np.testing.assert_array_equal(grads.tensors["b"], np.ones((4, 4)))
 
     def test_zero_grads_safe(self):
@@ -282,11 +282,26 @@ class TestTrain:
             assert 0.0 <= clipped <= 1.0
         assert caplog.text.count("of steps clipped") == 3
 
-    @pytest.mark.parametrize("clip_norm, clipped", [(None, 0.0), (1e-9, 1.0)])
+    @pytest.mark.parametrize("clip_norm, clipped", [(0.0, 0.0), (1e-9, 1.0)])
     def test_clip_fraction(self, clip_norm, clipped):
         config = TrainConfig(epochs=2, batch_size=4, clip_norm=clip_norm, seed=1)
         _, report = train(toy_examples(), make_lstm(), make_embedding(), config)
         assert [c for _, _, c in report.epoch_grad_norms] == [clipped, clipped]
+
+    def test_zero_clip_norm_trains_unclipped(self, monkeypatch):
+        def run(clip_norm):
+            params, embedding = make_lstm(), make_embedding()
+            config = TrainConfig(epochs=2, batch_size=4, clip_norm=clip_norm, seed=1)
+            train(toy_examples(), params, embedding, config)
+            return {**params.tensors(), "embedding": embedding.rows}
+
+        got, clipped = run(0.0), run(1e-9)
+        # the reference: every step's gradients reach the optimizer unscaled
+        monkeypatch.setattr(train_mod, "clip_grads", lambda grads, clip_norm: grads.global_norm())
+        want = run(5.0)
+        for name, tensor in want.items():
+            np.testing.assert_array_equal(got[name], tensor, err_msg=name)
+        assert any(not np.array_equal(clipped[name], tensor) for name, tensor in want.items())
 
     def test_step_count(self):
         examples = toy_examples(n=10)
