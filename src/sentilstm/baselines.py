@@ -26,18 +26,21 @@ NB_ALPHA = 1.0
 
 def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
     """Token-count matrix, one row per sequence, one column per vocabulary
-    token (column j holds the count of vocabulary index FIRST_TOKEN_INDEX + j)."""
-    # the empty tail row gives concatenate an array when there are no sequences
-    parts = [*sequences, np.empty(0, dtype=np.int64)]
-    n_rows = len(parts) - 1
-    flat = np.concatenate(parts)
+    token (column j holds the count of vocabulary index FIRST_TOKEN_INDEX + j).
+    The sequences are a list of index sequences or the rows of an (N, T) block."""
+    if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
+        n_rows, flat, lengths = len(sequences), sequences.ravel(), sequences.shape[1]
+    else:
+        # the empty tail row gives concatenate an array when there are no sequences
+        parts = [*sequences, np.empty(0, dtype=np.int64)]
+        n_rows, flat = len(parts) - 1, np.concatenate(parts)
+        lengths = np.fromiter(map(len, parts[:-1]), dtype=np.int64, count=n_rows)
     if flat.dtype.kind != "i":  # e.g. float64 when an empty Python list is among them
         flat, given = flat.astype(np.int64), flat
         if np.any(flat != given):
             raise TrainingError("token indices must be integers")
-    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
     keep = flat >= FIRST_TOKEN_INDEX
-    rows = np.repeat(np.arange(n_rows + 1), lengths)[keep]
+    rows = np.repeat(np.arange(n_rows), lengths)[keep]
     cols = flat[keep] - FIRST_TOKEN_INDEX
     over = cols >= n_tokens
     if over.any():

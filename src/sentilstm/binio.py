@@ -194,9 +194,10 @@ def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dic
     chunks.append(pack_u32(len(tensors)))
     for name, tensor in tensors.items():
         tensor = np.asarray(tensor)
-        if not np.all(np.isfinite(tensor)):
+        with np.errstate(over="ignore"):  # a value past f32's range casts to inf, refused here
+            stored = np.asarray(tensor, dtype=DTYPES[dtype])
+        if not np.all(np.isfinite(stored)):
             raise FormatError(f"refusing to save non-finite tensor {name} of a {kind} artifact")
-        stored = np.asarray(tensor, dtype=DTYPES[dtype])
         if dtype == "i32" and not np.array_equal(stored, tensor):  # the cast wraps
             raise FormatError(f"refusing to save out-of-range tensor {name} of a {kind} artifact")
         chunks += [_pack_str(name), _pack_str(dtype), pack_u32(tensor.ndim)]

@@ -39,6 +39,15 @@ Padding invariance is exact: an example with pads appended compacts to the
 same (1, L) array as without them, so both pack the same way and run the
 same floating-point operations in the same order. Inside a larger batch a
 row agrees with its lone run to rounding only.
+
+The recurrence computes in the dtype `forward` is given, float64 by
+default; the head, the logits and the probabilities are float64 whatever
+it is, and so is every gradient `backward` returns. Training runs the LSTM
+at float32 against float64 master weights (Micikevicius et al., "Mixed
+Precision Training", 2018): the parameters, the embedding rows and the Adam
+moments stay float64, and each step casts the fused gate matrix and the
+gathered rows once. The RNN trains at float64, and `evaluate` and `predict`
+run both models at float64.
 """
 
 from dataclasses import dataclass
@@ -73,7 +82,7 @@ class _CellParams:
     dimensions H (hidden), C (hidden + input) and K (classes, always
     N_CLASSES); TENSOR_NAMES follows from it. The first entry is a recurrent
     weight of shape (H, C). GATES lists the gate tensors W<g>, b<g> in
-    fused-matrix order."""
+    fused-matrix order, and TRAIN_DTYPE the dtype `train` runs the engine in."""
 
     def __post_init__(self):
         W = getattr(self, self.TENSOR_NAMES[0])
@@ -127,11 +136,11 @@ class _CellParams:
     def copy(self):
         return type(self)(**{name: t.copy() for name, t in self.tensors().items()})
 
-    def gate_weights(self):
-        """The gates as one (G*H, H+D) matrix and one (G*H,) bias, the
-        sigmoid gates' rows halved (see the module docstring)."""
-        W = np.concatenate([getattr(self, "W" + g) for g in self.GATES])
-        b = np.concatenate([getattr(self, "b" + g) for g in self.GATES])
+    def gate_weights(self, dtype=np.float64):
+        """The gates as one (G*H, H+D) matrix and one (G*H,) bias in dtype,
+        the sigmoid gates' rows halved (see the module docstring)."""
+        W = np.concatenate([getattr(self, "W" + g) for g in self.GATES], dtype=dtype)
+        b = np.concatenate([getattr(self, "b" + g) for g in self.GATES], dtype=dtype)
         W[:self.sigmoid_rows] *= 0.5
         b[:self.sigmoid_rows] *= 0.5
         return W, b
@@ -158,6 +167,7 @@ class LstmParams(_CellParams):
     head_b: np.ndarray
 
     KIND = "lstm"
+    TRAIN_DTYPE = np.float32  # the engine's dtype in training; the master weights stay float64
     SHAPES = {"W_f": "HC", "b_f": "H", "W_i": "HC", "b_i": "H", "W_c": "HC", "b_c": "H",
               "W_o": "HC", "b_o": "H", "head_W": "KH", "head_b": "K"}
     TENSOR_NAMES = tuple(SHAPES)
@@ -174,6 +184,8 @@ class RnnParams(_CellParams):
     head_b: np.ndarray
 
     KIND = "rnn"
+    # float32 BPTT through saturated tanh steps underflows to subnormals, which run far slower
+    TRAIN_DTYPE = np.float64
     SHAPES = {"W": "HC", "b": "H", "head_W": "KH", "head_b": "K"}
     TENSOR_NAMES = tuple(SHAPES)
     GATES = ("",)
@@ -240,9 +252,10 @@ def _compact(indices):
     return np.take_along_axis(idx, order, axis=1).astype(np.intp, casting="safe", copy=False), lengths
 
 
-def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
+def forward(params, embedding, indices, cache: bool = True, dtype=np.float64) -> ForwardTrace:
     """Embed, run the recurrence over each row's non-pad tokens, apply head
-    + softmax. With cache=False (inference) nothing is kept for `backward`."""
+    + softmax. The recurrence computes in dtype; the head, logits and probs
+    are float64. With cache=False (inference) nothing is kept for `backward`."""
     if not isinstance(params, (LstmParams, RnnParams)):
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
     if embedding.dim != params.input_dim:
@@ -254,13 +267,13 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
     real = (tokens[order] != PAD_INDEX).T                   # (T, B), each row a prefix
     packed = tokens[order].T[real]                          # (N,) real tokens, time-major
     H, runs = params.hidden, _runs(lengths)
-    W, b = params.gate_weights()
-    x = embedding.rows[packed]                              # (N, D)
+    W, b = params.gate_weights(dtype)
+    x = embedding.rows[packed].astype(dtype, copy=False)    # (N, D)
     N, G, C = len(packed), len(W), 3 if lstm else 1
     # one allocation for the gate blocks, the input half's product (N, G*H), whose space the
     # run blocks reuse, and backward's per-token arrays (apart, each call page-faulted anew)
     tail = N * G + max(N * G, cache * C * H * (N + sum(n for _, _, n in runs)))
-    buf = np.empty(tail + cache * N * (G + W.shape[1]))
+    buf = np.empty(tail + cache * N * (G + W.shape[1]), dtype=dtype)
     xw = np.matmul(x, W[:, H:].T, out=buf[N * G:2 * N * G].reshape(N, G))
     xw += b
     # per run, its steps' gate blocks (steps, G*H, n): pre-activations, then activations
@@ -273,8 +286,8 @@ def forward(params, embedding, indices, cache: bool = True) -> ForwardTrace:
         blocks.append(buf[at:at + C * H * (e - s + n)].reshape(C, -1, H, n))
         at += blocks[-1].size
     w_h = W[:, :H]
-    h = c = np.zeros((H, len(order)))
-    last = np.empty((len(order), H))  # each row's final hidden state, in input order
+    h = c = np.zeros((H, len(order)), dtype=dtype)
+    last = np.empty((len(order), H), dtype=dtype)  # each row's final hidden state, in input order
     for A, blk in zip(acts, blocks or acts):  # without cache, blk is not read
         n = A.shape[2]
         if n < h.shape[1]:  # rows n.. had their last token at the step before
@@ -340,9 +353,11 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     W[:params.sigmoid_rows] *= 2.0  # undo gate_weights' exact halving
     tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
-    # BPTT, last step first; a row joins at its last step with dh from the head and dc = 0
-    dh_head = (dlogits @ params.head_W)[saved["order"]].T
-    dh = dc = np.zeros((H, 0))
+    # BPTT in the forward's dtype, last step first; a row joins at its last step with dh
+    # from the head and dc = 0
+    dtype = W.dtype
+    dh_head = (dlogits @ params.head_W)[saved["order"]].T.astype(dtype, copy=False)
+    dh = dc = np.zeros((H, 0), dtype=dtype)
     w_h = W[:, :H].T
     N, G = len(saved["packed"]), len(W)  # per token, in packed order: gate gradients, [h read, x]
     dpre, hx = saved["work"][:N * G].reshape(N, G), saved["work"][N * G:].reshape(N, -1)
@@ -350,7 +365,7 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     for (s, e, n), A, blk in reversed(list(zip(saved["runs"], saved["acts"], saved["blocks"]))):
         if n > dh.shape[1]:
             dh = np.concatenate([dh, dh_head[:, dh.shape[1]:n]], axis=1)
-            dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]))], axis=1)
+            dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]), dtype=dtype)], axis=1)
         # once per run, in place, the factors that do not depend on dh or dc; f moves to F
         h, K, F = blk[0, 1:], blk[-1, 1:], A  # the RNN reads neither K nor F
         if lstm:
@@ -379,7 +394,8 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
         dpre[s:e].reshape(-1, n, G)[...] = A.transpose(0, 2, 1)
         hx[s:e, :H].reshape(-1, n, H)[...] = blk[0, :-1].transpose(0, 2, 1)
 
-    dW, db = dpre.T @ hx, dpre.sum(axis=0)
+    # the weight gradients come back float64, as the head's and the embedding's do
+    dW, db = (dpre.T @ hx).astype(np.float64, copy=False), dpre.sum(axis=0, dtype=np.float64)
     for k, g in enumerate(params.GATES):  # per-gate views of the fused gradient
         tensors["W" + g], tensors["b" + g] = dW[k * H:(k + 1) * H], db[k * H:(k + 1) * H]
     # one input gradient per real token, summed into one row per distinct token

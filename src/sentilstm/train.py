@@ -138,7 +138,7 @@ def clip_grads(grads: Grads, clip_norm: float) -> float:
 
 def _batch_grads(params, embedding, indices, labels):
     """Mean loss, mean grads and correct-prediction count of one batch, in one engine pass."""
-    trace = forward(params, embedding, indices)
+    trace = forward(params, embedding, indices, dtype=params.TRAIN_DTYPE)
     loss = float(np.sum(cross_entropy(trace.logits, labels))) / len(labels)
     n_correct = int(np.count_nonzero(trace.predicted == labels))
     return loss, backward(trace, params, labels), n_correct

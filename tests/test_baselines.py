@@ -154,6 +154,23 @@ class TestCountFeatures:
             count_features(seqs, n_tokens)
         assert str(exc.value) == str(ref.value)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 12), st.integers(0, 6), st.data())
+    def test_block_matches_its_rows(self, n_tokens, n_rows, width, data):
+        # an (N, T) block, pads and out-of-range indices included, counts (or is
+        # refused) exactly as the list of its rows
+        block = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, n_tokens + 3), min_size=width, max_size=width),
+            min_size=n_rows, max_size=n_rows)), dtype=np.int32).reshape(n_rows, width)
+        try:
+            want = count_features(list(block), n_tokens)
+        except TrainingError as exc:
+            with pytest.raises(TrainingError) as got:
+                count_features(block, n_tokens)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_csr(count_features(block, n_tokens), want)
+
 
 # ---------------------------------------------------------------------------
 # tf-idf

@@ -602,3 +602,65 @@ class TestEngineOracle:
         assert trace.cache is None
         with pytest.raises(ValueError, match="used once"):
             backward(trace, params, np.array([0, 2]))
+
+
+class TestMixedPrecision:
+    """The engine at float32, as `train` runs the LSTM: the head, probs and
+    every gradient stay float64, and the gradients agree with float64's to
+    1e-5 of each tensor's largest entry."""
+
+    @staticmethod
+    def assert_near_float64(params, emb, indices, labels):
+        want = backward(forward(params, emb, indices), params, labels)
+        trace = forward(params, emb, indices, dtype=np.float32)
+        assert trace.cache["x"].dtype == trace.cache["W"].dtype == np.float32
+        assert trace.logits.dtype == trace.probs.dtype == np.float64
+        got = backward(trace, params, labels)
+        for name in params.TENSOR_NAMES:
+            assert got.tensors[name].dtype == np.float64, name
+            scale = np.max(np.abs(want.tensors[name]))
+            assert np.max(np.abs(got.tensors[name] - want.tensors[name])) <= 1e-5 * scale, name
+        assert got.embedding_grad.dtype == np.float64
+        assert np.array_equal(got.embedding_index, want.embedding_index)
+        scale = np.max(np.abs(want.embedding_grad))
+        assert np.max(np.abs(got.embedding_grad - want.embedding_grad)) <= 1e-5 * scale
+
+    @given(batch=batches(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_lstm_gradients_near_float64(self, batch, seed):
+        indices, labels = batch
+        params, rows = random_model("lstm", seed)
+        self.assert_near_float64(params, embedding_for(rows), indices, labels)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lstm_gradients_near_float64_at_training_shape(self, seed):
+        # zipf-build's shape: hidden 50, width 32, 16 ragged rows of up to 32 tokens
+        rng = np.random.default_rng((27, seed))
+        params = init_lstm_params(50, 32, seed=seed)
+        rows = rng.normal(scale=0.5, size=(200, 32))
+        rows[PAD_INDEX] = 0.0
+        indices = rng.integers(1, 200, size=(16, 32))
+        indices[np.arange(32) >= rng.integers(1, 33, size=(16, 1))] = PAD_INDEX
+        self.assert_near_float64(params, embedding_for(rows), indices,
+                                 rng.integers(0, 3, size=16))
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    def test_padding_invariance_exact_at_float32(self, kind):
+        # C8 at float32: appended pads change no probability, gradient or row
+        for k in range(50):
+            rng = np.random.default_rng((89, k))
+            hidden, dim = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+            params = (random_lstm if kind == "lstm" else random_rnn)(hidden, dim, rng)
+            emb = embedding_for(rng.normal(size=(int(rng.integers(6, 13)), dim)))
+            base = rng.integers(1, emb.n_rows, size=int(rng.integers(1, 7)))
+            padded = np.concatenate([base, np.zeros(int(rng.integers(1, 5)), dtype=base.dtype)])
+            probs = [forward(params, emb, x, cache=False, dtype=np.float32).probs
+                     for x in (base, padded)]
+            assert probs[0].tobytes() == probs[1].tobytes()
+            label = int(rng.integers(0, 3))
+            grads = [backward(forward(params, emb, x, dtype=np.float32), params, label)
+                     for x in (base, padded)]
+            for name in params.TENSOR_NAMES:
+                assert grads[0].tensors[name].tobytes() == grads[1].tensors[name].tobytes()
+            assert np.array_equal(grads[0].embedding_index, grads[1].embedding_index)
+            assert grads[0].embedding_grad.tobytes() == grads[1].embedding_grad.tobytes()

@@ -5,6 +5,7 @@ import importlib
 import json
 import logging
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,47 @@ class TestTrain:
 # prediction helpers
 
 
+class TestMixedPrecision:
+    """The LSTM trains with a float32 engine against float64 master copies;
+    the RNN trains at float64."""
+
+    def test_engine_dtype_per_model(self, monkeypatch):
+        dtypes = []
+        real_forward = train_mod.forward
+
+        def spy(*args, **kwargs):
+            trace = real_forward(*args, **kwargs)
+            dtypes.append(trace.cache["x"].dtype)
+            return trace
+
+        monkeypatch.setattr(train_mod, "forward", spy)
+        config = TrainConfig(epochs=1, batch_size=4)
+        train(toy_examples(), make_lstm(), make_embedding(), config)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        dtypes.clear()
+        train(toy_examples(), init_rnn_params(6, 4, seed=2), make_embedding(), config)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("kind", ["lstm", "rnn"])
+    def test_master_weights_and_moments_stay_float64(self, kind, monkeypatch):
+        optimizers = []
+
+        class Recorded(train_mod._Optimizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                optimizers.append(self)
+
+        monkeypatch.setattr(train_mod, "_Optimizer", Recorded)
+        params = make_lstm() if kind == "lstm" else init_rnn_params(6, 4, seed=2)
+        embedding = make_embedding()
+        train(toy_examples(), params, embedding, TrainConfig(epochs=2, batch_size=4))
+        (optimizer,) = optimizers
+        arrays = [*params.tensors().values(), embedding.rows, optimizer.m_emb, optimizer.v_emb,
+                  *optimizer.m.values(), *optimizer.v.values()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        assert all(np.isfinite(a).all() for a in arrays)
+
+
 class TestPredictAndEvaluate:
     def test_zero_params_predict_first_class(self):
         params = init_lstm_params(5, 4, seed=0)
@@ -543,6 +585,16 @@ class TestModelIO:
         params.W_f[0, 0] = np.nan
         with pytest.raises(FormatError, match="non-finite"):
             save_model(params, tmp_path / "model.bin", b"\x00" * 32, maxlen=10)
+
+    def test_value_past_float32_range_refused_without_a_warning(self, tmp_path):
+        # finite at float64, inf once cast to the stored f32
+        params = make_lstm()
+        params.W_f[0, 0] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite"):
+                save_model(params, tmp_path / "model.bin", b"\x00" * 32, maxlen=10)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_fingerprint_length_refused(self, tmp_path):
         with pytest.raises(FormatError, match="32 bytes"):
