@@ -40,14 +40,11 @@ same (1, L) array as without them, so both pack the same way and run the
 same floating-point operations in the same order. Inside a larger batch a
 row agrees with its lone run to rounding only.
 
-The recurrence computes in the dtype `forward` is given, float64 by
-default; the head, the logits and the probabilities are float64 whatever
-it is, and so is every gradient `backward` returns. Training runs the LSTM
-at float32 against float64 master weights (Micikevicius et al., "Mixed
-Precision Training", 2018): the parameters, the embedding rows and the Adam
-moments stay float64, and each step casts the fused gate matrix and the
-gathered rows once. The RNN trains at float64, and `evaluate` and `predict`
-run both models at float64.
+The recurrence runs in `forward`'s dtype, float64 by default; the head, the
+probabilities and every gradient are float64. `train` runs the LSTM at
+float32 against float64 master weights, embedding rows and Adam moments
+(Micikevicius et al., "Mixed Precision Training", 2018); the RNN, `evaluate`
+and `predict` run at float64.
 """
 
 from dataclasses import dataclass
@@ -184,8 +181,7 @@ class RnnParams(_CellParams):
     head_b: np.ndarray
 
     KIND = "rnn"
-    # float32 BPTT through saturated tanh steps underflows to subnormals, which run far slower
-    TRAIN_DTYPE = np.float64
+    TRAIN_DTYPE = np.float64  # at float32, BPTT through saturated steps hits slow subnormals
     SHAPES = {"W": "HC", "b": "H", "head_W": "KH", "head_b": "K"}
     TENSOR_NAMES = tuple(SHAPES)
     GATES = ("",)
@@ -253,9 +249,8 @@ def _compact(indices):
 
 
 def forward(params, embedding, indices, cache: bool = True, dtype=np.float64) -> ForwardTrace:
-    """Embed, run the recurrence over each row's non-pad tokens, apply head
-    + softmax. The recurrence computes in dtype; the head, logits and probs
-    are float64. With cache=False (inference) nothing is kept for `backward`."""
+    """Embed, run the recurrence in dtype over each row's non-pad tokens, apply
+    head + softmax. With cache=False (inference) nothing is kept for `backward`."""
     if not isinstance(params, (LstmParams, RnnParams)):
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
     if embedding.dim != params.input_dim:
@@ -353,11 +348,9 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     W[:params.sigmoid_rows] *= 2.0  # undo gate_weights' exact halving
     tensors = {"head_W": dlogits.T @ saved["h"], "head_b": dlogits.sum(axis=0)}
 
-    # BPTT in the forward's dtype, last step first; a row joins at its last step with dh
-    # from the head and dc = 0
-    dtype = W.dtype
-    dh_head = (dlogits @ params.head_W)[saved["order"]].T.astype(dtype, copy=False)
-    dh = dc = np.zeros((H, 0), dtype=dtype)
+    # BPTT in W's dtype, last step first; a row joins at its last step with dh from the head, dc 0
+    dh_head = (dlogits @ params.head_W)[saved["order"]].T.astype(W.dtype, copy=False)
+    dh = dc = np.zeros((H, 0), W.dtype)
     w_h = W[:, :H].T
     N, G = len(saved["packed"]), len(W)  # per token, in packed order: gate gradients, [h read, x]
     dpre, hx = saved["work"][:N * G].reshape(N, G), saved["work"][N * G:].reshape(N, -1)
@@ -365,7 +358,7 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
     for (s, e, n), A, blk in reversed(list(zip(saved["runs"], saved["acts"], saved["blocks"]))):
         if n > dh.shape[1]:
             dh = np.concatenate([dh, dh_head[:, dh.shape[1]:n]], axis=1)
-            dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]), dtype=dtype)], axis=1)
+            dc = np.concatenate([dc, np.zeros((H, n - dc.shape[1]), W.dtype)], axis=1)
         # once per run, in place, the factors that do not depend on dh or dc; f moves to F
         h, K, F = blk[0, 1:], blk[-1, 1:], A  # the RNN reads neither K nor F
         if lstm:
@@ -394,7 +387,6 @@ def backward(trace: ForwardTrace, params, label) -> Grads:
         dpre[s:e].reshape(-1, n, G)[...] = A.transpose(0, 2, 1)
         hx[s:e, :H].reshape(-1, n, H)[...] = blk[0, :-1].transpose(0, 2, 1)
 
-    # the weight gradients come back float64, as the head's and the embedding's do
     dW, db = (dpre.T @ hx).astype(np.float64, copy=False), dpre.sum(axis=0, dtype=np.float64)
     for k, g in enumerate(params.GATES):  # per-gate views of the fused gradient
         tensors["W" + g], tensors["b" + g] = dW[k * H:(k + 1) * H], db[k * H:(k + 1) * H]
