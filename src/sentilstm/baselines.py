@@ -30,8 +30,7 @@ def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
     The sequences are a list of index sequences or the rows of an (N, T) block."""
     if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
         n_rows, flat, lengths = len(sequences), sequences.ravel(), sequences.shape[1]
-    else:
-        # the empty tail row gives concatenate an array when there are no sequences
+    else:  # the empty tail row gives concatenate an array when there are no sequences
         parts = [*sequences, np.empty(0, dtype=np.int64)]
         n_rows, flat = len(parts) - 1, np.concatenate(parts)
         lengths = np.fromiter(map(len, parts[:-1]), dtype=np.int64, count=n_rows)
