@@ -47,14 +47,9 @@ def count_features(sequences, n_tokens: int) -> sparse.csr_matrix:
         row = rows[over.argmax()]
         raise TrainingError(f"token index {int(cols[rows == row].max()) + FIRST_TOKEN_INDEX} "
                             f"out of range for vocabulary of {n_tokens}")
-    # one sorted key per (row, column) cell: CSR order, duplicates counted
-    keys, counts = np.unique(rows * n_tokens + cols, return_counts=True)
-    return sparse.csr_matrix(
-        (counts.astype(np.float64),
-         keys % n_tokens,
-         np.searchsorted(keys, np.arange(n_rows + 1) * n_tokens)),
-        shape=(n_rows, n_tokens),
-    )
+    counts = sparse.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n_rows, n_tokens))
+    counts.sum_duplicates()  # one entry per cell, columns sorted in each row
+    return counts
 
 
 def tfidf_fit(counts: sparse.csr_matrix) -> np.ndarray:
@@ -212,6 +207,8 @@ def logreg_predict(model: LogRegModel, counts: sparse.csr_matrix) -> np.ndarray:
 
 
 _KINDS = {cls.KIND: cls for cls in (NaiveBayesModel, LogRegModel)}
+_LAYOUTS = {kind: ((), tuple(f.name for f in dataclasses.fields(cls)))
+            for kind, cls in _KINDS.items()}
 
 
 def save_baseline(model, path, vocab_fingerprint: bytes):
@@ -226,16 +223,10 @@ def load_baseline(path, vocab=None):
     """Returns the reconstructed model; validates the container, the tensor
     shapes and (when a vocabulary is supplied) the recorded vocabulary
     checksum."""
-    artifact = binio.load(path, _KINDS)
+    artifact = binio.load(path, _LAYOUTS)
     if vocab is not None and vocab.fingerprint() != artifact.binding:
         raise FormatError(f"{path}: baseline was built for a different vocabulary")
-    cls = _KINDS[artifact.kind]
-    names = sorted(f.name for f in dataclasses.fields(cls))
-    if sorted(artifact.tensors) != names:
-        raise FormatError(
-            f"{path}: baseline tensors {sorted(artifact.tensors)} do not match kind {artifact.kind!r}"
-        )
     try:
-        return cls(**artifact.tensors)
+        return _KINDS[artifact.kind](**artifact.tensors)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

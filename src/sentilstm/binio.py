@@ -2,9 +2,9 @@
 write every artifact file goes through.
 
 Embeddings, recurrent models, baselines and encoded splits are all written
-by `save` and read by `load`; no other module knows the byte layout.
-Integers are little-endian u32; a string is a u32 byte length, then ASCII
-bytes.
+by `save` and read by `load`, which checks each kind's field and tensor
+names in file order; no other module knows the byte layout. Integers are
+little-endian u32; a string is a u32 byte length, then ASCII bytes.
 
     magic      b"SENTI-BIN\\x00"
     version    u32
@@ -39,13 +39,9 @@ VERSION = 2
 DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i32": np.dtype("<i4")}
 
 
-def pack_u32(value: int) -> bytes:
-    return U32.pack(value)
-
-
 def _pack_str(text: str) -> bytes:
     raw = text.encode("ascii")
-    return pack_u32(len(raw)) + raw
+    return U32.pack(len(raw)) + raw
 
 
 class Reader:
@@ -112,7 +108,7 @@ def strip_crc(data: memoryview, path: str = "<bytes>") -> memoryview:
 
 def append_crc(chunks: list) -> bytes:
     body = b"".join(chunks)
-    return body + pack_u32(zlib.crc32(body) & 0xFFFFFFFF)
+    return body + U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def sha256(*chunks: bytes) -> bytes:
@@ -152,8 +148,8 @@ def write_json(path, payload):
 
 def read_json(path, fmt: str = None, version: int = None, required: dict = None):
     """The JSON value in `path`, else FormatError; with `fmt`, a manifest: an
-    object whose "format" is `fmt`, "version" is `version`, and value under
-    each key of `required` is one of that key's allowed values. A missing
+    object whose "format" is `fmt`, "version" the int `version`, and value
+    under each key of `required` one of that key's allowed values. A missing
     file raises FileNotFoundError, which each caller words for itself."""
     try:
         payload = json.loads(read_bytes(path))
@@ -166,7 +162,7 @@ def read_json(path, fmt: str = None, version: int = None, required: dict = None)
                           f"got {type(payload).__name__}")
     if payload.get("format") != fmt:
         raise FormatError(f"{path}: not a {fmt} manifest")
-    if payload.get("version") != version:
+    if payload.get("version") != version or type(payload["version"]) is not int:
         raise FormatError(f"{path}: unsupported {fmt} version {payload.get('version')!r}")
     for key, allowed in (required or {}).items():
         if key not in payload:
@@ -188,10 +184,10 @@ def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dic
     if len(binding) != 32:
         raise FormatError(f"{kind} binding fingerprint must be 32 bytes, got {len(binding)}")
     fields = fields or {}
-    chunks = [MAGIC, pack_u32(VERSION), _pack_str(kind), binding, pack_u32(len(fields))]
+    chunks = [MAGIC, U32.pack(VERSION), _pack_str(kind), binding, U32.pack(len(fields))]
     for name, value in fields.items():
-        chunks += [_pack_str(name), pack_u32(value)]
-    chunks.append(pack_u32(len(tensors)))
+        chunks += [_pack_str(name), U32.pack(value)]
+    chunks.append(U32.pack(len(tensors)))
     for name, tensor in tensors.items():
         tensor = np.asarray(tensor)
         with np.errstate(over="ignore"):  # a value past f32's range casts to inf, refused here
@@ -200,16 +196,17 @@ def save(path, kind: str, binding: bytes, tensors: dict, dtype: str, fields: dic
             raise FormatError(f"refusing to save non-finite tensor {name} of a {kind} artifact")
         if dtype == "i32" and not np.array_equal(stored, tensor):  # the cast wraps
             raise FormatError(f"refusing to save out-of-range tensor {name} of a {kind} artifact")
-        chunks += [_pack_str(name), _pack_str(dtype), pack_u32(tensor.ndim)]
-        chunks += [pack_u32(d) for d in tensor.shape]
+        chunks += [_pack_str(name), _pack_str(dtype), U32.pack(tensor.ndim)]
+        chunks += [U32.pack(d) for d in tensor.shape]
         chunks.append(stored.tobytes())
     return write_atomic(path, append_crc(chunks))
 
 
-def load(path, kinds, data: bytes = None) -> Artifact:
-    """Read one container whose kind is in `kinds` from `data`, the bytes of
-    `path` (read from disk when not given). The magic is checked first, then
-    the CRC, then the layout; any mismatch raises FormatError."""
+def load(path, layouts: dict, data: bytes = None) -> Artifact:
+    """Read one container from `data`, the bytes of `path` (read from disk
+    when not given). `layouts` maps each accepted kind to its (field names,
+    tensor names), each in file order. The magic is checked first, then the
+    CRC, then the layout; any mismatch raises FormatError."""
     if data is None:
         data = read_bytes(path)
     if not data.startswith(MAGIC):
@@ -222,10 +219,13 @@ def load(path, kinds, data: bytes = None) -> Artifact:
             f"{path}: unsupported artifact version {version} (this build reads version {VERSION})"
         )
     kind = reader.text()
-    if kind not in kinds:
-        raise FormatError(f"{path}: unknown artifact kind {kind!r} (expected {' or '.join(kinds)})")
+    if kind not in layouts:
+        raise FormatError(f"{path}: unknown artifact kind {kind!r} (expected {' or '.join(layouts)})")
     binding = bytes(reader.take(32))
     fields = reader.named(reader.u32)
     tensors = reader.named(reader.tensor)
     reader.expect_eof()
+    if (tuple(fields), tuple(tensors)) != layouts[kind]:
+        raise FormatError(f"{path}: {kind} fields {list(fields)} and tensors {list(tensors)} "
+                          f"are not {list(layouts[kind][0])} and {list(layouts[kind][1])}")
     return Artifact(kind, binding, fields, tensors)

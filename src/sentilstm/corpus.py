@@ -223,10 +223,10 @@ def encode(tokens, vocab: Vocabulary, maxlen: int) -> np.ndarray:
 
 
 def load_dataset(path) -> list:
-    """Read a UTF-8 `label,text` CSV (RFC-4180 quoting) into RawRecords."""
+    """Read a UTF-8 `label,text` CSV (RFC-4180 quoting, optional BOM) into RawRecords."""
     records = []
     try:
-        f = open(path, newline="", encoding="utf-8")
+        f = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise DatasetError(f"{path}: no such file") from None
     with f:
@@ -374,11 +374,10 @@ def load_encoded(path, vocab: Vocabulary = None):
     data = read_bytes(path)
     if data.startswith(TEXT_SPLIT_HEADER):
         raise FormatError(f"{path}: a text split from an older version; re-run preprocess")
-    artifact = binio.load(path, ("encoded",), data)
-    maxlen = artifact.fields.get("maxlen")
-    indices, labels = artifact.tensors.get("indices"), artifact.tensors.get("labels")
-    if (list(artifact.fields) != ["maxlen"] or list(artifact.tensors) != ["indices", "labels"]
-            or indices.dtype != np.int32 or labels.dtype != np.int32
+    artifact = binio.load(path, {"encoded": (("maxlen",), ("indices", "labels"))}, data)
+    maxlen = artifact.fields["maxlen"]
+    indices, labels = artifact.tensors["indices"], artifact.tensors["labels"]
+    if (indices.dtype != np.int32 or labels.dtype != np.int32
             or labels.ndim != 1 or indices.ndim != 2 or len(indices) != len(labels)):
         raise FormatError(f"{path}: expected field maxlen and int32 tensors indices "
                           f"(N, maxlen) and labels (N,)")

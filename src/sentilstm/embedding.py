@@ -79,8 +79,8 @@ class EmbeddingMatrix:
         from the rows on every call, as training changes them in place; the
         float32 copy is hashed as it is, with no bytes object made of it."""
         return binio.sha256(
-            binio.pack_u32(self.n_rows),
-            binio.pack_u32(self.dim),
+            binio.U32.pack(self.n_rows),
+            binio.U32.pack(self.dim),
             self.vocab_fingerprint,
             np.ascontiguousarray(self.rows, dtype="<f4"),
         )
@@ -128,25 +128,6 @@ def generate_pairs(sequences, window: int, seed) -> np.ndarray:
     if not blocks:
         return np.empty((0, 2), dtype=np.intp)
     return np.concatenate(blocks)
-
-
-class NegativeSampler:
-    """Draws token indices from the unigram^0.75 distribution."""
-
-    def __init__(self, vocab: Vocabulary):
-        tokens = vocab.index_to_token[FIRST_TOKEN_INDEX:]
-        counts = np.array([vocab.frequencies[t] for t in tokens], dtype=np.float64)
-        if len(counts) == 0:
-            raise TrainingError("cannot build a negative sampler from an empty vocabulary")
-        weights = counts ** NEGATIVE_POWER
-        self.probabilities = weights / weights.sum()
-        self._cumulative = np.cumsum(self.probabilities)
-        self._cumulative[-1] = 1.0
-
-    def sample(self, rng, k: int) -> np.ndarray:
-        """k token indices, never pad or unk."""
-        u = rng.random(k)
-        return FIRST_TOKEN_INDEX + np.searchsorted(self._cumulative, u, side="right")
 
 
 def sgns_gradient(center, context, negatives):
@@ -229,7 +210,9 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
     W[UNK_INDEX] = 0.0
     C = np.zeros((len(vocab) + 1, config.dim))  # negated context vectors and a scratch row
 
-    sampler = NegativeSampler(vocab)
+    counts = [vocab.frequencies[t] for t in vocab.index_to_token[FIRST_TOKEN_INDEX:]]
+    weights = np.array(counts, dtype=np.float64) ** NEGATIVE_POWER
+    noise = weights / weights.sum()
     rng_neg = np.random.default_rng((config.seed, 1))
     lr0 = config.learning_rate
     total_epochs = config.iterations
@@ -249,8 +232,9 @@ def train_skipgram(sequences, config: EmbeddingConfig, vocab: Vocabulary) -> Emb
             progress = (epoch + np.arange(start, start + len(chunk)) / n_pairs) / total_epochs
             lrs = lr0 * (1.0 - (1.0 - FINAL_LR_FRACTION) * progress)
             check_allocatable((len(chunk), config.negatives))
-            negatives = sampler.sample(rng_neg, config.negatives * len(chunk))
-            losses = _sgd_pairs(W, C, chunk, negatives.reshape(len(chunk), config.negatives), lrs)
+            negatives = FIRST_TOKEN_INDEX + rng_neg.choice(
+                len(noise), (len(chunk), config.negatives), p=noise)
+            losses = _sgd_pairs(W, C, chunk, negatives, lrs)
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 raise TrainingError(f"non-finite loss at iteration {epoch}, pair {start + bad[0]}")
@@ -270,10 +254,10 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> str:
 
 def load_embeddings(path, vocab: Vocabulary = None, data: bytes = None) -> EmbeddingMatrix:
     """Load and validate; if `vocab` is given, its fingerprint and size must match."""
-    artifact = binio.load(path, ("embedding",), data)
-    rows = artifact.tensors.get("rows")
-    if list(artifact.tensors) != ["rows"] or rows.ndim != 2:
-        raise FormatError(f"{path}: expected one 2-D tensor 'rows', got {sorted(artifact.tensors)}")
+    artifact = binio.load(path, {"embedding": ((), ("rows",))}, data)
+    rows = artifact.tensors["rows"]
+    if rows.ndim != 2:
+        raise FormatError(f"{path}: expected a 2-D tensor 'rows', got shape {rows.shape}")
     if vocab is not None and vocab.fingerprint() != artifact.binding:
         raise FormatError(f"{path}: embeddings were built for a different vocabulary")
     if vocab is not None and len(rows) != len(vocab):

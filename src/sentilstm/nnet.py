@@ -107,14 +107,6 @@ class _CellParams:
                              else np.full(shape, 1.0 if name == "b_f" else 0.0))
                       for name, shape in cls.shapes(hidden, hidden + input_dim).items()})
 
-    @classmethod
-    def from_tensors(cls, tensors: dict):
-        """Build from a name -> array mapping; a missing or extra name, or a
-        shape that disagrees with the table, raises ValueError."""
-        if set(tensors) != set(cls.TENSOR_NAMES):
-            raise ValueError(f"{cls.KIND} tensors {sorted(tensors)} != {sorted(cls.TENSOR_NAMES)}")
-        return cls(**tensors)
-
     @property
     def hidden(self):
         return self.head_W.shape[1]

@@ -211,6 +211,7 @@ def evaluate_model(params, embedding, examples, averaging="macro") -> MetricsRep
 
 
 _KINDS = {cls.KIND: cls for cls in (LstmParams, RnnParams)}
+_LAYOUTS = {kind: (("maxlen",), cls.TENSOR_NAMES) for kind, cls in _KINDS.items()}
 
 
 def save_model(params, path, embedding_fingerprint: bytes, maxlen: int) -> str:
@@ -223,11 +224,9 @@ def save_model(params, path, embedding_fingerprint: bytes, maxlen: int) -> str:
 def load_model(path, data: bytes = None):
     """Returns (params, maxlen, embedding_fingerprint). A corrupt file or an
     inconsistent tensor set raises FormatError."""
-    artifact = binio.load(path, _KINDS, data)
-    if set(artifact.fields) != {"maxlen"}:
-        raise FormatError(f"{path}: model header fields {sorted(artifact.fields)} != ['maxlen']")
+    artifact = binio.load(path, _LAYOUTS, data)
     try:
-        params = _KINDS[artifact.kind].from_tensors(artifact.tensors)
+        params = _KINDS[artifact.kind](**artifact.tensors)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return params, artifact.fields["maxlen"], artifact.binding

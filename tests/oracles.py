@@ -576,9 +576,10 @@ def load_encoded_ref(data: bytes):
         tensors[name] = (dtype, shape, values)
     if pos != len(body):
         raise ValueError("trailing bytes")
-    layout = "expected field maxlen and int32 tensors indices (N, maxlen) and labels (N,)"
     if list(fields) != ["maxlen"] or list(tensors) != ["indices", "labels"]:
-        raise ValueError(layout)
+        raise ValueError(f"encoded fields {list(fields)} and tensors {list(tensors)} "
+                         f"are not ['maxlen'] and ['indices', 'labels']")
+    layout = "expected field maxlen and int32 tensors indices (N, maxlen) and labels (N,)"
     (index_dtype, shape, flat), (label_dtype, label_shape, labels) = \
         tensors["indices"], tensors["labels"]
     if (index_dtype != "i32" or label_dtype != "i32" or len(label_shape) != 1

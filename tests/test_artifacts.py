@@ -1,9 +1,11 @@
 """Every binary artifact, the encoded splits included, is tamper-evident:
 one flipped byte or one cut anywhere in the file, or a valid file of
 another kind, is refused with FormatError by its loader and with one
-`error:` line by the CLI. A checkpoint's `vocab.tsv` with a flipped byte,
-a cut, two digits swapped or another line break, its manifest digest
-repaired, gives the untampered answer or one `error:` line."""
+`error:` line by the CLI. So is a well-formed container whose field or
+tensor names are renamed, missing, extra or out of order. A checkpoint's
+`vocab.tsv` with a flipped byte, a cut, two digits swapped or another line
+break, its manifest digest repaired, gives the untampered answer or one
+`error:` line."""
 
 import contextlib
 import importlib
@@ -18,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentilstm import binio
 from sentilstm.baselines import (count_features, load_baseline, logreg_fit,
                                  naive_bayes_fit, save_baseline)
-from sentilstm.binio import sha256_file
 from sentilstm.cli import main
 from sentilstm.corpus import build_vocabulary, encode_example, load_encoded, save_encoded
 from sentilstm.embedding import load_embeddings, random_embedding
@@ -113,11 +115,75 @@ def test_tampered_or_foreign_artifact_refused(artifacts, name, data):
             # repair the manifest digest, so the container's own checks are
             # what refuses the file
             manifest = json.loads((checkpoint / "manifest.json").read_text())
-            manifest["checksums"][path.name] = sha256_file(checkpoint / path.name)
+            manifest["checksums"][path.name] = binio.sha256_file(checkpoint / path.name)
             (checkpoint / "manifest.json").write_text(json.dumps(manifest))
             rc, err = _evaluate_stderr(checkpoint, artifacts / "data.csv")
             assert rc == 1
             assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+# artifact path -> its (field count, tensor count), for the layout changes that apply
+COUNTS = {"lstm/model.bin": (1, 10), "rnn/model.bin": (1, 4), "lstm/embeddings.bin": (0, 1),
+          "naive_bayes.bin": (0, 2), "logreg.bin": (0, 3), "prep/train.tsv": (1, 2)}
+# a layout change of a list of (name, value) entries, and the fewest entries it needs
+LAYOUT_CHANGES = {
+    "renamed": (lambda items: [(items[0][0] + "_", items[0][1])] + items[1:], 1),
+    "missing": (lambda items: items[:-1], 1),
+    "extra": (lambda items: items + [("extra", items[-1][1] if items else 1)], 0),
+    "reordered": (lambda items: items[::-1], 2),
+}
+DTYPES = {"lstm": "f32", "rnn": "f32", "embedding": "f32", "naive-bayes": "f64",
+          "logreg": "f64", "encoded": "i32"}
+
+
+def _relaid(source, target, part, change):
+    """Write the container at `source` to `target` with its "fields" or
+    "tensors" changed by `change`; returns the message its loader refuses
+    it with, after the path."""
+    reader = binio.Reader(binio.strip_crc(memoryview(source.read_bytes())))
+    reader.take(len(binio.MAGIC) + 4)  # the magic and the version
+    kind, binding = reader.text(), bytes(reader.take(32))
+    layout = {"fields": reader.named(reader.u32), "tensors": reader.named(reader.tensor)}
+    relaid = dict(layout, **{part: dict(LAYOUT_CHANGES[change][0](list(layout[part].items())))})
+    binio.save(target, kind, binding, relaid["tensors"], DTYPES[kind], relaid["fields"])
+    return (f"{kind} fields {list(relaid['fields'])} and tensors {list(relaid['tensors'])} "
+            f"are not {list(layout['fields'])} and {list(layout['tensors'])}")
+
+
+@pytest.mark.parametrize("name, part, change", [
+    (name, part, change) for name, counts in COUNTS.items()
+    for part, count in zip(("fields", "tensors"), counts)
+    for change, (_, fewest) in LAYOUT_CHANGES.items() if count >= fewest])
+def test_other_layout_refused_with_one_message(artifacts, tmp_path, capsys, name, part, change):
+    """By its loader, with the container's message; through the CLI (a
+    split by `train`, a checkpoint file by `predict`), as one `error:` line."""
+    path = tmp_path / Path(name).name
+    message = _relaid(artifacts / name, path, part, change)
+    with pytest.raises(FormatError) as caught:
+        LOADERS[name](path)
+    assert str(caught.value) == f"{path}: {message}"
+
+    if LOADERS[name] is load_encoded:
+        prep = tmp_path / "prep"
+        assert main(["preprocess", "--data", str(artifacts / "data.csv"), "--output-dir",
+                     str(prep), "--min-count", "1", "--maxlen", "6", "--quiet"]) == 0
+        path = prep / "train.tsv"
+        message = _relaid(path, path, part, change)
+        argv = ["train", "--input-dir", str(prep), "--random-init", "--dim", "4"]
+    elif "/" in name:
+        checkpoint = tmp_path / "ckpt"
+        shutil.copytree(artifacts / Path(name).parent, checkpoint)
+        shutil.copy(path, checkpoint / path.name)
+        path = checkpoint / path.name
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        manifest["checksums"][path.name] = binio.sha256_file(path)
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["predict", "--checkpoint", str(checkpoint), "good day"]
+    else:  # a baseline: no command reads one
+        return
+    capsys.readouterr()
+    assert main(argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
 
 
 @st.composite
@@ -157,7 +223,7 @@ def test_tampered_vocabulary_is_the_same_answer_or_one_error_line(artifacts, dat
         shutil.copytree(artifacts / "lstm", checkpoint)
         (checkpoint / "vocab.tsv").write_bytes(tampered)
         manifest = json.loads((checkpoint / "manifest.json").read_text())
-        manifest["checksums"]["vocab.tsv"] = sha256_file(checkpoint / "vocab.tsv")
+        manifest["checksums"]["vocab.tsv"] = binio.sha256_file(checkpoint / "vocab.tsv")
         (checkpoint / "manifest.json").write_text(json.dumps(manifest))
         train_mod._parsed.clear()  # the first evaluate parses this checkpoint
         for _ in range(2):

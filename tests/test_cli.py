@@ -2,6 +2,7 @@
 temp-directory pipeline, and the documented error paths."""
 
 import argparse
+import codecs
 import dataclasses
 import hashlib
 import io
@@ -11,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +314,25 @@ class TestPreprocess:
                    for path in sorted(out.iterdir())}
         assert digests == GOLDEN_DIGESTS[name]
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, corpus_csv, trained_checkpoint,
+                                         capsys):
+        # Excel's "CSV UTF-8" export starts with one
+        trees, reports = {}, {}
+        for name, mark in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            data = tmp_path / name / "corpus.csv"
+            data.parent.mkdir()
+            data.write_bytes(mark + Path(corpus_csv).read_bytes())
+            out = tmp_path / name / "prep"
+            assert main(["preprocess", "--data", str(data), "--output-dir", str(out),
+                         "--min-count", "1", "--maxlen", "8", "--quiet"]) == 0
+            trees[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", trained_checkpoint, "--data", str(data),
+                         "--format", "json", "--quiet"]) == 0
+            reports[name] = capsys.readouterr().out
+        assert trees["bom"] == trees["plain"]
+        assert reports["bom"] == reports["plain"]
+
     def test_artifacts_and_meta(self, preprocessed):
         import os
         for name in ("vocab.tsv", "train.tsv", "test.tsv", "meta.json"):
@@ -508,6 +529,28 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "tokenizer" in err[0]
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize("version", [True, 1.0, 2], ids=["true", "float", "two"])
+    def test_bad_version_in_manifest_is_one_error_line(self, command, version, tmp_path,
+                                                       preprocessed, trained_checkpoint,
+                                                       capsys):
+        # true and 1.0 both equal 1 in Python; only the int 1 is version 1
+        prep, ckpt = tmp_path / "prep", tmp_path / "ckpt"
+        shutil.copytree(preprocessed, prep)
+        shutil.copytree(trained_checkpoint, ckpt)
+        for path in (prep / "meta.json", ckpt / "manifest.json"):
+            payload = json.loads(path.read_text())
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+        argv = {"train": ["--input-dir", str(prep), "--random-init", "--dim", "4"],
+                "predict": ["--checkpoint", str(ckpt), "good day"],
+                "evaluate": ["--checkpoint", str(ckpt), "--data", str(prep / "test.tsv")]}[command]
+        capsys.readouterr()
+        assert main([command] + argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"version {version}" in err[0]
 
     @pytest.mark.parametrize("command", ["train-embeddings", "train", "evaluate"])
     @pytest.mark.parametrize("bad", ["label", "index"])

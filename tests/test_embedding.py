@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import sentilstm.embedding as embedding
 from sentilstm.corpus import PAD_INDEX, UNK_INDEX, build_vocabulary
-from sentilstm.embedding import (EmbeddingConfig, EmbeddingMatrix, NegativeSampler,
-                                 generate_pairs, load_embeddings, random_embedding,
-                                 save_embeddings, sgns_gradient, train_skipgram)
+from sentilstm.embedding import (EmbeddingConfig, EmbeddingMatrix, generate_pairs,
+                                 load_embeddings, random_embedding, save_embeddings,
+                                 sgns_gradient, train_skipgram)
 from sentilstm.errors import FormatError, TrainingError
 
 from oracles import finite_difference, relative_error, sgns_loss_ref, skipgram_ref
@@ -25,9 +25,11 @@ def small_vocab(tokens=("aa", "bb", "cc", "dd")):
     return build_vocabulary([list(tokens)], min_count=1)
 
 
+SKEWED = ["aa"] * 40 + ["bb"] * 20 + ["cc"] * 10 + ["dd"] * 5 + ["ee"] * 2
+
+
 def skewed_vocab():
-    corpus = [["aa"] * 40 + ["bb"] * 20 + ["cc"] * 10 + ["dd"] * 5 + ["ee"] * 2]
-    return build_vocabulary(corpus, min_count=1)
+    return build_vocabulary([SKEWED], min_count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,44 +167,77 @@ class TestGeneratePairs:
 # negative sampling
 
 
+def drawn_negatives(monkeypatch, vocab, sequences, **options):
+    """Every negative `train_skipgram` draws, as one (pairs, k) array in draw
+    order; the SGD steps are skipped, so only the random streams run."""
+    draws = []
+
+    def record(W, C, pairs, negatives, lrs):
+        draws.append(negatives.copy())
+        return np.zeros(len(pairs))
+
+    monkeypatch.setattr(embedding, "_sgd_pairs", record)
+    train_skipgram(sequences, EmbeddingConfig(dim=2, min_count=1, **options), vocab)
+    return np.concatenate(draws)
+
+
+def skewed_sequences(vocab):
+    return [[vocab.token_to_index[t] for t in SKEWED]]
+
+
+def unigram_law(vocab):
+    """The unigram^0.75 probability of each token, in index order from index 2."""
+    counts = np.array([vocab.frequencies[t] for t in vocab.index_to_token[2:]],
+                      dtype=np.float64)
+    return counts ** 0.75 / (counts ** 0.75).sum()
+
+
 class TestNegativeSampler:
-    def test_probabilities_follow_unigram_power(self):
+    """The negatives `train_skipgram` draws from the unigram^0.75 law."""
+
+    def test_probabilities_follow_unigram_power(self, monkeypatch):
+        # each draw is the right-side search of the law's CDF on the (seed, 1) stream
         vocab = skewed_vocab()
-        counts = np.array([vocab.frequencies[t] for t in vocab.index_to_token[2:]],
-                          dtype=np.float64)
-        expected = counts ** 0.75
-        expected /= expected.sum()
-        sampler = NegativeSampler(vocab)
-        np.testing.assert_allclose(sampler.probabilities, expected, rtol=0, atol=1e-15)
+        cumulative = np.cumsum(unigram_law(vocab))
+        cumulative[-1] = 1.0
+        draws = drawn_negatives(monkeypatch, vocab, skewed_sequences(vocab), seed=3,
+                                iterations=2, negatives=4)
+        uniforms = np.random.default_rng((3, 1)).random(draws.size)
+        want = 2 + np.searchsorted(cumulative, uniforms, side="right")
+        assert draws.size > 1000
+        assert np.array_equal(draws.ravel(), want)
 
-    def test_samples_never_reserved(self):
-        sampler = NegativeSampler(small_vocab())
-        draws = sampler.sample(np.random.default_rng(0), 10_000)
+    def test_samples_never_reserved(self, monkeypatch):
+        vocab = small_vocab()
+        draws = drawn_negatives(monkeypatch, vocab, [[2, 3, 4, 5]], iterations=100, negatives=20)
+        assert draws.size >= 10_000
         assert draws.min() >= 2
-        assert draws.max() < len(small_vocab())
+        assert draws.max() < len(vocab)
 
-    def test_deterministic(self):
-        sampler = NegativeSampler(small_vocab())
-        a = sampler.sample(np.random.default_rng(7), 100)
-        b = sampler.sample(np.random.default_rng(7), 100)
+    def test_deterministic(self, monkeypatch):
+        vocab = small_vocab()
+        a, b, c = (drawn_negatives(monkeypatch, vocab, [[2, 3, 4, 5]], seed=seed, negatives=10)
+                   for seed in (7, 7, 8))
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
-    def test_empirical_distribution_chi_squared(self):
+    def test_empirical_distribution_chi_squared(self, monkeypatch):
         # 10^6 draws against the unigram^0.75 law
         vocab = skewed_vocab()
-        sampler = NegativeSampler(vocab)
-        n = 10 ** 6
-        draws = sampler.sample(np.random.default_rng(1234), n)
-        observed = np.bincount(draws - 2, minlength=len(sampler.probabilities))
-        expected = sampler.probabilities * n
-        result = scipy.stats.chisquare(observed, expected)
+        probabilities = unigram_law(vocab)
+        draws = drawn_negatives(monkeypatch, vocab, skewed_sequences(vocab), seed=1234,
+                                iterations=40, negatives=50)
+        n = draws.size
+        assert n >= 10 ** 6
+        observed = np.bincount(draws.ravel() - 2, minlength=len(probabilities))
+        result = scipy.stats.chisquare(observed, probabilities * n)
         assert result.pvalue > 1e-3
 
     def test_empty_vocab_rejected(self):
         vocab = build_vocabulary([["aa", "bb"]], min_count=1)
         vocab.index_to_token = vocab.index_to_token[:2]
         with pytest.raises(TrainingError):
-            NegativeSampler(vocab)
+            train_skipgram([[0, 1]], EmbeddingConfig(dim=2, min_count=1), vocab)
 
 
 # ---------------------------------------------------------------------------

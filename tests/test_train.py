@@ -607,8 +607,10 @@ class TestModelIO:
         ({"b_o": np.zeros(5)}, "b_o shape"),             # bias off the hidden size
         ({"head_W": np.zeros((3, 5))}, "head_W shape"),  # head off the hidden size
         ({"head_b": np.zeros(4)}, "head_b shape"),       # head bias off the classes
-        ({"head_b": None}, "lstm tensors"),              # missing tensor
-        ({"extra": np.zeros(2)}, "lstm tensors"),        # extra tensor
+        pytest.param({"head_b": None}, r"tensors \[.*'head_W'\] are not \['maxlen'\] and",
+                     id="missing-tensor"),
+        pytest.param({"extra": np.zeros(2)}, r"'head_b', 'extra'\] are not \['maxlen'\] and",
+                     id="extra-tensor"),
     ])
     def test_inconsistent_tensor_set_refused(self, tmp_path, change, message):
         tensors = dict(make_lstm().tensors(), **change)
